@@ -82,7 +82,9 @@ std::uint64_t accuracy_fingerprint(const core::AccuracyReport& r) {
 }
 
 /// The prediction-engine report over the physical arrival stream — the
-/// quantity every downstream bench and CI artifact is derived from.
+/// quantity every downstream bench and CI artifact is derived from. Only
+/// behaviour is hashed: the predictors' memory footprint is a layout
+/// property, pinned exactly by registry_test instead.
 std::uint64_t report_fingerprint(const trace::TraceStore& store) {
   engine::PredictionEngine eng({.shards = 1});
   eng.observe_all(engine::events_from_trace(store, trace::Level::Physical));
@@ -90,7 +92,6 @@ std::uint64_t report_fingerprint(const trace::TraceStore& store) {
   std::uint64_t h = kFnvOffset;
   mix(h, static_cast<std::uint64_t>(report.events));
   mix(h, static_cast<std::uint64_t>(report.streams.size()));
-  mix(h, static_cast<std::uint64_t>(report.total_footprint_bytes));
   mix(h, accuracy_fingerprint(report.aggregate_senders));
   mix(h, accuracy_fingerprint(report.aggregate_sizes));
   for (const engine::StreamReport& s : report.streams) {
@@ -147,22 +148,22 @@ struct Golden {
 // async front-end must reproduce every value exactly.
 const Golden kGolden[] = {
     {"bt", false,
-     {0x86719641BC2E8AB5ULL, 0xAC88DA84B1081590ULL, 0xB4F87DE2AB6915D6ULL, 0xFE5B17FF61B14EC1ULL,
+     {0x86719641BC2E8AB5ULL, 0xAC88DA84B1081590ULL, 0xB4F87DE2AB6915D6ULL, 0xD1B4B361FC1BD07CULL,
       0x676CA4D32FC887CDULL, 12317652}},
     {"cg", false,
-     {0x3594B7F05912A904ULL, 0x87FFD61E2D7FCA52ULL, 0x1E9D7887113B1950ULL, 0x5455881FA8B11510ULL,
+     {0x3594B7F05912A904ULL, 0x87FFD61E2D7FCA52ULL, 0x1E9D7887113B1950ULL, 0x4403E13DAD45B1F5ULL,
       0xFB7A01451DABCE93ULL, 74351048}},
     {"lu", false,
-     {0xF2206B799DF8C6BEULL, 0x6EE967EE3CC67E24ULL, 0xEEC5D50C15C8EF5CULL, 0xDB7F7438B8091259ULL,
+     {0xF2206B799DF8C6BEULL, 0x6EE967EE3CC67E24ULL, 0xEEC5D50C15C8EF5CULL, 0x9DFD3BF785A7286CULL,
       0x41D4FF200BE43CEBULL, 10547355}},
     {"bt", true,
-     {0x86719641BC2E8AB5ULL, 0xAC88DA84B1081590ULL, 0x13A2E2F6077C0F4FULL, 0xFE5B17FF61B14EC1ULL,
+     {0x86719641BC2E8AB5ULL, 0xAC88DA84B1081590ULL, 0x13A2E2F6077C0F4FULL, 0xD1B4B361FC1BD07CULL,
       0x676CA4D32FC887CDULL, 12317652}},
     {"cg", true,
-     {0x3594B7F05912A904ULL, 0x87FFD61E2D7FCA52ULL, 0xEC05055DF172E2E0ULL, 0x5455881FA8B11510ULL,
+     {0x3594B7F05912A904ULL, 0x87FFD61E2D7FCA52ULL, 0xEC05055DF172E2E0ULL, 0x4403E13DAD45B1F5ULL,
       0xFB7A01451DABCE93ULL, 74351048}},
     {"lu", true,
-     {0xF2206B799DF8C6BEULL, 0x6EE967EE3CC67E24ULL, 0xDF2387EEBAB3231CULL, 0xDB7F7438B8091259ULL,
+     {0xF2206B799DF8C6BEULL, 0x6EE967EE3CC67E24ULL, 0xDF2387EEBAB3231CULL, 0x9DFD3BF785A7286CULL,
       0x41D4FF200BE43CEBULL, 10547355}},
 };
 

@@ -190,5 +190,17 @@ TEST(PredictorRegistry, FootprintIsNonZeroForEveryFamily) {
   }
 }
 
+TEST(PredictorRegistry, DpdFootprintIsObjectPlusRingPlusLagCounters) {
+  // The exact layout bill of the paper's predictor: the object itself, an
+  // 8-byte sample ring of `window` entries, and two 8-byte counters (run
+  // and score) per candidate lag.
+  const auto predictor = make_predictor("dpd");
+  const auto* dpd = dynamic_cast<const core::StreamPredictor*>(predictor.get());
+  ASSERT_NE(dpd, nullptr);
+  const core::DpdConfig& cfg = dpd->config().dpd;
+  EXPECT_EQ(predictor->footprint_bytes(),
+            sizeof(core::StreamPredictor) + cfg.window * 8 + 2 * cfg.max_period * 8);
+}
+
 }  // namespace
 }  // namespace mpipred::engine
