@@ -23,6 +23,7 @@ void PeriodicityDetector::reset() {
   std::fill(run_.begin(), run_.end(), std::size_t{0});
   std::fill(score_.begin(), score_.end(), std::size_t{0});
   total_ = 0;
+  lag_ = 0;
 }
 
 std::size_t PeriodicityDetector::buffered() const noexcept {
@@ -42,26 +43,74 @@ void PeriodicityDetector::observe(Value v) {
   // history: the comparison is x[t] vs x[t-m]. A match earns one point
   // (capped), a mismatch costs `mismatch_penalty` — hysteresis that rides
   // through isolated glitches but drains quickly on real pattern changes.
-  const auto have = static_cast<std::size_t>(std::min<std::int64_t>(
-      total_, static_cast<std::int64_t>(cfg_.window)));
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    auto& run = run_[m - 1];
-    auto& score = score_[m - 1];
-    if (m > have) {
-      run = 0;  // x[t-m] not available yet
-      score = 0;
-      continue;
+  //
+  // Only the live lags m <= min(buffered, M) are visited: a lag beyond the
+  // buffered history has never had an x[t-m] to compare with, so its run
+  // and score are still zero. The ring is walked by index (x[t-m] sits m
+  // slots behind the write slot of x[t]), in two contiguous segments split
+  // where the walk wraps, and the best confirmed run and score are tracked
+  // on the way so the prediction lag resolves right after the pass.
+  const std::size_t window = cfg_.window;
+  const std::size_t live = std::min(buffered(), cfg_.max_period);
+  const auto head = static_cast<std::size_t>(total_ % static_cast<std::int64_t>(window));
+  const Value* const ring = ring_.data();
+  std::size_t* const runs = run_.data();
+  std::size_t* const scores = score_.data();
+  const std::size_t penalty = cfg_.mismatch_penalty;
+  std::size_t best_run = 0;
+  std::size_t best_score = 0;
+  // Lags [from, to] whose x[t-m] is ring[base - m].
+  const auto update = [&](std::size_t from, std::size_t to, std::size_t base) {
+    for (std::size_t m = from; m <= to; ++m) {
+      const bool match = ring[base - m] == v;
+      const std::size_t thr = threshold(m);
+      std::size_t& run = runs[m - 1];
+      std::size_t& score = scores[m - 1];
+      const std::size_t raised = std::min(score + 1, 2 * thr);
+      const std::size_t lowered = score - std::min(score, penalty);
+      run = match ? run + 1 : 0;
+      score = match ? raised : lowered;
+      best_run = std::max(best_run, run >= thr ? run : 0);
+      best_score = std::max(best_score, score >= thr ? score : 0);
     }
-    if (value_at_lag(m - 1) == v) {  // lag m-1 of the *old* buffer == x[t-m] of the new sample
-      ++run;
-      score = std::min(score + 1, 2 * threshold(m));
-    } else {
-      run = 0;
-      score -= std::min(score, cfg_.mismatch_penalty);
-    }
-  }
-  ring_[static_cast<std::size_t>(total_ % static_cast<std::int64_t>(cfg_.window))] = v;
+  };
+  const std::size_t unwrapped = std::min(live, head);
+  update(1, unwrapped, head);
+  update(unwrapped + 1, live, head + window);
+  ring_[head] = v;
   ++total_;
+  lag_ = resolve_lag(live, best_run, best_score);
+}
+
+std::size_t PeriodicityDetector::resolve_lag(std::size_t live, std::size_t best_run,
+                                             std::size_t best_score) const noexcept {
+  // The smallest confirmed lag whose evidence is within half of the best;
+  // the best lag itself always qualifies.
+  const auto smallest_within_half = [&](const std::vector<std::size_t>& evidence,
+                                        std::size_t best) -> std::size_t {
+    for (std::size_t m = 1; m <= live; ++m) {
+      if (evidence[m - 1] >= threshold(m) && 2 * evidence[m - 1] >= best) {
+        return m;
+      }
+    }
+    return 0;
+  };
+  // First choice: strict evidence. Among lags whose *consecutive* match
+  // run passes the threshold, take the smallest one within half of the
+  // longest run — on clean streams this is the fundamental period (or a
+  // harmless multiple), and the evidence weighting discards lags that only
+  // hold locally.
+  if (best_run > 0) {
+    return smallest_within_half(run_, best_run);
+  }
+  // Fallback: hysteretic evidence. Right after an isolated reordering all
+  // strict runs are broken; the capped scores remember which lags held
+  // until a moment ago, so prediction continues instead of going silent
+  // for a whole relearning interval.
+  if (best_score > 0) {
+    return smallest_within_half(score_, best_score);
+  }
+  return 0;
 }
 
 std::size_t PeriodicityDetector::threshold(std::size_t m) const noexcept {
@@ -93,43 +142,10 @@ std::optional<std::size_t> PeriodicityDetector::period() const {
 }
 
 std::optional<std::size_t> PeriodicityDetector::prediction_lag() const {
-  // First choice: strict evidence. Among lags whose *consecutive* match
-  // run passes the threshold, take the smallest one within half of the
-  // longest run — on clean streams this is the fundamental period (or a
-  // harmless multiple), and the evidence weighting discards lags that only
-  // hold locally.
-  std::size_t best_run = 0;
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (run_[m - 1] >= threshold(m)) {
-      best_run = std::max(best_run, run_[m - 1]);
-    }
-  }
-  if (best_run > 0) {
-    for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-      if (run_[m - 1] >= threshold(m) && 2 * run_[m - 1] >= best_run) {
-        return m;
-      }
-    }
-  }
-  // Fallback: hysteretic evidence. Right after an isolated reordering all
-  // strict runs are broken; the capped scores remember which lags held
-  // until a moment ago, so prediction continues instead of going silent
-  // for a whole relearning interval.
-  std::size_t best_score = 0;
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (score_[m - 1] >= threshold(m)) {
-      best_score = std::max(best_score, score_[m - 1]);
-    }
-  }
-  if (best_score == 0) {
+  if (lag_ == 0) {
     return std::nullopt;
   }
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (score_[m - 1] >= threshold(m) && 2 * score_[m - 1] >= best_score) {
-      return m;
-    }
-  }
-  return std::nullopt;  // unreachable: the best-scoring lag qualifies
+  return lag_;
 }
 
 int PeriodicityDetector::distance(std::size_t m) const {

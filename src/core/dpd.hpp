@@ -47,9 +47,15 @@ struct DpdConfig {
 /// shifted by m). Recomputing d(m) per sample costs O(N*M); this
 /// implementation is incremental: for each lag m it tracks the length of
 /// the current run of samples satisfying x[t] == x[t-m], which gives the
-/// same "has matched for long enough" signal in O(M) per observation and
-/// O(N + M) space — small enough to run inside an MPI library (the §4.2
-/// overhead requirement; see bench_predictor_overhead).
+/// same "has matched for long enough" signal in O(N + M) space — small
+/// enough to run inside an MPI library (the §4.2 overhead requirement; see
+/// bench_predictor_overhead).
+///
+/// Costs: observe(), the only mutator, is O(min(samples, M)) — one pass
+/// over the live lags that updates the runs and scores and also resolves
+/// the prediction lag, which it caches. prediction_lag() is then O(1), so
+/// a predictor reading several horizons per sample pays for the lag once.
+/// period() is O(M + window) and is meant for reports.
 ///
 /// Values are opaque integers: sender ranks or message sizes here, but any
 /// symbol stream works.
@@ -59,7 +65,7 @@ class PeriodicityDetector {
 
   explicit PeriodicityDetector(DpdConfig cfg = {});
 
-  /// Feeds the next sample of the stream.
+  /// Feeds the next sample of the stream and resolves prediction_lag().
   void observe(Value v);
 
   /// The smallest confirmed period, if any — the *fundamental* period in
@@ -77,7 +83,9 @@ class PeriodicityDetector {
   /// that only hold locally — a constant stretch inside a longer pattern
   /// (which would fake a tiny period) or a lag that happens to align
   /// across a recent phase shift (which would fake a huge one) — both of
-  /// which mispredict the rest of the pattern.
+  /// which mispredict the rest of the pattern. If no run is confirmed, the
+  /// same rule applies to the hysteretic scores. O(1): resolved by
+  /// observe().
   [[nodiscard]] std::optional<std::size_t> prediction_lag() const;
 
   /// The paper's d(m) evaluated over the *current* window contents:
@@ -102,12 +110,17 @@ class PeriodicityDetector {
 
  private:
   [[nodiscard]] std::size_t threshold(std::size_t m) const noexcept;
+  /// The prediction-lag rule over lags 1..live, given the best confirmed
+  /// run and score (0 if none); 0 means no lag.
+  [[nodiscard]] std::size_t resolve_lag(std::size_t live, std::size_t best_run,
+                                        std::size_t best_score) const noexcept;
 
   DpdConfig cfg_;
   std::vector<Value> ring_;         // circular buffer of the last `window` samples
   std::vector<std::size_t> run_;    // run_[m-1]: strict consecutive matches at lag m
   std::vector<std::size_t> score_;  // score_[m-1]: hysteretic match score at lag m
   std::int64_t total_ = 0;
+  std::size_t lag_ = 0;  // prediction_lag() as of the last observe(); 0 = none
 };
 
 }  // namespace mpipred::core

@@ -14,10 +14,12 @@ void StreamPredictor::observe(Value v) { detector_.observe(v); }
 
 std::optional<Predictor::Value> StreamPredictor::predict(std::size_t h) const {
   MPIPRED_REQUIRE(h >= 1 && h <= cfg_.horizon, "horizon out of range");
-  // Read history through the *largest* confirmed lag: on clean periodic
-  // streams it is a multiple of the fundamental period (identical
-  // predictions), and it bridges spots where a small lag only held
-  // locally — see PeriodicityDetector::prediction_lag().
+  // Read history through the smallest confirmed lag whose evidence is at
+  // least half the strongest: on clean periodic streams it is the
+  // fundamental period (or a multiple, with identical predictions), and it
+  // skips small lags that only held locally — see
+  // PeriodicityDetector::prediction_lag(). The lag is resolved once per
+  // sample, so this is a lookup.
   const auto period = detector_.prediction_lag();
   if (!period) {
     if (cfg_.last_value_fallback && detector_.samples() > 0) {

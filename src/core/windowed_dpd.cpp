@@ -21,6 +21,7 @@ void WindowedDpdPredictor::reset() {
   std::fill(ring_.begin(), ring_.end(), Value{0});
   std::fill(last_bad_.begin(), last_bad_.end(), std::int64_t{-1});
   total_ = 0;
+  period_ = 0;
 }
 
 std::size_t WindowedDpdPredictor::buffered() const noexcept {
@@ -34,20 +35,28 @@ Predictor::Value WindowedDpdPredictor::value_at_lag(std::size_t lag) const {
 }
 
 void WindowedDpdPredictor::observe(Value v) {
-  const std::size_t have = buffered();
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
-    if (m > have) {
-      continue;  // x[t-m] does not exist yet: no comparison at this lag
+  // Only lags with an x[t-m] in history compare; x[t-m] sits m slots
+  // behind the write slot of x[t], walked in two segments split where the
+  // ring wraps.
+  const std::size_t window = cfg_.window;
+  const std::size_t live = std::min(buffered(), cfg_.max_period);
+  const auto head = static_cast<std::size_t>(total_ % static_cast<std::int64_t>(window));
+  const Value* const ring = ring_.data();
+  std::int64_t* const last_bad = last_bad_.data();
+  const auto update = [&](std::size_t from, std::size_t to, std::size_t base) {
+    for (std::size_t m = from; m <= to; ++m) {
+      last_bad[m - 1] = ring[base - m] != v ? total_ : last_bad[m - 1];
     }
-    if (value_at_lag(m - 1) != v) {
-      last_bad_[m - 1] = total_;
-    }
-  }
-  ring_[static_cast<std::size_t>(total_ % static_cast<std::int64_t>(cfg_.window))] = v;
+  };
+  const std::size_t unwrapped = std::min(live, head);
+  update(1, unwrapped, head);
+  update(unwrapped + 1, live, head + window);
+  ring_[head] = v;
   ++total_;
+  period_ = resolve_period();
 }
 
-std::optional<std::size_t> WindowedDpdPredictor::period() const {
+std::size_t WindowedDpdPredictor::resolve_period() const noexcept {
   const auto window_start = total_ - static_cast<std::int64_t>(buffered());
   for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
     // d(m) == 0 over the window: the latest mismatch predates the window.
@@ -64,7 +73,14 @@ std::optional<std::size_t> WindowedDpdPredictor::period() const {
       return m;
     }
   }
-  return std::nullopt;
+  return 0;
+}
+
+std::optional<std::size_t> WindowedDpdPredictor::period() const {
+  if (period_ == 0) {
+    return std::nullopt;
+  }
+  return period_;
 }
 
 std::optional<Predictor::Value> WindowedDpdPredictor::predict(std::size_t h) const {

@@ -21,9 +21,10 @@ namespace mpipred::core {
 ///    quantifies exactly this difference on real traces.
 ///
 /// Window semantics make the incremental trick of the production detector
-/// unavailable; observe() costs O(M) amortized via mismatch bookkeeping
-/// (per lag, the position of the most recent mismatch: d(m)==0 over the
-/// window iff that position has scrolled out).
+/// unavailable; observe() costs O(M) via mismatch bookkeeping (per lag,
+/// the position of the most recent mismatch: d(m)==0 over the window iff
+/// that position has scrolled out) and resolves the period once, so
+/// period() and predict() are O(1).
 class WindowedDpdPredictor final : public Predictor {
  public:
   explicit WindowedDpdPredictor(DpdConfig cfg = {}, std::size_t horizon = 5);
@@ -37,7 +38,7 @@ class WindowedDpdPredictor final : public Predictor {
   [[nodiscard]] std::size_t footprint_bytes() const override;
 
   /// Smallest m with d(m) == 0 over the full window (needs at least
-  /// min_confirm_samples comparisons at lag m).
+  /// min_confirm_samples comparisons at lag m). O(1): resolved by observe().
   [[nodiscard]] std::optional<std::size_t> period() const;
 
   [[nodiscard]] std::int64_t samples() const noexcept { return total_; }
@@ -59,6 +60,8 @@ class WindowedDpdPredictor final : public Predictor {
  private:
   [[nodiscard]] std::size_t buffered() const noexcept;
   [[nodiscard]] Value value_at_lag(std::size_t lag) const;
+  /// The full-window criterion over the current state; 0 means no period.
+  [[nodiscard]] std::size_t resolve_period() const noexcept;
 
   DpdConfig cfg_;
   std::size_t horizon_;
@@ -67,6 +70,7 @@ class WindowedDpdPredictor final : public Predictor {
   // (-1 if never). d(m)==0 over the window iff last_bad_ scrolled out.
   std::vector<std::int64_t> last_bad_;
   std::int64_t total_ = 0;
+  std::size_t period_ = 0;  // period() as of the last observe(); 0 = none
 };
 
 }  // namespace mpipred::core
