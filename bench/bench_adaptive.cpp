@@ -36,7 +36,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +46,6 @@
 #include "ingest/transform.hpp"
 #include "ingest/verify.hpp"
 #include "scale/buffer_manager.hpp"
-#include "serve/server.hpp"
 
 namespace {
 
@@ -90,20 +88,6 @@ std::string format_report(const AdaptiveRun& run) {
                 static_cast<long long>(run.counters.rendezvous_elided),
                 static_cast<unsigned long long>(run.outcome.combined_checksum()));
   return buf;
-}
-
-/// Wrapper-vs-session gate: the same arrival stream fed to a standalone
-/// PredictionEngine and to a resident PredictionServer session must
-/// produce byte-identical reports — the serve layer may never change a
-/// number this bench (or the adaptive loop it models) depends on.
-bool serve_matches_engine(std::span<const engine::Event> events,
-                          const engine::EngineConfig& cfg) {
-  engine::PredictionEngine eng(cfg);
-  eng.observe_all(events);
-  serve::PredictionServer server({.engine = cfg});
-  const auto session = server.open_session();
-  session->observe_all(events);
-  return session->report() == eng.report();
 }
 
 /// `--trace` mode: the static-vs-adaptive comparison over an ingested
@@ -212,11 +196,6 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
 
   bool gate_ok = true;
   const engine::EngineConfig gate_cfg{.predictor = predictor};
-  if (!serve_matches_engine(events, gate_cfg)) {
-    std::fprintf(stderr, "serve gate FAILED: session report differs from the engine's over "
-                         "the arrival stream\n");
-    gate_ok = false;
-  }
   const auto streamed =
       ingest::verify_streamed_source(path, *source, flags.transforms, gate_cfg, sweep);
   if (!streamed.ok) {
@@ -231,8 +210,8 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
     }
   }
   if (gate_ok) {
-    std::printf("  gates: ok (session == engine wrapper; streamed == materialized across "
-                "shards and batch sizes; write_csv round trip byte-identical)\n");
+    std::printf("  gates: ok (streamed == materialized across shards and batch sizes; "
+                "write_csv round trip byte-identical)\n");
   }
   return swept.deterministic && gate_ok && telemetry_ok ? 0 : 2;
 }
@@ -308,16 +287,6 @@ int main(int argc, char** argv) {
                     sweep[i], reference.c_str(), format_report(repeat).c_str());
         case_deterministic = false;
       }
-    }
-    // Wrapper-vs-session gate over the same physical arrival stream the
-    // adaptive loop predicts on.
-    const bool serve_ok = serve_matches_engine(
-        engine::events_from_trace(baseline.world->traces(), trace::Level::Physical),
-        engine::EngineConfig{.predictor = arg.name});
-    if (!serve_ok) {
-      std::printf("%s: SERVE GATE FAILED — session report differs from the engine's\n",
-                  label.c_str());
-      case_deterministic = false;
     }
     deterministic = deterministic && case_deterministic;
 

@@ -9,6 +9,7 @@
 
 #include "apps/app.hpp"
 #include "core/periodogram.hpp"
+#include "ingest/source.hpp"
 #include "mpi/world.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
@@ -26,8 +27,10 @@ int main(int argc, char** argv) {
     trace::write_csv_file(path, world.traces());
   }
 
-  // A different process (or a later analysis session) reloads the CSV.
-  const trace::TraceStore store = trace::read_csv_file(path, kProcs);
+  // A different process (or a later analysis session) reloads the CSV
+  // through the ingest boundary, the same reader `--trace` uses.
+  const auto source = ingest::open_trace(path);
+  const trace::TraceStore& store = *source->store();
   std::printf("reloaded %zu logical + %zu physical records\n\n",
               store.total_records(trace::Level::Logical),
               store.total_records(trace::Level::Physical));

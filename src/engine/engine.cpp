@@ -30,34 +30,14 @@ StreamKey key_for(const Event& event, const KeyPolicy& policy) noexcept {
           .tag = policy.by_tag ? event.tag : kAnyKey};
 }
 
-namespace {
-
-ShardSetOptions shard_options(const EngineConfig& cfg) {
-  return {.feed = cfg.feed,
-          .min_parallel_batch = cfg.min_parallel_batch,
-          .metrics = cfg.metrics,
-          .metric_labels = cfg.metric_labels};
-}
-
-}  // namespace
-
 PredictionEngine::PredictionEngine(EngineConfig cfg)
     : cfg_(std::move(cfg)),
       prototype_(make_predictor(cfg_.predictor, cfg_.options)),
       horizon_(std::min(cfg_.options.horizon, prototype_->max_horizon())) {
   MPIPRED_REQUIRE(horizon_ >= 1, "engine horizon must be at least 1");
-  shards_ = std::make_unique<ShardSet>(effective_shard_count(cfg_.shards), *prototype_, horizon_,
-                                       cfg_.key, shard_options(cfg_));
-}
-
-PredictionEngine::PredictionEngine(const core::Predictor& prototype, KeyPolicy policy)
-    : prototype_(prototype.clone_fresh()), horizon_(prototype.max_horizon()) {
-  cfg_.predictor = std::string(prototype.name());
-  cfg_.options.horizon = horizon_;
-  cfg_.key = policy;
-  MPIPRED_REQUIRE(horizon_ >= 1, "engine horizon must be at least 1");
-  shards_ = std::make_unique<ShardSet>(effective_shard_count(cfg_.shards), *prototype_, horizon_,
-                                       cfg_.key, shard_options(cfg_));
+  shards_ = std::make_unique<ShardSet>(
+      effective_shard_count(cfg_.shards), *prototype_, horizon_, cfg_.key,
+      ShardSetOptions{.metrics = cfg_.metrics, .metric_labels = cfg_.metric_labels});
 }
 
 PredictionEngine::PredictionEngine(PredictionEngine&&) noexcept = default;
@@ -115,14 +95,12 @@ void PredictionEngine::observe_batches(const BatchProducer& produce) {
 
 std::optional<core::Predictor::Value> PredictionEngine::predict_sender(const StreamKey& key,
                                                                        std::size_t h) const {
-  const StreamState* state = shards_->find(key);
-  return state == nullptr ? std::nullopt : state->sender_predictor->predict(h);
+  return stream(key).predict_sender(h);
 }
 
 std::optional<core::Predictor::Value> PredictionEngine::predict_size(const StreamKey& key,
                                                                      std::size_t h) const {
-  const StreamState* state = shards_->find(key);
-  return state == nullptr ? std::nullopt : state->size_predictor->predict(h);
+  return stream(key).predict_size(h);
 }
 
 std::optional<core::Predictor::Value> StreamRef::predict_sender(std::size_t h) const {
@@ -150,9 +128,7 @@ std::optional<StreamSnapshot> PredictionEngine::snapshot(const StreamKey& key) c
   return ref.valid() ? std::optional(ref.snapshot()) : std::nullopt;
 }
 
-StreamRef PredictionEngine::stream(const StreamKey& key) const {
-  return StreamRef(shards_->find(key));
-}
+StreamRef PredictionEngine::stream(const StreamKey& key) const { return shards_->stream(key); }
 
 EngineReport PredictionEngine::report() const { return report_of(*shards_); }
 
@@ -183,14 +159,6 @@ std::vector<Event> events_from_rank(const trace::TraceStore& store, int rank,
                    .bytes = rec.bytes});
   }
   return out;
-}
-
-EngineReport run_over_trace(const trace::TraceStore& store, trace::Level level,
-                            const EngineConfig& cfg, const trace::StreamFilter& filter) {
-  PredictionEngine engine(cfg);
-  const auto events = events_from_trace(store, level, filter);
-  engine.observe_all(events);
-  return engine.report();
 }
 
 }  // namespace mpipred::engine

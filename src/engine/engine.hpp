@@ -16,10 +16,6 @@
 #include "trace/merge.hpp"
 #include "trace/store.hpp"
 
-namespace mpipred::serve {
-class Session;
-}
-
 namespace mpipred::engine {
 
 /// "src=3 dst=1 tag=*" — for report rows and error messages.
@@ -75,11 +71,12 @@ struct StreamSnapshot {
 
 struct StreamState;
 
-/// One stream resolved once, for per-message consumers that read several
-/// horizons and both dimensions: predict_sender/predict_size/snapshot on
-/// the engine cost one table lookup *each*, a StreamRef pays the lookup
-/// once and answers all of them off the same state. Invalidated by the
-/// next observe()/observe_all() on the owning engine.
+/// One stream resolved once: the view every query verb answers from.
+/// ShardSet::stream is the only code that turns a key into one; the
+/// engine's predict_sender/predict_size/snapshot each resolve a fresh
+/// view, while per-message consumers that read several horizons and both
+/// dimensions keep one and pay the lookup once. Invalidated by the next
+/// feed into the owning shard set.
 class StreamRef {
  public:
   /// False for keys never observed; all queries then return empty.
@@ -90,8 +87,7 @@ class StreamRef {
   [[nodiscard]] StreamSnapshot snapshot() const;
 
  private:
-  friend class PredictionEngine;
-  friend class mpipred::serve::Session;
+  friend class ShardSet;
   explicit StreamRef(const StreamState* state) : state_(state) {}
 
   const StreamState* state_;
@@ -102,11 +98,11 @@ class StreamRef {
 /// captured state without locking.
 using BatchProducer = std::function<void(std::vector<Event>&)>;
 
-/// Double-buffered pull loop shared by every batched feed path (engine,
-/// serve session): repeatedly asks `produce` for the next batch and hands
-/// it to `feed`, overlapping the production (parse) of batch N+1 with the
-/// feed of batch N on a second thread. Batches are handed over at the
-/// join, so the feed order is exactly the sequential one. A throw from
+/// Double-buffered pull loop shared by every batched feed path (the engine
+/// and the layers above it): repeatedly asks `produce` for the next batch
+/// and hands it to `feed`, overlapping the production (parse) of batch N+1
+/// with the feed of batch N on a second thread. Batches are handed over at
+/// the join, so the feed order is exactly the sequential one. A throw from
 /// `produce` propagates after the in-flight feed completes.
 void drive_batches(const BatchProducer& produce,
                    const std::function<void(std::span<const Event>)>& feed);
@@ -121,26 +117,19 @@ void drive_batches(const BatchProducer& produce,
 /// of that stream in isolation — the property engine_test pins down.
 ///
 /// Streams are hash-partitioned across `EngineConfig::shards` worker
-/// shards; large `observe_all()` batches are split by shard and processed
-/// on one thread per shard (no shared mutable state, joined before
-/// return), while `observe()` and small batches run on the caller's
-/// thread. Every stream's event subsequence reaches its predictors in feed
-/// order regardless of shard count, so reports are byte-identical across
-/// shard counts — engine_parallel_test pins that equivalence. Calls on one
+/// shards; `observe_all()` batches of at least kMinParallelBatch events
+/// are split by shard and drained by resident workers, one per shard (no
+/// shared mutable state, joined before return), while `observe()` and
+/// smaller batches run on the caller's thread. Every stream's event
+/// subsequence reaches its predictors in feed order regardless of shard
+/// count, so reports are byte-identical across shard counts —
+/// engine_parallel_test pins that equivalence. Calls on one
 /// engine must not overlap: the engine is internally parallel, not
 /// thread-safe for concurrent callers.
 class PredictionEngine {
  public:
   /// Builds the per-stream prototype through the registry.
   explicit PredictionEngine(EngineConfig cfg = {});
-
-  /// Uses fresh clones of `prototype` for every stream and dimension.
-  /// config() then reflects only the prototype's name, horizon, and the
-  /// key policy; the remaining options stay at their defaults (a
-  /// predictor's full construction parameters are not recoverable through
-  /// the Predictor interface), so rebuild an equivalent engine from the
-  /// prototype, not from config().
-  PredictionEngine(const core::Predictor& prototype, KeyPolicy policy = {});
 
   PredictionEngine(PredictionEngine&&) noexcept;
   PredictionEngine& operator=(PredictionEngine&&) noexcept;
@@ -210,10 +199,5 @@ class PredictionEngine {
 [[nodiscard]] std::vector<Event> events_from_rank(const trace::TraceStore& store, int rank,
                                                   trace::Level level,
                                                   const trace::StreamFilter& filter = {});
-
-/// Single-call helper: engine pass over one level of a finished trace.
-[[nodiscard]] EngineReport run_over_trace(const trace::TraceStore& store, trace::Level level,
-                                          const EngineConfig& cfg = {},
-                                          const trace::StreamFilter& filter = {});
 
 }  // namespace mpipred::engine

@@ -1,9 +1,6 @@
 #include "engine/shard.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <system_error>
-#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -27,11 +24,6 @@ namespace {
 
 // Slots per table before the first growth; always a power of two.
 constexpr std::size_t kInitialSlots = 16;
-
-// Default inline threshold: batches below this run on the caller's thread,
-// because partitioning plus dispatch costs more than it saves for a
-// handful of events.
-constexpr std::size_t kMinParallelBatch = 2048;
 
 // Slot marker for an erased key: probes walk through it (the key that
 // hashed past it must stay reachable), inserts may recycle it.
@@ -165,9 +157,6 @@ void EngineShard::drain(const KeyPolicy& policy, std::uint64_t tick) {
 ShardSet::ShardSet(std::size_t shards, const core::Predictor& prototype, std::size_t horizon,
                    KeyPolicy policy, ShardSetOptions options)
     : policy_(policy),
-      mode_(options.feed),
-      min_parallel_(options.min_parallel_batch == 0 ? kMinParallelBatch
-                                                    : options.min_parallel_batch),
       pool_(options.pool),
       clock_(options.clock != nullptr ? options.clock : &own_clock_) {
   MPIPRED_REQUIRE(shards >= 1, "engine needs at least one shard");
@@ -201,7 +190,7 @@ std::size_t ShardSet::shard_index(std::uint64_t hash) const noexcept {
 std::uint64_t ShardSet::next_tick() noexcept {
   // One tick per feed call (not per event or per shard): the stamp is
   // identical no matter how the batch is partitioned, so recency ordering
-  // is deterministic across shard counts and feed modes.
+  // is deterministic across shard counts and batch sizes.
   return clock_->fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
@@ -221,7 +210,7 @@ void ShardSet::feed(std::span<const Event> events) {
   const std::uint64_t tick = next_tick();
   feed_batches_->inc();
   feed_events_->add(static_cast<std::int64_t>(events.size()));
-  if (shards_.size() == 1 || events.size() < min_parallel_) {
+  if (shards_.size() == 1 || events.size() < kMinParallelBatch) {
     for (const Event& event : events) {
       observe_tick(event, tick);
     }
@@ -229,11 +218,21 @@ void ShardSet::feed(std::span<const Event> events) {
     return;
   }
   partition(events);
-  if (mode_ == FeedMode::spawn) {
-    feed_spawn(tick);
-  } else {
-    feed_persistent(tick);
+  if (pool_ == nullptr) {
+    owned_pool_ = std::make_unique<WorkerPool>(shards_.size() - 1);
+    pool_ = owned_pool_.get();
   }
+  // Wake only the workers whose shard actually received events: a feed
+  // that routes to two shards costs two condvar signals, not a broadcast.
+  pending_.clear();
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    if (!shards_[s].batch().empty()) {
+      pending_.push_back(s - 1);
+    }
+  }
+  pool_->run(
+      pending_, [this, tick](std::size_t worker) { shards_[worker + 1].drain(policy_, tick); },
+      [this, tick] { shards_[0].drain(policy_, tick); });
   update_resident_gauge();
 }
 
@@ -251,59 +250,6 @@ void ShardSet::partition(std::span<const Event> events) {
   }
 }
 
-void ShardSet::feed_persistent(std::uint64_t tick) {
-  if (pool_ == nullptr) {
-    owned_pool_ = std::make_unique<WorkerPool>(shards_.size() - 1);
-    pool_ = owned_pool_.get();
-  }
-  // Wake only the workers whose shard actually received events: a feed
-  // that routes to two shards costs two condvar signals, not a broadcast.
-  pending_.clear();
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    if (!shards_[s].batch().empty()) {
-      pending_.push_back(s - 1);
-    }
-  }
-  pool_->run(
-      pending_, [this, tick](std::size_t worker) { shards_[worker + 1].drain(policy_, tick); },
-      [this, tick] { shards_[0].drain(policy_, tick); });
-}
-
-void ShardSet::feed_spawn(std::uint64_t tick) {
-  std::vector<std::exception_ptr> errors(shards_.size());
-  const auto drain_into = [this, &errors, tick](std::size_t s) {
-    try {
-      shards_[s].drain(policy_, tick);
-    } catch (...) {
-      errors[s] = std::current_exception();
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(shards_.size() - 1);
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    if (shards_[s].batch().empty()) {
-      continue;
-    }
-    try {
-      workers.emplace_back(drain_into, s);
-    } catch (const std::system_error&) {
-      // Thread exhaustion must not lose work (or std::terminate via a
-      // joinable thread's destructor during unwinding): run this shard on
-      // the caller's thread instead.
-      drain_into(s);
-    }
-  }
-  drain_into(0);
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
-}
-
 std::optional<std::size_t> ShardSet::erase(const StreamKey& key) {
   const std::uint64_t hash = stream_key_hash(key);
   EngineShard& shard = shards_[shard_index(hash)];
@@ -318,9 +264,9 @@ std::optional<std::size_t> ShardSet::erase(const StreamKey& key) {
   return bytes;
 }
 
-const StreamState* ShardSet::find(const StreamKey& key) const noexcept {
+StreamRef ShardSet::stream(const StreamKey& key) const noexcept {
   const std::uint64_t hash = stream_key_hash(key);
-  return shards_[shard_index(hash)].table().find(key, hash);
+  return StreamRef(shards_[shard_index(hash)].table().find(key, hash));
 }
 
 std::size_t ShardSet::stream_count() const noexcept {

@@ -139,15 +139,16 @@ class EngineShard {
   std::vector<Event> batch_;
 };
 
+/// Batches smaller than this run inline on the caller's thread instead of
+/// being dispatched to the shard workers: partitioning plus dispatch costs
+/// more than it saves for a handful of events. Never changes any report.
+inline constexpr std::size_t kMinParallelBatch = 2048;
+
 /// Runtime wiring of a ShardSet beyond the stream-space partitioning: the
-/// feed mode, the resident pool and feed clock to use (owned when null —
-/// the serve layer passes its shared ones so every tenant session reuses
-/// one set of worker threads and one recency clock), and the inline
-/// threshold.
+/// resident pool and feed clock to use (owned when null — the serve layer
+/// passes its shared ones so every tenant session reuses one set of worker
+/// threads and one recency clock) and the metrics destination.
 struct ShardSetOptions {
-  FeedMode feed = FeedMode::persistent;
-  /// Batches below this run inline on the caller's thread; 0 = default.
-  std::size_t min_parallel_batch = 0;
   /// Shared resident workers (must have >= shards - 1 slots and outlive
   /// the set); nullptr = the set lazily owns its own.
   WorkerPool* pool = nullptr;
@@ -164,14 +165,13 @@ struct ShardSetOptions {
 };
 
 /// Fixed set of shards hash-partitioning the stream space. feed() is the
-/// batched path: events are queued per shard, then all non-empty shards
-/// drain concurrently — on resident worker threads woken per feed
-/// (FeedMode::persistent, the caller's thread included) or on threads
-/// spawned per feed (FeedMode::spawn, the measurable baseline) — and are
-/// joined before feed returns; observe_one() is the online path on the
-/// caller's thread. Because a stream lives in exactly one shard and each
-/// shard consumes its queue in feed order, results never depend on shard
-/// count, feed mode, or thread interleaving.
+/// batched path: batches of at least kMinParallelBatch events are queued
+/// per shard, then all non-empty shards drain concurrently on resident
+/// worker threads woken per feed (the caller's thread included) and are
+/// joined before feed returns; smaller batches and observe_one() run on
+/// the caller's thread. Because a stream lives in exactly one shard and
+/// each shard consumes its queue in feed order, results never depend on
+/// shard count, batch size, or thread interleaving.
 class ShardSet {
  public:
   /// `prototype` must outlive the set (the engine or server owns it).
@@ -191,7 +191,9 @@ class ShardSet {
   /// later report are identical to a run that never held `key`'s state.
   std::optional<std::size_t> erase(const StreamKey& key);
 
-  [[nodiscard]] const StreamState* find(const StreamKey& key) const noexcept;
+  /// The one key-to-stream lookup behind every query verb of the engine
+  /// and the serve layer; invalid for keys never observed (or evicted).
+  [[nodiscard]] StreamRef stream(const StreamKey& key) const noexcept;
   [[nodiscard]] std::size_t stream_count() const noexcept;
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
@@ -211,14 +213,10 @@ class ShardSet {
   [[nodiscard]] std::uint64_t next_tick() noexcept;
   void observe_tick(const Event& event, std::uint64_t tick);
   void partition(std::span<const Event> events);
-  void feed_persistent(std::uint64_t tick);
-  void feed_spawn(std::uint64_t tick);
   void update_resident_gauge() noexcept;
 
   KeyPolicy policy_;
   std::vector<EngineShard> shards_;
-  FeedMode mode_;
-  std::size_t min_parallel_;
   WorkerPool* pool_;                        // resident workers actually used
   std::unique_ptr<WorkerPool> owned_pool_;  // set when options.pool was null
   std::atomic<std::uint64_t>* clock_;
@@ -233,7 +231,7 @@ class ShardSet {
 /// The canonical report over a shard set: per-stream rows in key order
 /// plus order-independent aggregates — the one implementation behind
 /// PredictionEngine::report() and serve::Session::report(), so the
-/// single-tenant wrapper and the session path cannot drift apart.
+/// engine and the session cannot drift apart.
 [[nodiscard]] EngineReport report_of(const ShardSet& shards);
 
 }  // namespace mpipred::engine

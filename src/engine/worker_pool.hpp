@@ -1,11 +1,10 @@
 #pragma once
 
-// Resident worker threads for the sharded feed path. The previous engine
-// launched and joined one std::thread per shard on every observe_all /
-// observe_batches call, so small online batches paid a thread-spawn per
-// feed; a WorkerPool keeps one long-lived thread per worker slot instead,
-// woken by a per-slot condition variable only when its shard's queue is
-// non-empty. One pool can serve many shard sets (the serve layer shares a
+// Resident worker threads for the sharded feed path: the only way a
+// parallel batch is drained. A WorkerPool keeps one long-lived thread per
+// worker slot, woken by a per-slot condition variable only when its
+// shard's queue is non-empty, so a dispatch costs a wakeup, not a thread
+// spawn. One pool can serve many shard sets (the serve layer shares a
 // single pool across every tenant session); dispatches from different
 // threads are serialized internally.
 //

@@ -434,12 +434,4 @@ std::unique_ptr<EventStream> open_event_stream(const std::string& path, trace::L
   return TraceFormatRegistry::instance().open_stream(path, level);
 }
 
-// ---------------------------------------------------------------------------
-// StreamingReplay
-
-StreamedRun StreamingReplay::run(EventStream& stream) const {
-  engine::PredictionEngine eng(engine);
-  return run_into(stream, eng, batch_events);
-}
-
 }  // namespace mpipred::ingest

@@ -5,7 +5,7 @@
 // vector. An EventStream yields time-ordered TimedEvents a batch at a
 // time; CsvStreamReader implements it directly over a file (bounded
 // memory — it never holds more than one batch plus a per-section
-// lookahead); StreamingReplay drives PredictionEngine::observe_batches so
+// lookahead); run_into drives an engine's or session's observe_batches so
 // the parse of batch N+1 overlaps the shard drain of batch N. Batch
 // boundaries never change any stream's event order, so engine reports are
 // byte-identical across batch sizes and shard counts — the gates in
@@ -151,8 +151,8 @@ struct StreamedRun {
 /// batch N+1 with the drain of batch N. `Target` is anything exposing the
 /// engine's batched verb pair — `observe_batches(BatchProducer)` and
 /// `report()` — so the same driver serves a standalone PredictionEngine
-/// and a serve::Session; the two paths must produce byte-identical
-/// reports (the wrapper-vs-session gates in the examples pin this).
+/// and a serve::Session; the two produce byte-identical reports
+/// (serve_test pins this for every predictor and gate batch size).
 template <typename Target>
 StreamedRun run_into(EventStream& stream, Target& target,
                      std::size_t batch_events = kDefaultBatchEvents) {
@@ -175,14 +175,5 @@ StreamedRun run_into(EventStream& stream, Target& target,
   out.report = target.report();
   return out;
 }
-
-/// The single-tenant convenience over run_into: constructs a fresh
-/// PredictionEngine from `engine` and drives it over the stream.
-struct StreamingReplay {
-  engine::EngineConfig engine{};
-  std::size_t batch_events = kDefaultBatchEvents;
-
-  [[nodiscard]] StreamedRun run(EventStream& stream) const;
-};
 
 }  // namespace mpipred::ingest

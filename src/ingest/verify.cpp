@@ -80,8 +80,9 @@ RoundTripResult verify_streamed_replay(const StreamFactory& make_stream,
     for (const std::size_t batch : batch_sizes) {
       engine::EngineConfig run = cfg;
       run.shards = shards;
+      engine::PredictionEngine eng(run);
       const auto stream = make_stream();
-      const StreamedRun got = StreamingReplay{.engine = run, .batch_events = batch}.run(*stream);
+      const StreamedRun got = run_into(*stream, eng, batch);
       if (got.report != reference_report) {
         return {.ok = false,
                 .detail = "streamed report at shards=" + std::to_string(shards) +

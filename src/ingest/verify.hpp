@@ -8,9 +8,9 @@
 //    shard count, through the materialized AND the streamed feed path at
 //    every gate batch size (streamed == materialized == simulated).
 //  * verify_streamed_replay — a pull-based stream (file-backed reader,
-//    transform chain) replayed through StreamingReplay must match the
-//    report over its materialized reference at every shard count × batch
-//    size point.
+//    transform chain) replayed through run_into on a fresh engine must
+//    match the report over its materialized reference at every shard
+//    count × batch size point.
 //  * verify_streamed_source — the per-level gate every `--trace` consumer
 //    runs over its (possibly transformed) input file.
 //
@@ -21,7 +21,7 @@
 // copy of the (transformed) stream and re-read the file once per
 // shard × batch point, trading memory and wall time for certainty. The
 // bounded-memory property belongs to the replay pass itself
-// (StreamingReplay over CsvStreamReader), not to the gates that audit it.
+// (run_into over CsvStreamReader), not to the gates that audit it.
 
 #include <cstddef>
 #include <functional>
@@ -62,7 +62,7 @@ struct RoundTripResult {
 using StreamFactory = std::function<std::unique_ptr<EventStream>()>;
 
 /// The streamed == materialized gate: for every shard count × batch size,
-/// a StreamingReplay over make_stream() must produce a report
+/// run_into of make_stream() on a fresh engine must produce a report
 /// byte-identical to observe_all over `reference` at shard_counts.front().
 [[nodiscard]] RoundTripResult verify_streamed_replay(const StreamFactory& make_stream,
                                                      std::span<const engine::Event> reference,

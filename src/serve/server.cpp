@@ -167,9 +167,7 @@ Session::Session(std::shared_ptr<ServerCore> core, std::uint64_t id)
       horizon_(core_->horizon),
       shard_count_(core_->shards),
       shards_(core_->shards, *core_->prototype, core_->horizon, core_->cfg.engine.key,
-              {.feed = core_->cfg.engine.feed,
-               .min_parallel_batch = core_->cfg.engine.min_parallel_batch,
-               .pool = &core_->pool,
+              {.pool = &core_->pool,
                .clock = &core_->clock,
                .metrics = core_->metrics,
                .metric_labels = tenant_labels(id)}) {}
@@ -205,29 +203,30 @@ engine::StreamKey Session::key_of(const engine::Event& event) const {
   return engine::key_for(event, core_->cfg.engine.key);
 }
 
+// The query verbs resolve keys through ShardSet::stream, the engine's one
+// lookup; predict and snapshot read under the session mutex, so a
+// concurrent eviction pass never frees the state mid-read.
 std::optional<core::Predictor::Value> Session::predict_sender(const engine::StreamKey& key,
                                                               std::size_t h) const {
   const common::MutexLock lk(mu_);
-  const engine::StreamState* state = shards_.find(key);
-  return state == nullptr ? std::nullopt : state->sender_predictor->predict(h);
+  return shards_.stream(key).predict_sender(h);
 }
 
 std::optional<core::Predictor::Value> Session::predict_size(const engine::StreamKey& key,
                                                             std::size_t h) const {
   const common::MutexLock lk(mu_);
-  const engine::StreamState* state = shards_.find(key);
-  return state == nullptr ? std::nullopt : state->size_predictor->predict(h);
+  return shards_.stream(key).predict_size(h);
 }
 
 std::optional<engine::StreamSnapshot> Session::snapshot(const engine::StreamKey& key) const {
   const common::MutexLock lk(mu_);
-  const engine::StreamRef ref(shards_.find(key));
+  const engine::StreamRef ref = shards_.stream(key);
   return ref.valid() ? std::optional(ref.snapshot()) : std::nullopt;
 }
 
 engine::StreamRef Session::stream(const engine::StreamKey& key) const {
   const common::MutexLock lk(mu_);
-  return engine::StreamRef(shards_.find(key));
+  return shards_.stream(key);
 }
 
 engine::EngineReport Session::report() const {

@@ -9,12 +9,12 @@
 // (source, destination, tag) keys never share or perturb each other's
 // predictor state; a session's report is byte-identical to what a
 // standalone PredictionEngine fed the same events would produce — the
-// property serve_test and the example gates pin.
+// property serve_test pins.
 //
-// The single-tenant PredictionEngine is unchanged and remains the thin
-// wrapper path: engine calls and session calls run the same ShardSet
-// code underneath (report_of, drive_batches), so the two surfaces cannot
-// drift apart.
+// The single-tenant PredictionEngine and a Session are two handles on the
+// same ShardSet code: feeds, queries (ShardSet::stream -> StreamRef),
+// reports (report_of), and pulled batches (drive_batches) all run one
+// implementation underneath, so the two surfaces cannot drift apart.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,8 +31,8 @@
 namespace mpipred::serve {
 
 struct ServeConfig {
-  /// Predictor family, options, key policy, shard count, and feed mode
-  /// every session of this server runs with.
+  /// Predictor family, options, key policy, and shard count every session
+  /// of this server runs with.
   engine::EngineConfig engine{};
   /// Global cap on resident predictor state across all sessions, in
   /// bytes; 0 = unlimited. When a feed pushes the total over the cap, the
@@ -61,14 +61,13 @@ class ServerCore;
 /// One tenant's prediction namespace. Sessions are handed out by
 /// PredictionServer::open_session() and support the full engine verb set
 /// — observe / observe_all / observe_batches / predict / snapshot /
-/// stream / report — plus feed / feed_batches aliases. A session is
-/// internally synchronized against the server's eviction pass; distinct
-/// sessions may feed concurrently (the shared worker pool serializes
-/// dispatches), but calls on ONE session must not overlap, same as one
-/// engine.
+/// stream / report. A session is internally synchronized against the
+/// server's eviction pass; distinct sessions may feed concurrently (the
+/// shared worker pool serializes dispatches), but calls on ONE session
+/// must not overlap, same as one engine.
 ///
 /// A session may outlive its server: destruction of the server orphans
-/// live sessions, after which mutating calls (observe / feed) throw
+/// live sessions, after which mutating calls (observe / observe_all) throw
 /// UsageError while reads (report, predict, snapshot) keep answering
 /// from the frozen state.
 class Session {
@@ -88,12 +87,10 @@ class Session {
   /// Batched feed through the resident shard workers; blocks until every
   /// event is observed (and any budget-driven eviction ran).
   void observe_all(std::span<const engine::Event> events) MPIPRED_EXCLUDES(mu_);
-  void feed(std::span<const engine::Event> events) { observe_all(events); }
 
   /// Pull-based batched feed; same double-buffered driver as
   /// PredictionEngine::observe_batches.
   void observe_batches(const engine::BatchProducer& produce);
-  void feed_batches(const engine::BatchProducer& produce) { observe_batches(produce); }
 
   [[nodiscard]] engine::StreamKey key_of(const engine::Event& event) const;
 

@@ -7,7 +7,7 @@
 // Determinism contract: a snapshot is a sorted, fixed-format rendering of
 // instrument values, so two runs that perform the same instrument
 // operations produce byte-identical snapshots — across shard counts,
-// feed modes, and repeated runs. Instruments registered by parallel
+// batch sizes, and repeated runs. Instruments registered by parallel
 // subsystems must therefore be *shard-invariant* quantities (per-event
 // totals, not per-worker ones); telemetry_test pins this for the engine
 // and serve layers.

@@ -12,16 +12,8 @@ namespace mpipred::trace {
 /// `# mpipred-trace: v1` / `# nranks: N` preamble (so re-ingestion
 /// recovers the rank count even when the top ranks logged nothing).
 /// Streams are emitted rank by rank, level by level, preserving in-stream
-/// order.
+/// order. src/ingest/ (ingest::open_trace) is the reader.
 void write_csv(std::ostream& os, const TraceStore& store);
 void write_csv_file(const std::string& path, const TraceStore& store);
-
-/// Reads a CSV produced by write_csv back into a store with `nranks` ranks
-/// (the caller's count is authoritative; preamble directives are skipped —
-/// src/ingest/ is the reader that interprets them). Accepts CRLF line
-/// endings and `#` comment lines. Throws mpipred::Error on malformed
-/// input, naming the offending line.
-[[nodiscard]] TraceStore read_csv(std::istream& is, int nranks);
-[[nodiscard]] TraceStore read_csv_file(const std::string& path, int nranks);
 
 }  // namespace mpipred::trace

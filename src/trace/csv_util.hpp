@@ -1,16 +1,17 @@
 #pragma once
 
-// Line-level CSV plumbing shared by the simulator-side reader
-// (trace/csv.cpp) and the ingest boundary (ingest/csv_source.cpp), so the
-// two parsers of the native schema cannot drift on how a line is split.
+// Line-level CSV plumbing shared by the simulator-side writer
+// (trace/csv.cpp) and the ingest boundary's readers (ingest/csv_line.hpp,
+// csv_source.cpp, streaming.cpp), so writer and readers of the native
+// schema cannot drift on the header or on how a line is split.
 
 #include <string_view>
 #include <vector>
 
 namespace mpipred::trace::csv_util {
 
-/// The native schema's column header — the one literal both parsers (and
-/// write_csv) agree on.
+/// The native schema's column header — the one literal write_csv and the
+/// ingest readers agree on.
 inline constexpr std::string_view kNativeHeader = "rank,level,time_ns,sender,bytes,kind,op";
 
 /// Files written on Windows (or piped through tools that normalize line

@@ -138,35 +138,30 @@ TEST(EngineParallel, QueriesAgreeAcrossShardCounts) {
   }
 }
 
-TEST(EngineParallel, FeedModeAndDispatchThresholdNeverChangeTheReport) {
-  // The resident-pool and spawn-per-feed paths, at any inline threshold
-  // (1 = dispatch even single-event feeds, huge = always inline), must be
-  // indistinguishable in every report — dispatch is a cost knob only.
-  const auto events = random_trace(41, 6000, 12, 32, 3);
+TEST(EngineParallel, DispatchThresholdNeverChangesTheReport) {
+  // Feeds below kMinParallelBatch run inline on the caller's thread; feeds
+  // at or above it are partitioned and drained by the resident pool. The
+  // trace spans three thresholds, so slicing it on either side of the
+  // threshold (or feeding it whole) takes both paths, and every report
+  // must match the sequential one — dispatch is a cost choice only.
+  const std::size_t nevents = 3 * kMinParallelBatch + 500;
+  const auto events = random_trace(41, static_cast<int>(nevents), 12, 32, 3);
   const auto baseline = run(events, "dpd", KeyPolicy::per_receiver(), 1);
-  for (const FeedMode mode : {FeedMode::persistent, FeedMode::spawn}) {
-    for (const std::size_t min_batch : {std::size_t{1}, std::size_t{100}, std::size_t{1u << 20}}) {
-      for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
-                     " min_batch=" + std::to_string(min_batch) +
-                     " shards=" + std::to_string(shards));
-        PredictionEngine engine(EngineConfig{
-            .shards = shards, .feed = mode, .min_parallel_batch = min_batch});
-        // Feed in slices so small batches really hit the dispatch path
-        // when the threshold allows them to.
-        const std::span<const Event> all(events);
-        for (std::size_t off = 0; off < all.size(); off += 512) {
-          engine.observe_all(all.subspan(off, std::min<std::size_t>(512, all.size() - off)));
-        }
-        EXPECT_EQ(engine.report(), baseline);
+  const std::span<const Event> all(events);
+  for (const std::size_t slice : {kMinParallelBatch - 1, kMinParallelBatch, nevents}) {
+    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("slice=" + std::to_string(slice) + " shards=" + std::to_string(shards));
+      PredictionEngine engine(EngineConfig{.shards = shards});
+      for (std::size_t off = 0; off < all.size(); off += slice) {
+        engine.observe_all(all.subspan(off, std::min(slice, all.size() - off)));
       }
+      EXPECT_EQ(engine.report(), baseline);
     }
   }
 }
 
-TEST(EngineParallel, PrototypeEngineDefaultsToAutoShards) {
-  const core::StreamPredictor prototype;
-  PredictionEngine engine(prototype, KeyPolicy::per_receiver());
+TEST(EngineParallel, DefaultEngineUsesAutoShards) {
+  PredictionEngine engine(EngineConfig{});
   EXPECT_EQ(engine.shard_count(), effective_shard_count(0));
   EXPECT_GE(engine.shard_count(), 1u);
 }

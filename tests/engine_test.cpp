@@ -188,14 +188,6 @@ TEST(PredictionEngine, ObserveBatchesPropagatesProducerErrors) {
   EXPECT_EQ(eng.report().events, 8);
 }
 
-TEST(PredictionEngine, PrototypeConstructorUsesClones) {
-  const core::StreamPredictor prototype;
-  PredictionEngine engine(prototype, KeyPolicy::per_receiver());
-  engine.observe_all(synthetic_multi_stream(30));
-  EXPECT_EQ(engine.stream_count(), 3u);
-  EXPECT_EQ(engine.config().predictor, "dpd");
-}
-
 TEST(PredictionEngine, UnresolvedSenderIsNotAWildcardStream) {
   // Regression: kAnyKey used to be -1, colliding with
   // trace::kUnresolvedSender — a drop_unresolved = false feed keyed
@@ -255,7 +247,9 @@ TEST(PredictionEngine, TracePathMatchesExtractStreamsPerRank) {
 
   for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
     SCOPED_TRACE(std::string(to_string(level)));
-    const auto report = run_over_trace(world.traces(), level);
+    PredictionEngine engine;
+    engine.observe_all(events_from_trace(world.traces(), level));
+    const auto report = engine.report();
     ASSERT_EQ(report.streams.size(), 4u);
     for (const auto& stream : report.streams) {
       SCOPED_TRACE(to_string(stream.key));

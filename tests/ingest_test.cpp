@@ -87,8 +87,10 @@ TEST(CsvSource, DiagnosticsNameFileLineFieldAndReason) {
   } corpus[] = {
       {"0,0,1,2,3,0,99", "op"},       // out-of-range enum (csv.cpp:103 bug)
       {"0,0,1,2,3,0,-1", "op"},       //
+      {"0,0,1,2,3,0,12", "op"},       // first value past the last op
       {"0,0,1,2,3,7,0", "kind"},      //
       {"0,9,1,2,3,0,0", "level"},     //
+      {"0,7,1,2,3,0,0", "level"},     //
       {"-1,0,1,2,3,0,0", "rank"},     // negative receiver rank
       {"0,0,1,-2,3,0,0", "sender"},   // below kUnresolvedSender
       {"0,0,xx,2,3,0,0", "time_ns"},  // malformed integer
@@ -104,6 +106,10 @@ TEST(CsvSource, DiagnosticsNameFileLineFieldAndReason) {
   const Diagnostic short_line = reject(std::string(kNative) + "0,0,1,2\n");
   EXPECT_EQ(short_line.line, 2u);
   EXPECT_NE(short_line.reason.find("expected 7"), std::string::npos);
+  // The last valid op still parses.
+  const auto last_op = parse(std::string(kNative) + "0,0,1,2,3,0," +
+                             std::to_string(trace::kNumOps - 1) + "\n");
+  EXPECT_EQ(last_op->store()->records(0, trace::Level::Logical)[0].op, trace::Op::Scan);
 }
 
 TEST(CsvSource, ToStringFormatsEditorFriendlyLocation) {
@@ -134,9 +140,12 @@ TEST(CsvSource, NranksDirectiveDeclaresAndBounds) {
   const auto source = parse(std::string("# nranks: 6\n") + kNative + "0,0,1,1,64,0,0\n");
   EXPECT_EQ(source->nranks(), 6);  // declared beats inference (max rank 1)
 
-  const Diagnostic rank_over = reject(std::string("# nranks: 2\n") + kNative + "5,0,1,1,64,0,0\n");
-  EXPECT_EQ(rank_over.field, "rank");
-  EXPECT_EQ(rank_over.line, 3u);
+  for (const char* rank : {"2", "5", "1000"}) {
+    const Diagnostic rank_over =
+        reject(std::string("# nranks: 2\n") + kNative + rank + ",0,1,1,64,0,0\n");
+    EXPECT_EQ(rank_over.field, "rank") << rank;
+    EXPECT_EQ(rank_over.line, 3u) << rank;
+  }
   const Diagnostic sender_over =
       reject(std::string("# nranks: 2\n") + kNative + "0,0,1,5,64,0,0\n");
   EXPECT_EQ(sender_over.field, "sender");
@@ -194,9 +203,125 @@ TEST(CsvSource, FlatDialectKindColumnAndValidation) {
 }
 
 TEST(CsvSource, UnknownHeaderListsKnownFormats) {
-  const Diagnostic d = reject("who,knows,what\n1,2,3\n");
-  EXPECT_NE(d.reason.find("csv"), std::string::npos);
-  EXPECT_NE(d.reason.find("csv-flat"), std::string::npos);
+  for (const char* text : {"who,knows,what\n1,2,3\n", "not,a,header\n"}) {
+    const Diagnostic d = reject(text);
+    EXPECT_NE(d.reason.find("csv"), std::string::npos) << text;
+    EXPECT_NE(d.reason.find("csv-flat"), std::string::npos) << text;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// write_csv -> CSV source: the native dialect round-trips every record field.
+
+trace::Record record(std::int32_t sender, std::int64_t bytes, trace::OpKind kind,
+                     trace::Op op, std::int64_t t) {
+  return {.time = sim::SimTime{t}, .sender = sender, .bytes = bytes, .kind = kind, .op = op};
+}
+
+std::unique_ptr<TraceSource> round_trip(const trace::TraceStore& store) {
+  std::stringstream csv;
+  trace::write_csv(csv, store);
+  return open_trace_stream(csv, "<test>");
+}
+
+TEST(CsvSource, RoundTripsAllFields) {
+  trace::TraceStore store(2);
+  store.append(0, trace::Level::Logical,
+               record(1, 100, trace::OpKind::PointToPoint, trace::Op::Recv, 5));
+  store.append(0, trace::Level::Physical,
+               record(1, 100, trace::OpKind::PointToPoint, trace::Op::Recv, 17));
+  store.append(1, trace::Level::Logical,
+               record(trace::kUnresolvedSender, 0, trace::OpKind::Collective,
+                      trace::Op::Alltoallv, 9));
+
+  const auto source = round_trip(store);
+  ASSERT_NE(source->store(), nullptr);
+  const trace::TraceStore& back = *source->store();
+  for (int r = 0; r < 2; ++r) {
+    for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
+      const auto a = store.records(r, level);
+      const auto b = back.records(r, level);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i], b[i]);
+      }
+    }
+  }
+}
+
+// Regression: CRLF-terminated files (Windows exports, curl -o) used to be
+// rejected with "missing or unexpected header".
+TEST(CsvSource, RoundTripsThroughCrlfLineEndings) {
+  trace::TraceStore store(2);
+  store.append(0, trace::Level::Logical,
+               record(1, 100, trace::OpKind::PointToPoint, trace::Op::Recv, 5));
+  store.append(1, trace::Level::Physical,
+               record(0, 7, trace::OpKind::Collective, trace::Op::Bcast, 6));
+  std::stringstream unix_csv;
+  trace::write_csv(unix_csv, store);
+  std::string text = unix_csv.str();
+  for (std::size_t pos = 0; (pos = text.find('\n', pos)) != std::string::npos; pos += 2) {
+    text.replace(pos, 1, "\r\n");
+  }
+  const auto source = parse(text);
+  ASSERT_NE(source->store(), nullptr);
+  const trace::TraceStore& back = *source->store();
+  EXPECT_EQ(back.records(0, trace::Level::Logical)[0], store.records(0, trace::Level::Logical)[0]);
+  EXPECT_EQ(back.records(1, trace::Level::Physical)[0],
+            store.records(1, trace::Level::Physical)[0]);
+}
+
+// Property: write_csv -> CSV source is the identity on arbitrary store
+// contents — time ties, empty streams, both levels, wildcard senders.
+TEST(CsvSource, RandomizedRoundTripProperty) {
+  std::mt19937 rng(20030515);  // fixed seed: reproducible corpus
+  for (int iteration = 0; iteration < 25; ++iteration) {
+    const int nranks = std::uniform_int_distribution<int>(1, 5)(rng);
+    trace::TraceStore store(nranks);
+    for (int rank = 0; rank < nranks; ++rank) {
+      for (const trace::Level level : {trace::Level::Logical, trace::Level::Physical}) {
+        const int count = std::uniform_int_distribution<int>(0, 8)(rng);
+        for (int i = 0; i < count; ++i) {
+          trace::Record rec;
+          // Tight time range on purpose: ties across ranks are common.
+          rec.time = sim::SimTime{std::uniform_int_distribution<std::int64_t>(0, 3)(rng)};
+          rec.sender = std::uniform_int_distribution<std::int32_t>(trace::kUnresolvedSender,
+                                                                   nranks - 1)(rng);
+          rec.bytes = std::uniform_int_distribution<std::int64_t>(0, 1 << 20)(rng);
+          rec.kind = static_cast<trace::OpKind>(std::uniform_int_distribution<int>(0, 1)(rng));
+          rec.op = static_cast<trace::Op>(
+              std::uniform_int_distribution<int>(0, trace::kNumOps - 1)(rng));
+          store.append(rank, level, rec);
+        }
+      }
+    }
+    const auto source = round_trip(store);
+    ASSERT_NE(source->store(), nullptr);
+    const trace::TraceStore& back = *source->store();
+    ASSERT_EQ(back.nranks(), nranks) << "iteration " << iteration;
+    for (int rank = 0; rank < nranks; ++rank) {
+      for (const trace::Level level : {trace::Level::Logical, trace::Level::Physical}) {
+        const auto a = store.records(rank, level);
+        const auto b = back.records(rank, level);
+        ASSERT_EQ(a.size(), b.size()) << "iteration " << iteration << " rank " << rank;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i], b[i]) << "iteration " << iteration << " rank " << rank << " #" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(CsvSource, FileRoundTrip) {
+  trace::TraceStore store(1);
+  store.append(0, trace::Level::Logical,
+               record(0, 64, trace::OpKind::PointToPoint, trace::Op::Recv, 0));
+  const std::string path = ::testing::TempDir() + "/mpipred_csv_round_trip.csv";
+  trace::write_csv_file(path, store);
+  const auto source = open_trace(path);
+  ASSERT_NE(source->store(), nullptr);
+  EXPECT_EQ(source->store()->records(0, trace::Level::Logical).size(), 1u);
+  EXPECT_THROW((void)open_trace("/nonexistent/dir/x.csv"), Error);
 }
 
 TEST(CsvSource, EmptyFileNeedsHeader) {
@@ -452,7 +577,7 @@ TEST(Streaming, SourceStreamEventsMatchesEvents) {
   }
 }
 
-TEST(Streaming, StreamingReplayMatchesObserveAllReport) {
+TEST(Streaming, StreamedReplayMatchesObserveAllReport) {
   const auto store = random_store(/*seed=*/55, /*nranks=*/4, /*records_per_rank=*/100);
   const std::string path = ::testing::TempDir() + "stream_replay.csv";
   trace::write_csv_file(path, store);

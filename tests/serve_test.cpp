@@ -1,9 +1,10 @@
-// The resident-service harness: the worker pool that replaces
-// spawn-per-feed threading, the stream-table eviction hooks it enables,
-// and the multi-tenant PredictionServer built on both. The load-bearing
-// properties: pool shutdown is clean under load and re-dispatch, tenant
-// namespaces are isolated even for identical stream keys, a session's
-// report is byte-identical to a standalone engine fed the same events,
+// The resident-service harness: the worker pool every parallel feed
+// drains on, the stream-table eviction hooks, and the multi-tenant
+// PredictionServer built on both. The load-bearing properties: pool
+// shutdown is clean under load and re-dispatch, tenant namespaces are
+// isolated even for identical stream keys, a session's report is
+// byte-identical to a standalone engine fed the same events (batched,
+// streamed from a CSV file, with or without a live metrics registry),
 // and budget-driven eviction never changes a surviving stream's row.
 
 #include <gtest/gtest.h>
@@ -23,7 +24,12 @@
 #include "engine/registry.hpp"
 #include "engine/shard.hpp"
 #include "engine/worker_pool.hpp"
+#include "ingest/streaming.hpp"
+#include "ingest/verify.hpp"
 #include "serve/server.hpp"
+#include "telemetry/metrics.hpp"
+#include "trace/csv.hpp"
+#include "trace/store.hpp"
 
 namespace mpipred::serve {
 namespace {
@@ -229,8 +235,68 @@ TEST(Serve, SessionReportMatchesStandaloneEngineByteForByte) {
 
     PredictionServer server({.engine = cfg});
     const auto session = server.open_session();
-    session->feed(events);
+    session->observe_all(events);
     EXPECT_EQ(session->report(), expected);
+  }
+}
+
+/// Two-level trace for the streamed-ingest case: each of 8 ranks receives
+/// a periodic sender/size pattern; the physical level permutes senders
+/// against the logical one, so the levels build different predictor state.
+trace::TraceStore periodic_store(int rounds) {
+  constexpr int kRanks = 8;
+  trace::TraceStore store(kRanks);
+  for (int round = 0; round < rounds; ++round) {
+    for (int rank = 0; rank < kRanks; ++rank) {
+      const std::int64_t t = std::int64_t{round} * kRanks + rank;
+      store.append(rank, trace::Level::Logical,
+                   {.time = sim::SimTime{t},
+                    .sender = (rank + 1 + round % 3) % kRanks,
+                    .bytes = std::int64_t{64} << (round % 4)});
+      store.append(rank, trace::Level::Physical,
+                   {.time = sim::SimTime{t},
+                    .sender = (rank + 1 + (round * 5) % 7) % kRanks,
+                    .bytes = std::int64_t{64} << (round % 4)});
+    }
+  }
+  return store;
+}
+
+TEST(Serve, StreamedSessionWithMetricsMatchesMetricsFreeEngine) {
+  // What the `--trace` tools rely on: a CSV file streamed through run_into
+  // into a session whose server reports into a live metrics registry ends
+  // exactly where the same stream run_into a metrics-free standalone engine
+  // does — for every predictor, both levels, and every gate batch size
+  // (serve == engine, and telemetry on == off).
+  const std::string path = ::testing::TempDir() + "serve_streamed.csv";
+  trace::write_csv_file(path, periodic_store(/*rounds=*/800));
+  for (const auto& predictor : engine::builtin_predictor_names()) {
+    for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
+      for (const std::size_t batch : ingest::kGateBatchEvents) {
+        SCOPED_TRACE(predictor + " " + std::string(trace::to_string(level)) +
+                     " batch=" + std::to_string(batch));
+        const engine::EngineConfig cfg{.predictor = predictor, .shards = 4};
+        engine::PredictionEngine eng(cfg);
+        const auto engine_stream = ingest::open_event_stream(path, level);
+        const ingest::StreamedRun expected = ingest::run_into(*engine_stream, eng, batch);
+
+        telemetry::MetricsRegistry registry;
+        engine::EngineConfig metered = cfg;
+        metered.metrics = &registry;
+        PredictionServer server({.engine = metered});
+        const auto session = server.open_session();
+        const auto session_stream = ingest::open_event_stream(path, level);
+        const ingest::StreamedRun got = ingest::run_into(*session_stream, *session, batch);
+
+        ASSERT_EQ(expected.events, 6400);
+        EXPECT_EQ(got.events, expected.events);
+        EXPECT_EQ(got.batches, expected.batches);
+        EXPECT_EQ(got.report, expected.report);
+        EXPECT_EQ(registry.counter("engine.feed.events", {{"tenant", "1"}}).value(),
+                  expected.events)
+            << "the session's metrics must land in the live registry";
+      }
+    }
   }
 }
 
@@ -284,7 +350,7 @@ TEST(Serve, ConcurrentTenantsWithIdenticalKeysStayIsolated) {
       // Feed in slices so tenant feeds genuinely interleave.
       const std::span<const Event> all(traces[static_cast<std::size_t>(t)]);
       for (std::size_t off = 0; off < all.size(); off += 500) {
-        sessions[static_cast<std::size_t>(t)]->feed(
+        sessions[static_cast<std::size_t>(t)]->observe_all(
             all.subspan(off, std::min<std::size_t>(500, all.size() - off)));
       }
     });
@@ -312,7 +378,7 @@ TEST(Serve, EvictionNeverChangesASurvivingStreamsRow) {
         burst.push_back(
             {.source = i % 5, .destination = d, .tag = 0, .bytes = std::int64_t{64} << (i % 3)});
       }
-      session.feed(burst);
+      session.observe_all(burst);
     }
   };
 
@@ -362,7 +428,7 @@ TEST(Serve, EvictionIsDeterministicAcrossRuns) {
       for (int i = 0; i < 60; ++i) {
         burst.push_back({.source = i % 3, .destination = d, .tag = 0, .bytes = 128});
       }
-      session->feed(burst);
+      session->observe_all(burst);
     }
     return session->report();
   };
@@ -377,14 +443,14 @@ TEST(Serve, OrphanedSessionRejectsFeedsButKeepsAnswering) {
   auto server = std::make_unique<PredictionServer>(
       ServeConfig{.engine = {.shards = 2}});
   const auto session = server->open_session();
-  session->feed(events);
+  session->observe_all(events);
   const auto before = session->report();
   const engine::StreamKey key{.destination = 3};
   const auto prediction = session->predict_sender(key);
 
   server.reset();  // orphan the session
 
-  EXPECT_THROW(session->feed(events), UsageError);
+  EXPECT_THROW(session->observe_all(events), UsageError);
   EXPECT_THROW(session->observe(events.front()), UsageError);
   EXPECT_EQ(session->report(), before) << "reads must keep working from frozen state";
   EXPECT_EQ(session->predict_sender(key), prediction);

@@ -1,13 +1,9 @@
-// Trace substrate: store semantics, stream extraction, Table-1 statistics,
-// and CSV round-tripping.
+// Trace substrate: store semantics, stream extraction, and Table-1
+// statistics. CSV round-tripping is ingest_test's (ingest is the reader).
 
 #include <gtest/gtest.h>
 
-#include <random>
-#include <sstream>
-
 #include "common/error.hpp"
-#include "trace/csv.hpp"
 #include "trace/stats.hpp"
 #include "trace/store.hpp"
 #include "trace/stream.hpp"
@@ -132,151 +128,6 @@ TEST(Stats, RepresentativeRankIsMedianByCount) {
   for (int i = 0; i < 5; ++i) store.append(1, Level::Logical, make(0, 1));
   for (int i = 0; i < 9; ++i) store.append(2, Level::Logical, make(0, 1));
   EXPECT_EQ(representative_rank(store, Level::Logical), 1);
-}
-
-TEST(Csv, RoundTripsAllFields) {
-  TraceStore store(2);
-  store.append(0, Level::Logical, make(1, 100, OpKind::PointToPoint, Op::Recv, 5));
-  store.append(0, Level::Physical, make(1, 100, OpKind::PointToPoint, Op::Recv, 17));
-  store.append(1, Level::Logical, make(kUnresolvedSender, 0, OpKind::Collective, Op::Alltoallv, 9));
-
-  std::stringstream ss;
-  write_csv(ss, store);
-  const TraceStore back = read_csv(ss, 2);
-
-  for (int r = 0; r < 2; ++r) {
-    for (const auto level : {Level::Logical, Level::Physical}) {
-      const auto a = store.records(r, level);
-      const auto b = back.records(r, level);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i], b[i]);
-      }
-    }
-  }
-}
-
-TEST(Csv, RejectsMalformedInput) {
-  {
-    std::stringstream ss("not,a,header\n");
-    EXPECT_THROW((void)read_csv(ss, 1), Error);
-  }
-  {
-    std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,0,1,2\n");
-    EXPECT_THROW((void)read_csv(ss, 1), Error);
-  }
-  {
-    std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,7,1,2,3,0,0\n");
-    EXPECT_THROW((void)read_csv(ss, 1), Error);  // bad level
-  }
-  {
-    std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,0,xx,2,3,0,0\n");
-    EXPECT_THROW((void)read_csv(ss, 1), Error);  // bad integer
-  }
-}
-
-// Regression: field 7 used to be cast to Op unvalidated, so hostile values
-// (99, -1) produced invalid enums that only blew up downstream.
-TEST(Csv, RejectsOutOfRangeOp) {
-  for (const char* op : {"99", "-1", "12"}) {
-    std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,0,1,2,3,0," +
-                         std::string(op) + "\n");
-    try {
-      (void)read_csv(ss, 1);
-      FAIL() << "op=" << op << " was accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
-      EXPECT_NE(std::string(e.what()).find("op"), std::string::npos) << e.what();
-    }
-  }
-  // The last valid op still parses.
-  std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n0,0,1,2,3,0," +
-                       std::to_string(kNumOps - 1) + "\n");
-  EXPECT_EQ(read_csv(ss, 1).records(0, Level::Logical)[0].op, Op::Scan);
-}
-
-// Regression: CRLF-terminated files (Windows exports, curl -o) used to be
-// rejected with "missing or unexpected header".
-TEST(Csv, RoundTripsThroughCrlfLineEndings) {
-  TraceStore store(2);
-  store.append(0, Level::Logical, make(1, 100, OpKind::PointToPoint, Op::Recv, 5));
-  store.append(1, Level::Physical, make(0, 7, OpKind::Collective, Op::Bcast, 6));
-  std::stringstream unix_csv;
-  write_csv(unix_csv, store);
-  std::string text = unix_csv.str();
-  for (std::size_t pos = 0; (pos = text.find('\n', pos)) != std::string::npos; pos += 2) {
-    text.replace(pos, 1, "\r\n");
-  }
-  std::stringstream crlf(text);
-  const TraceStore back = read_csv(crlf, 2);
-  EXPECT_EQ(back.records(0, Level::Logical)[0], store.records(0, Level::Logical)[0]);
-  EXPECT_EQ(back.records(1, Level::Physical)[0], store.records(1, Level::Physical)[0]);
-}
-
-// Regression: a rank outside [0, nranks) used to trip MPIPRED_REQUIRE
-// inside TraceStore::append (no line information) instead of a reader
-// diagnostic naming the offending line.
-TEST(Csv, RejectsOutOfRangeRankWithLineNumber) {
-  for (const char* rank : {"-1", "2", "1000"}) {
-    std::stringstream ss("rank,level,time_ns,sender,bytes,kind,op\n" + std::string(rank) +
-                         ",0,1,0,3,0,0\n");
-    try {
-      (void)read_csv(ss, 2);
-      FAIL() << "rank=" << rank << " was accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
-      EXPECT_NE(std::string(e.what()).find("rank"), std::string::npos) << e.what();
-    }
-  }
-}
-
-// Property: write_csv -> read_csv is the identity on arbitrary store
-// contents — time ties, empty streams, both levels, wildcard senders.
-TEST(Csv, RandomizedRoundTripProperty) {
-  std::mt19937 rng(20030515);  // fixed seed: reproducible corpus
-  for (int iteration = 0; iteration < 25; ++iteration) {
-    const int nranks = std::uniform_int_distribution<int>(1, 5)(rng);
-    TraceStore store(nranks);
-    for (int rank = 0; rank < nranks; ++rank) {
-      for (const Level level : {Level::Logical, Level::Physical}) {
-        const int count = std::uniform_int_distribution<int>(0, 8)(rng);
-        for (int i = 0; i < count; ++i) {
-          Record rec;
-          // Tight time range on purpose: ties across ranks are common.
-          rec.time = sim::SimTime{std::uniform_int_distribution<std::int64_t>(0, 3)(rng)};
-          rec.sender =
-              std::uniform_int_distribution<std::int32_t>(kUnresolvedSender, nranks - 1)(rng);
-          rec.bytes = std::uniform_int_distribution<std::int64_t>(0, 1 << 20)(rng);
-          rec.kind = static_cast<OpKind>(std::uniform_int_distribution<int>(0, 1)(rng));
-          rec.op = static_cast<Op>(std::uniform_int_distribution<int>(0, kNumOps - 1)(rng));
-          store.append(rank, level, rec);
-        }
-      }
-    }
-    std::stringstream ss;
-    write_csv(ss, store);
-    const TraceStore back = read_csv(ss, nranks);
-    for (int rank = 0; rank < nranks; ++rank) {
-      for (const Level level : {Level::Logical, Level::Physical}) {
-        const auto a = store.records(rank, level);
-        const auto b = back.records(rank, level);
-        ASSERT_EQ(a.size(), b.size()) << "iteration " << iteration << " rank " << rank;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i], b[i]) << "iteration " << iteration << " rank " << rank << " #" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(Csv, FileRoundTrip) {
-  TraceStore store(1);
-  store.append(0, Level::Logical, make(0, 64));
-  const std::string path = ::testing::TempDir() + "/mpipred_trace_test.csv";
-  write_csv_file(path, store);
-  const TraceStore back = read_csv_file(path, 1);
-  EXPECT_EQ(back.records(0, Level::Logical).size(), 1u);
-  EXPECT_THROW((void)read_csv_file("/nonexistent/dir/x.csv", 1), Error);
 }
 
 TEST(Event, ToStringCoversEnums) {
