@@ -42,7 +42,6 @@
 #include "bench/bench_util.hpp"
 #include "bench/json_writer.hpp"
 #include "mpi/world.hpp"
-#include "scale/report.hpp"
 #include "trace/store.hpp"
 
 namespace {
@@ -212,9 +211,9 @@ int main(int argc, char** argv) {
   }
 
   // The nominal fallback round-trip mirrors the trace-driven replays'
-  // first-order model (scale::LatencyModel): two control crossings, no
+  // first-order model (bench::LatencyModel): two control crossings, no
   // data leg.
-  const scale::LatencyModel replay_model{.latency_ns = static_cast<double>(fallback_ns)};
+  const bench::LatencyModel replay_model{.latency_ns = static_cast<double>(fallback_ns)};
 
   std::printf("adaptive speedup: %d ranks, class A, %zu repetitions per configuration "
               "(sim seeds %llu..%llu)\n",

@@ -2,19 +2,36 @@
 // 16KB buffer for each other process ... 10000 nodes ... 160MB of memory
 // per process." With sender prediction the receiver only keeps buffers for
 // the peers about to send; mispredictions fall back to the slow
-// ask-permission path. Replays real physical traces under the three
-// policies and extrapolates the per-process memory to large machines.
+// ask-permission path. Replays real physical traces through the adaptive
+// decision layer (ingest::replay_adaptive), compares its pre-post
+// residency against all-pairs pre-allocation, and extrapolates the
+// per-process memory to large machines.
+//
+//   $ ./bench_memory_reduction
 
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "scale/buffer_manager.hpp"
+#include "ingest/replay.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mpipred;
+  bench::no_args_or_exit(argc, argv,
+                         "usage: bench_memory_reduction\n"
+                         "Replays the physical traces of bt.16, bt.25, lu.32, cg.32 and\n"
+                         "sweep3d.32 and prints the §2.1 buffer-memory table. No options.\n");
   std::printf("§2.1 — buffer memory: all-pairs vs prediction-driven (physical traces)\n\n");
   std::printf("%-12s %10s %10s %10s %12s %12s %10s\n", "config", "hit-rate%", "buffers",
               "peak-buf", "mem-bytes", "allpairs-B", "latencyx");
+
+  // RuntimeConfig's horizon 8: the predicted *set* must cover all frequent
+  // senders of a window (BT has up to 6). The LRU tail is 3 (the live loop
+  // keeps 6).
+  adaptive::RuntimeConfig rt;
+  rt.policy.lru_keep = 3;
+  const std::int64_t buffer_bytes = rt.policy.buffer_bytes;
+  const bench::LatencyModel model;
+  const std::int64_t mean_bytes = 4096;
 
   struct Case {
     const char* app;
@@ -23,20 +40,21 @@ int main() {
   for (const auto& [app, procs] : {Case{"bt", 16}, Case{"bt", 25}, Case{"lu", 32},
                                    Case{"cg", 32}, Case{"sweep3d", 32}}) {
     auto run = bench::run_traced(app, procs);
-    const int rep = trace::representative_rank(run.world->traces(), trace::Level::Physical);
-    const auto streams = trace::extract_streams(run.world->traces(), rep, trace::Level::Physical,
-                                                {.kind = trace::OpKind::PointToPoint});
-    const auto cmp = scale::compare_buffer_policies(streams.senders, procs);
-    const scale::LatencyModel model;
-    const double mean_bytes = 4096;
+    const auto arrivals = bench::representative_arrivals(run.world->traces(),
+                                                         {.kind = trace::OpKind::PointToPoint});
+    const adaptive::PolicyStats predicted = ingest::replay_adaptive(arrivals, rt).stats;
+    // A hit goes direct, a miss pays the handshake; all-pairs always hits.
+    const double predicted_ns =
+        (static_cast<double>(predicted.prepost_hits) * model.direct_ns(mean_bytes) +
+         static_cast<double>(predicted.prepost_misses) * model.handshake_ns(mean_bytes)) /
+        static_cast<double>(predicted.messages);
     std::printf("%-12s %10.1f %10.1f %10lld %12.0f %12lld %10.2f\n",
                 (std::string(app) + "." + std::to_string(procs)).c_str(),
-                bench::pct(cmp.predicted.hit_rate()), cmp.predicted.avg_buffers,
-                static_cast<long long>(cmp.predicted.peak_buffers),
-                cmp.predicted.avg_memory_bytes(),
-                static_cast<long long>(cmp.all_pairs.peak_memory_bytes()),
-                cmp.predicted.mean_latency_ns(model, mean_bytes) /
-                    cmp.all_pairs.mean_latency_ns(model, mean_bytes));
+                bench::pct(predicted.hit_rate()), predicted.avg_buffers(),
+                static_cast<long long>(predicted.peak_buffers),
+                predicted.avg_buffers() * static_cast<double>(buffer_bytes),
+                static_cast<long long>((procs - 1) * buffer_bytes),
+                predicted_ns / model.direct_ns(mean_bytes));
     std::fflush(stdout);
   }
 

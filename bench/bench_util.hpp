@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -49,6 +50,56 @@ inline TracedRun run_traced(const std::string& app, int procs,
 }
 
 inline double pct(double x) { return 100.0 * x; }
+
+/// First-order latency model of the §2 what-if benches: a message that may
+/// go out directly costs one latency plus its serialization time; one that
+/// must first ask permission costs three latencies (request, grant, data)
+/// plus serialization — the control-flow overhead §2 describes. Every term
+/// is an integer-valued double, so totals rebuilt from counts and byte sums
+/// are exact (below 2^53) in any summation order.
+struct LatencyModel {
+  double latency_ns = 20'000.0;
+  double ns_per_byte = 10.0;
+
+  [[nodiscard]] constexpr double direct_ns(std::int64_t bytes) const noexcept {
+    return latency_ns + static_cast<double>(bytes) * ns_per_byte;
+  }
+  [[nodiscard]] constexpr double handshake_ns(std::int64_t bytes) const noexcept {
+    return 3.0 * latency_ns + static_cast<double>(bytes) * ns_per_byte;
+  }
+  /// The unexpected-copy/ask-permission fallback the live simulator
+  /// charges through sim::NetworkConfig::fallback_cost: the payload
+  /// already arrived eagerly, so only the ask and grant crossings remain
+  /// (two latencies, no data leg — cheaper than a full handshake_ns).
+  [[nodiscard]] constexpr double fallback_rtt_ns() const noexcept { return 2.0 * latency_ns; }
+};
+static_assert(LatencyModel{}.handshake_ns(1000) ==
+                  LatencyModel{}.direct_ns(1000) + 2.0 * LatencyModel{}.latency_ns,
+              "a handshake costs a direct send plus two latencies");
+
+/// The representative receiver's physical arrivals in record order: the
+/// stream every §2 what-if replays through ingest::replay_adaptive.
+inline std::vector<engine::Event> representative_arrivals(const trace::TraceStore& store,
+                                                          const trace::StreamFilter& filter = {}) {
+  const int rep = trace::representative_rank(store, trace::Level::Physical);
+  return engine::events_from_rank(store, rep, trace::Level::Physical, filter);
+}
+
+/// Fail-closed argument check for mains that take no arguments: `--help`
+/// / `-h` prints `usage` to stdout and exits 0; anything else gets one
+/// line on stderr and exit 1 (a typoed flag must not silently run).
+inline void no_args_or_exit(int argc, char** argv, const char* usage) {
+  if (argc < 2) {
+    return;
+  }
+  const std::string_view arg = argv[1];
+  if (arg == "--help" || arg == "-h") {
+    std::fputs(usage, stdout);
+    std::exit(0);
+  }
+  std::fprintf(stderr, "unexpected argument '%s' (try --help)\n", argv[1]);
+  std::exit(1);
+}
 
 /// Per-(app, procs) cell of Figures 3/4, routed through the prediction
 /// engine: the representative process's arrivals are demultiplexed and

@@ -1,50 +1,98 @@
 // §2.1 scenario: plan receive buffers from predictions. Runs BT on 16
 // simulated processes, takes one process's *physical* sender stream, and
-// replays it through the prediction-driven buffer manager, comparing the
-// memory footprint and slow-path rate against all-pairs pre-allocation.
+// replays it through the adaptive decision layer (ingest::replay_adaptive),
+// comparing the memory footprint and slow-path rate of its pre-post plan
+// against all-pairs pre-allocation and no pre-allocation.
+//
+// `--help` prints the usage and exits 0; anything that is not a square
+// process count gets one line on stderr and exit 1.
 //
 //   $ ./examples/buffer_planner [procs]    (default 16, must be a square)
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "apps/app.hpp"
+#include "bench/bench_util.hpp"
+#include "ingest/replay.hpp"
 #include "mpi/world.hpp"
-#include "scale/buffer_manager.hpp"
-#include "trace/stats.hpp"
-#include "trace/stream.hpp"
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: buffer_planner [procs]\n"
+    "Runs BT (class A) on procs simulated processes (default 16, must be a\n"
+    "square) and plans one process's receive buffers from its physical trace.\n";
+
+/// The process count from argv, or exits: 0 after printing the usage for
+/// --help/-h, 1 with one line on stderr for anything else unusable.
+int procs_or_exit(int argc, char** argv) {
+  if (argc < 2) {
+    return 16;
+  }
+  const std::string_view arg = argv[1];
+  if (arg == "--help" || arg == "-h") {
+    std::fputs(kUsage, stdout);
+    std::exit(0);
+  }
+  if (argc > 2) {
+    std::fprintf(stderr, "buffer_planner: unexpected argument '%s' (try --help)\n", argv[2]);
+    std::exit(1);
+  }
+  int procs = 0;
+  const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), procs);
+  if (ec != std::errc{} || end != arg.data() + arg.size() || procs < 1) {
+    std::fprintf(stderr, "buffer_planner: procs must be a positive integer, got '%s'\n",
+                 argv[1]);
+    std::exit(1);
+  }
+  if (!mpipred::apps::bt_supports(procs)) {
+    std::fprintf(stderr, "buffer_planner: BT needs a square process count (got %d)\n", procs);
+    std::exit(1);
+  }
+  return procs;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mpipred;
-  const int procs = argc > 1 ? std::atoi(argv[1]) : 16;
-  if (!apps::bt_supports(procs)) {
-    std::printf("BT needs a square process count (got %d)\n", procs);
-    return 1;
-  }
+  const int procs = procs_or_exit(argc, argv);
 
   std::printf("running bt.%d and planning buffers from its physical trace...\n\n", procs);
   mpi::World world(procs, apps::paper_world_config(7));
   (void)apps::run_bt(world, apps::AppConfig{.problem_class = apps::ProblemClass::A});
 
   const int rank = trace::representative_rank(world.traces(), trace::Level::Physical);
-  const auto streams = trace::extract_streams(world.traces(), rank, trace::Level::Physical,
-                                              {.kind = trace::OpKind::PointToPoint});
-  const auto cmp = scale::compare_buffer_policies(streams.senders, procs);
+  const auto arrivals = engine::events_from_rank(world.traces(), rank, trace::Level::Physical,
+                                                 {.kind = trace::OpKind::PointToPoint});
+  // RuntimeConfig's horizon 8 so the predicted set covers BT's six
+  // frequent senders, with an LRU tail of 3 (the live loop keeps 6).
+  adaptive::RuntimeConfig rt;
+  rt.policy.lru_keep = 3;
+  const adaptive::PolicyStats predicted = ingest::replay_adaptive(arrivals, rt).stats;
 
-  const auto print = [](const scale::BufferPolicyReport& r) {
+  const auto buffer_bytes = static_cast<double>(rt.policy.buffer_bytes);
+  const auto print = [buffer_bytes](const char* policy, double hit_rate, double avg_buffers,
+                                    std::int64_t peak_buffers) {
     std::printf("  %-12s hit-rate %5.1f%%  avg buffers %5.1f  peak %3lld  avg memory %8.0f B\n",
-                r.policy.c_str(), 100.0 * r.hit_rate(), r.avg_buffers,
-                static_cast<long long>(r.peak_buffers), r.avg_memory_bytes());
+                policy, 100.0 * hit_rate, avg_buffers, static_cast<long long>(peak_buffers),
+                avg_buffers * buffer_bytes);
   };
-  std::printf("process %d received %zu point-to-point messages\n", rank, streams.length());
-  print(cmp.all_pairs);
-  print(cmp.predicted);
-  print(cmp.none);
+  // All-pairs holds one buffer per peer and always hits; no
+  // pre-allocation holds none and always asks.
+  const auto all_pairs_buffers = static_cast<double>(procs - 1);
+  std::printf("process %d received %zu point-to-point messages\n", rank, arrivals.size());
+  print("all-pairs", 1.0, all_pairs_buffers, procs - 1);
+  print("predicted", predicted.hit_rate(), predicted.avg_buffers(), predicted.peak_buffers);
+  print("none", 0.0, 0.0, 0);
 
   std::printf("\nmemory saved by prediction: %.1f%% (at %d processes; the gap widens\n"
               "linearly with machine size — that is §2.1's argument)\n",
-              100.0 * (1.0 - cmp.predicted.avg_memory_bytes() /
-                                 cmp.all_pairs.avg_memory_bytes()),
+              100.0 * (1.0 - predicted.avg_buffers() * buffer_bytes /
+                                 (all_pairs_buffers * buffer_bytes)),
               procs);
   return 0;
 }

@@ -6,8 +6,8 @@
 // the rendezvous handshake, (c) which per-stream credits the receiver
 // grants. One policy object serves both the live simulated library
 // (mpi::detail::Endpoint consults it per message) and the trace-driven
-// what-if replays in src/scale/, so bench numbers and runtime behavior can
-// never drift apart.
+// replay in src/ingest/replay.hpp that every §2 what-if bench views, so
+// bench numbers and runtime behavior can never drift apart.
 
 #include <cstdint>
 #include <vector>
@@ -63,6 +63,11 @@ struct Credit {
   std::int32_t sender = 0;
   std::int64_t bytes = 0;
 
+  /// True when this credit lets `from` send `send_bytes` eagerly: the
+  /// sender matches and the pledged bytes cover the send.
+  [[nodiscard]] bool covers(std::int32_t from, std::int64_t send_bytes) const noexcept {
+    return sender == from && bytes >= send_bytes;
+  }
   [[nodiscard]] bool operator==(const Credit&) const = default;
 };
 

@@ -2,7 +2,7 @@
 
 // The query half of the adaptive runtime: wraps the sharded
 // PredictionEngine behind the online per-(source, destination, tag) API
-// the simulated MPI library and the §2 what-if replays consume. Where the
+// the simulated MPI library and ingest::replay_adaptive consume. Where the
 // engine answers "how accurate were we" (scoring), the service answers
 // "what should the library do next" (steering): who sends to `dst` next,
 // how many bytes, and how much the answer can be trusted.

@@ -371,7 +371,7 @@ std::shared_ptr<SendState> Endpoint::post_send(std::span<const std::byte> data, 
         stream_credit_used_[d] == 0) {
       if (adaptive::AdaptivePolicy* policy = world_->adaptive_policy()) {
         for (const adaptive::Credit& c : policy->credit_plan(dst)) {
-          if (c.sender == rank_ && c.bytes >= send->bytes) {
+          if (c.covers(rank_, send->bytes)) {
             send->credited = true;
             break;
           }

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
 #include <tuple>
 
 #include "apps/app.hpp"
+#include "common/error.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "ingest/csv_source.hpp"
@@ -394,6 +396,160 @@ TEST(AdaptiveReplay, SummaryDeterministicAcrossShardCounts) {
   adaptive::RuntimeConfig cfg;
   cfg.service.engine.shards = 1;
   EXPECT_EQ(replay_adaptive(events, cfg).summary(), swept.replay.summary());
+}
+
+TEST(AdaptiveReplay, SummaryNeverTruncatesExtremeValues) {
+  AdaptiveReplay replay;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  replay.stats = {.messages = 1,
+                  .prepost_hits = kMin,
+                  .prepost_misses = kMin,
+                  .peak_buffers = kMin,
+                  .buffer_sum = -1e300,  // avg_buffers prints 300+ digits
+                  .eager_sends = kMin,
+                  .rendezvous_sends = kMin,
+                  .rendezvous_elided = kMin};
+  replay.credit_hits = kMin;
+  replay.credit_misses = kMin;
+  replay.peak_pledged_bytes = kMax;
+  const std::string summary = replay.summary();
+  EXPECT_GT(summary.size(), 256u);
+  EXPECT_TRUE(summary.ends_with(" peak_pledged_bytes=9223372036854775807")) << summary;
+}
+
+// ---------------------------------------------------------------------------
+// The §2 what-ifs (pre-post buffers, per-stream credits, rendezvous
+// elision) as views over replay_adaptive, on synthetic single-receiver
+// streams.
+
+std::vector<engine::Event> arrivals(const std::vector<std::int32_t>& senders,
+                                    const std::vector<std::int64_t>& sizes, std::size_t n) {
+  std::vector<engine::Event> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back({.source = senders[i % senders.size()],
+                   .destination = 0,
+                   .tag = 0,
+                   .bytes = sizes[i % sizes.size()]});
+  }
+  return out;
+}
+
+/// splitmix64 finalizer: a fixed aperiodic sequence.
+std::uint64_t scramble(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// The credit and rendezvous what-ifs plan at the engine's default horizon.
+adaptive::RuntimeConfig what_if_config() {
+  adaptive::RuntimeConfig cfg;
+  cfg.service.engine = engine::EngineConfig{};
+  return cfg;
+}
+
+TEST(AdaptiveReplay, PredictableCycleEarnsCreditsWithBoundedPledge) {
+  const AdaptiveReplay replay =
+      replay_adaptive(arrivals({1, 2, 3, 4}, {512, 1024, 512, 2048}, 2000), what_if_config());
+  EXPECT_EQ(replay.credit_hits + replay.credit_misses, 2000);
+  EXPECT_GT(replay.credit_hit_rate(), 0.95);
+  // One granule-rounded credit per flow, far below the stream's volume.
+  EXPECT_LT(replay.peak_pledged_bytes, 16 * 1024);
+}
+
+TEST(AdaptiveReplay, CreditMustCoverTheLargerOfAlternatingSizes) {
+  // A mispredicted size would leave the credit short of the large
+  // message; a correct period-2 prediction covers both.
+  const AdaptiveReplay replay = replay_adaptive(arrivals({1}, {100, 10000}, 600), what_if_config());
+  EXPECT_GT(replay.credit_hit_rate(), 0.9);
+}
+
+TEST(AdaptiveReplay, AperiodicStreamDegradesToAsking) {
+  std::vector<engine::Event> events;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    const std::uint64_t x = scramble(i * 0x9E3779B97F4A7C15ULL + 17);
+    events.push_back({.source = static_cast<std::int32_t>(x % 13),
+                      .destination = 0,
+                      .tag = 0,
+                      .bytes = static_cast<std::int64_t>((x >> 8) % 7 + 1) * 100});
+  }
+  const AdaptiveReplay replay = replay_adaptive(events, what_if_config());
+  EXPECT_LT(replay.credit_hit_rate(), 0.5);
+  EXPECT_EQ(replay.credit_hits + replay.credit_misses, 400);
+}
+
+TEST(AdaptiveReplay, PeriodicLargeMessagesSkipTheHandshake) {
+  // Every 4th message is rendezvous-sized and periodic: the receiver can
+  // pre-grant it.
+  const AdaptiveReplay periodic = replay_adaptive(
+      arrivals({1, 2, 3, 7}, {1024, 1024, 1024, 64 * 1024}, 2000), what_if_config());
+  EXPECT_EQ(periodic.stats.rendezvous_sends + periodic.stats.rendezvous_elided, 500);
+  EXPECT_GT(periodic.stats.elision_rate(), 0.95);
+  // Credits score every arrival, rendezvous-sized and elided ones too.
+  EXPECT_EQ(periodic.credit_hits + periodic.credit_misses, 2000);
+
+  // Aperiodic large sizes: a predicted size below the actual one must
+  // not elide (the pre-granted buffer would be too small).
+  std::vector<std::int64_t> sizes;
+  for (std::int64_t i = 0; i < 300; ++i) {
+    sizes.push_back(20'000 + (i * i * 997) % 50'000);
+  }
+  const AdaptiveReplay aperiodic = replay_adaptive(arrivals({1}, sizes, 300), what_if_config());
+  EXPECT_EQ(aperiodic.stats.rendezvous_sends + aperiodic.stats.rendezvous_elided, 300);
+  EXPECT_LT(aperiodic.stats.elision_rate(), 0.1);
+
+  // At or under the threshold nothing is long.
+  adaptive::RuntimeConfig high = what_if_config();
+  high.policy.rendezvous_threshold_bytes = 64 * 1024;
+  const AdaptiveReplay under = replay_adaptive(arrivals({1}, {30'000}, 200), high);
+  EXPECT_EQ(under.stats.eager_sends, 200);
+  EXPECT_EQ(under.stats.rendezvous_sends + under.stats.rendezvous_elided, 0);
+  EXPECT_EQ(under.stats.elision_rate(), 0.0);
+}
+
+TEST(AdaptiveReplay, EmptyReplayReadsAllZero) {
+  const AdaptiveReplay replay = replay_adaptive({});
+  EXPECT_EQ(replay.stats.messages, 0);
+  EXPECT_EQ(replay.stats.hit_rate(), 0.0);
+  EXPECT_EQ(replay.stats.avg_buffers(), 0.0);
+  EXPECT_EQ(replay.stats.elision_rate(), 0.0);
+  EXPECT_EQ(replay.credit_hit_rate(), 0.0);
+  EXPECT_EQ(replay.summary(),
+            "messages=0 hits=0 misses=0 avg_buffers=0.000000 peak_buffers=0 eager=0 "
+            "rendezvous=0 elided=0 credit_hits=0 credit_misses=0 peak_pledged_bytes=0");
+
+  const adaptive::PolicyStats lru = replay_lru({}, 4);
+  EXPECT_EQ(lru.messages, 0);
+  EXPECT_EQ(lru.prepost_hits + lru.prepost_misses, 0);
+  EXPECT_EQ(lru.peak_buffers, 0);
+  EXPECT_EQ(lru.hit_rate(), 0.0);
+  EXPECT_EQ(lru.avg_buffers(), 0.0);
+}
+
+TEST(AdaptiveReplay, LruKeepsTheMostRecentSendersPerDestination) {
+  // Two receivers, each cycling three senders: an LRU of 3 holds each
+  // receiver's whole cycle, an LRU of 2 never does.
+  std::vector<engine::Event> events;
+  for (std::int32_t i = 0; i < 30; ++i) {
+    events.push_back({.source = i % 3, .destination = 0, .tag = 0, .bytes = 8});
+    events.push_back({.source = 10 + i % 3, .destination = 1, .tag = 0, .bytes = 8});
+  }
+  const adaptive::PolicyStats three = replay_lru(events, 3);
+  EXPECT_EQ(three.messages, 60);
+  EXPECT_EQ(three.prepost_misses, 6);  // each receiver's first three
+  EXPECT_EQ(three.peak_buffers, 3);
+  EXPECT_EQ(replay_lru(events, 2).prepost_hits, 0);
+}
+
+TEST(AdaptiveReplay, RegistryPredictorComesFromTheConfig) {
+  adaptive::RuntimeConfig cfg;
+  cfg.service.engine.predictor = "last-value";
+  // A constant sender: last-value nails it.
+  EXPECT_GT(replay_adaptive(arrivals({4}, {0}, 400), cfg).stats.hit_rate(), 0.9);
+
+  cfg.service.engine.predictor = "no-such-predictor";
+  EXPECT_THROW((void)replay_adaptive(arrivals({1, 2}, {0}, 10), cfg), UsageError);
 }
 
 // ---------------------------------------------------------------------------

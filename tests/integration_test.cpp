@@ -9,10 +9,10 @@
 #include "apps/registry.hpp"
 #include "core/evaluate.hpp"
 #include "core/set_prediction.hpp"
+#include "engine/engine.hpp"
+#include "ingest/replay.hpp"
 #include "ingest/source.hpp"
 #include "mpi/world.hpp"
-#include "scale/buffer_manager.hpp"
-#include "scale/rendezvous.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
 #include "trace/stream.hpp"
@@ -104,15 +104,18 @@ TEST(Pipeline, SetPredictionRescuesPhysicalAccuracy) {
 
 TEST(Pipeline, BufferPolicyOnRealTraceSavesMemory) {
   // §2.1 on a real BT.16 physical trace: predicted buffers cover the
-  // stream with a fraction of the all-pairs memory.
+  // stream with a fraction of the all-pairs memory (15 buffers).
   mpi::World world(16, noisy(13));
   (void)apps::run_bt(world, apps::AppConfig{.problem_class = apps::ProblemClass::Toy,
                                             .iterations_override = 20});
-  const auto streams = trace::extract_streams(world.traces(), 5, trace::Level::Physical,
-                                              {.kind = trace::OpKind::PointToPoint});
-  const auto cmp = scale::compare_buffer_policies(streams.senders, 16);
-  EXPECT_GT(cmp.predicted.hit_rate(), 0.6);
-  EXPECT_LT(cmp.predicted.avg_memory_bytes(), 0.7 * cmp.all_pairs.avg_memory_bytes());
+  adaptive::RuntimeConfig cfg;
+  cfg.policy.lru_keep = 3;
+  const auto replay = ingest::replay_adaptive(
+      engine::events_from_rank(world.traces(), 5, trace::Level::Physical,
+                               {.kind = trace::OpKind::PointToPoint}),
+      cfg);
+  EXPECT_GT(replay.stats.hit_rate(), 0.6);
+  EXPECT_LT(replay.stats.avg_buffers(), 0.7 * 15.0);
 }
 
 TEST(Pipeline, RendezvousElisionOnRealLuTrace) {
@@ -121,13 +124,13 @@ TEST(Pipeline, RendezvousElisionOnRealLuTrace) {
   mpi::World world(4, noisy(17));
   (void)apps::run_lu(world, apps::AppConfig{.problem_class = apps::ProblemClass::S,
                                             .iterations_override = 40});
-  const auto streams = trace::extract_streams(world.traces(), 3, trace::Level::Physical);
-  scale::RendezvousConfig cfg;
-  cfg.threshold_bytes = 2000;
-  const auto report = scale::evaluate_rendezvous_elision(streams.senders, streams.sizes, cfg);
-  ASSERT_GT(report.long_messages, 0);
-  EXPECT_GT(report.elision_rate(), 0.5);
-  EXPECT_GT(report.speedup(), 1.0);
+  adaptive::RuntimeConfig cfg;
+  cfg.service.engine = engine::EngineConfig{};
+  cfg.policy.rendezvous_threshold_bytes = 2000;
+  const auto replay = ingest::replay_adaptive(
+      engine::events_from_rank(world.traces(), 3, trace::Level::Physical), cfg);
+  ASSERT_GT(replay.stats.rendezvous_sends + replay.stats.rendezvous_elided, 0);
+  EXPECT_GT(replay.stats.elision_rate(), 0.5);
 }
 
 TEST(Pipeline, TraceRoundTripPreservesEvaluation) {
