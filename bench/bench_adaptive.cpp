@@ -15,10 +15,11 @@
 // trace instead: the file is streamed through src/ingest/ (batched parse,
 // optional `--window` slice and `--remap-ranks` rank fold), its physical
 // arrival stream replayed through the same adaptive policy at every sweep
-// shard count (byte-identical summaries enforced), scored against the
-// static per-peer allocation and the same-budget LRU yardstick, and the
-// streamed-ingest + CSV round-trip gates are run on the input. Exit 2 on
-// any mismatch.
+// shard count (byte-identical summaries enforced, exit 2 on a mismatch)
+// and scored against the static per-peer allocation and the same-budget
+// LRU yardstick. That the streamed read matches the materialized one and
+// survives a write_csv round trip is pinned in ingest_test, not re-checked
+// here.
 //
 // `--emit-metrics <file>` writes a final metrics snapshot as JSON and
 // `--emit-trace-events <file>` records Chrome trace-event JSON. In
@@ -27,6 +28,9 @@
 // gate doubles as the telemetry on/off check. In `--trace` mode the
 // instrumented adaptive replay (decision instants on an event-ordinal
 // clock) must reproduce the un-instrumented sweep's summary byte for byte.
+//
+// `--help` prints the usage below and exits 0; a bad argument or an
+// unreadable or malformed trace prints one line to stderr and exits 1.
 //
 //   $ ./bench_adaptive [--predictor <name>] [--shards <n>] [--trace <file>]
 //       [--batch-events <n>] [--window <t0>:<t1>] [--remap-ranks <spec>]
@@ -44,11 +48,16 @@
 #include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
 #include "ingest/transform.hpp"
-#include "ingest/verify.hpp"
 
 namespace {
 
 using namespace mpipred;
+
+constexpr const char* kUsage =
+    "usage: bench_adaptive [--predictor <name>] [--shards <n>] [--trace <file>]\n"
+    "                      [--batch-events <n>] [--window <t0>:<t1>]\n"
+    "                      [--remap-ranks <spec>] [--emit-metrics <file>]\n"
+    "                      [--emit-trace-events <file>]\n";
 
 struct AdaptiveRun {
   adaptive::PolicyStats policy;
@@ -96,32 +105,26 @@ std::string format_report(const AdaptiveRun& run) {
 /// arrival stream — the identical decision code the live endpoint drives.
 int run_trace_mode(const std::string& path, const std::string& predictor, std::size_t shards,
                    const bench::TraceFlags& flags, const bench::TelemetryFlags& telem_flags) {
-  const auto source = bench::open_trace_or_exit(path);
+  const ingest::CsvTraceSource source = ingest::open_trace(path);
   // Physical (arrival order) when the format records it — the level the
   // live adaptive loop feeds on. The arrival sequence comes through the
   // streamed default path: incremental reader, then the window/remap
   // transform chain, drained (the policy needs the whole sequence).
-  const trace::Level level = source->levels().back();
-  std::vector<engine::Event> events;
-  int nranks = source->nranks();
+  const trace::Level level = source.levels().back();
+  int nranks = source.nranks();
   std::string transform_lines;
-  try {
-    auto chain =
-        ingest::apply_transforms(ingest::open_event_stream(path, level), flags.transforms);
-    events = ingest::strip_times(ingest::drain(*chain.stream, flags.batch_events));
-    if (chain.window != nullptr) {
-      transform_lines += "  " + chain.window->summary() + "\n";
-    }
-    if (chain.remap != nullptr) {
-      // A remap that dropped every event reports 0 new ranks; clamp so the
-      // static per-peer baseline below stays non-negative.
-      nranks = std::max(1, chain.remap->report().nranks());
-      transform_lines += "  remap " + chain.remap->config().to_string() + ": " +
-                         chain.remap->report().summary() + "\n";
-    }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
+  auto chain = ingest::apply_transforms(ingest::open_event_stream(path, level), flags.transforms);
+  const std::vector<engine::Event> events =
+      ingest::strip_times(ingest::drain(*chain.stream, flags.batch_events));
+  if (chain.window != nullptr) {
+    transform_lines += "  " + chain.window->summary() + "\n";
+  }
+  if (chain.remap != nullptr) {
+    // A remap that dropped every event reports 0 new ranks; clamp so the
+    // static per-peer baseline below stays non-negative.
+    nranks = std::max(1, chain.remap->report().nranks());
+    transform_lines += "  remap " + chain.remap->config().to_string() + ": " +
+                       chain.remap->report().summary() + "\n";
   }
   const auto sweep = bench::gate_shard_sweep(shards);
 
@@ -129,7 +132,7 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
               path.c_str());
   std::printf("(format %s, %d ranks, %zu %s-level arrivals, predictor %s; replay repeated at\n"
               " engine shards {1,2,4}; summaries must match byte-for-byte)\n",
-              std::string(source->format()).c_str(), nranks, events.size(),
+              std::string(source.format()).c_str(), nranks, events.size(),
               std::string(to_string(level)).c_str(), predictor.c_str());
   std::printf("%s\n", transform_lines.c_str());
 
@@ -180,32 +183,10 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
               static_cast<long long>(adaptive.stats.rendezvous_elided),
               bench::pct(adaptive.stats.elision_rate()));
   std::printf("  deterministic across shards: %s\n", swept.deterministic ? "yes" : "NO");
-
-  bool gate_ok = true;
-  const engine::EngineConfig gate_cfg{.predictor = predictor};
-  const auto streamed =
-      ingest::verify_streamed_source(path, *source, flags.transforms, gate_cfg, sweep);
-  if (!streamed.ok) {
-    std::fprintf(stderr, "streamed-ingest gate FAILED: %s\n", streamed.detail.c_str());
-    gate_ok = false;
-  }
-  if (const trace::TraceStore* store = source->store()) {
-    const auto gate = ingest::verify_csv_round_trip(*store, gate_cfg, sweep);
-    if (!gate.ok) {
-      std::fprintf(stderr, "round-trip gate FAILED: %s\n", gate.detail.c_str());
-      gate_ok = false;
-    }
-  }
-  if (gate_ok) {
-    std::printf("  gates: ok (streamed == materialized across shards and batch sizes; "
-                "write_csv round trip byte-identical)\n");
-  }
-  return swept.deterministic && gate_ok && telemetry_ok ? 0 : 2;
+  return swept.deterministic && telemetry_ok ? 0 : 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   auto arg = engine::predictor_arg_or_exit(argc, argv);
   const std::size_t shards = bench::shards_flag(arg.rest, /*fallback=*/1);
   const bench::TraceFlags trace_flags = bench::trace_flags_or_exit(arg.rest);
@@ -336,4 +317,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return deterministic ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::cli_main(argc, argv, kUsage, run);
 }

@@ -22,7 +22,6 @@
 #include "core/evaluate.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
-#include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
 #include "ingest/transform.hpp"
 #include "mpi/world.hpp"
@@ -83,6 +82,27 @@ inline std::vector<engine::Event> representative_arrivals(const trace::TraceStor
                                                           const trace::StreamFilter& filter = {}) {
   const int rep = trace::representative_rank(store, trace::Level::Physical);
   return engine::events_from_rank(store, rep, trace::Level::Physical, filter);
+}
+
+/// The shared main of the command-line tools: `--help` / `-h` anywhere
+/// prints `usage` to stdout and exits 0; otherwise `run(argc, argv)`
+/// decides the exit code, and any Error escaping it (a bad argument, an
+/// unreadable or malformed trace, an unwritable output) becomes one line
+/// on stderr and exit 1. Exit 2 stays reserved for gate violations.
+inline int cli_main(int argc, char** argv, const char* usage, int (*run)(int, char**)) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(usage, stdout);
+      return 0;
+    }
+  }
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }
 
 /// Fail-closed argument check for mains that take no arguments: `--help`
@@ -214,8 +234,9 @@ inline std::string string_flag(std::vector<std::string>& rest, const std::string
   return value;
 }
 
-/// The shard sweep the `--trace` round-trip gates run at: {1, 2, 4} plus
-/// the explicitly requested count when it is not already covered.
+/// The shard sweep the `--trace` tools' adaptive-replay determinism gate
+/// runs at: {1, 2, 4} plus the explicitly requested count when it is not
+/// already covered.
 inline std::vector<std::size_t> gate_shard_sweep(std::size_t shards) {
   std::vector<std::size_t> sweep{1, 2, 4};
   if (shards != 0 && std::find(sweep.begin(), sweep.end(), shards) == sweep.end()) {
@@ -236,18 +257,6 @@ inline std::optional<std::size_t> opt_size_flag(std::vector<std::string>& rest,
     return std::nullopt;
   }
   return size_flag(rest, flag, 0);
-}
-
-/// Opens a trace through the format registry, printing the diagnostic and
-/// exiting 1 on failure — the shared open boilerplate of every `--trace`
-/// consumer (predict_nas, bench_adaptive, replay_trace).
-inline std::unique_ptr<ingest::TraceSource> open_trace_or_exit(const std::string& path) {
-  try {
-    return ingest::open_trace(path);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(1);
-  }
 }
 
 /// The shared streamed-ingest flags of every `--trace` consumer:

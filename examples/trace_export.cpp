@@ -2,12 +2,16 @@
 // CSV, reload it, and analyze periodicity without re-running the
 // simulation — the workflow a tools team would use on recorded traces.
 //
+// `--help` prints the usage below and exits 0; an unwritable path prints
+// one line to stderr and exits 1.
+//
 //   $ ./examples/trace_export [path]   (default: ./is8_trace.csv)
 
 #include <cstdio>
 #include <string>
 
 #include "apps/app.hpp"
+#include "bench/bench_util.hpp"
 #include "core/periodogram.hpp"
 #include "ingest/source.hpp"
 #include "mpi/world.hpp"
@@ -15,8 +19,16 @@
 #include "trace/stats.hpp"
 #include "trace/stream.hpp"
 
-int main(int argc, char** argv) {
-  using namespace mpipred;
+namespace {
+
+using namespace mpipred;
+
+constexpr const char* kUsage =
+    "usage: trace_export [path]   (default: ./is8_trace.csv)\n"
+    "Runs is.8 (Class S), exports its two-level trace to path as CSV, reloads\n"
+    "it, and prints per-rank sender periodicity.\n";
+
+int run(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : "is8_trace.csv";
   constexpr int kProcs = 8;
 
@@ -29,8 +41,8 @@ int main(int argc, char** argv) {
 
   // A different process (or a later analysis session) reloads the CSV
   // through the ingest boundary, the same reader `--trace` uses.
-  const auto source = ingest::open_trace(path);
-  const trace::TraceStore& store = *source->store();
+  const ingest::CsvTraceSource source = ingest::open_trace(path);
+  const trace::TraceStore& store = source.store();
   std::printf("reloaded %zu logical + %zu physical records\n\n",
               store.total_records(trace::Level::Logical),
               store.total_records(trace::Level::Physical));
@@ -49,4 +61,10 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(delete %s when done)\n", path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::cli_main(argc, argv, kUsage, run);
 }

@@ -1,14 +1,18 @@
 #pragma once
 
-// Line-level grammar of the two ingest CSV dialects, shared by the
-// materializing parser (csv_source.cpp) and the incremental streaming
-// reader (streaming.cpp), so the two paths can never drift on what a valid
+// Line-level grammar of the two ingest CSV dialects and the one scanner
+// that applies it: the materializing parser (source.cpp) and the
+// incremental streaming reader (streaming.cpp) both validate a file
+// through csv_line::scan, so the two paths can never drift on what a valid
 // preamble directive, header, or data line is. Internal to src/ingest/;
-// consumers outside the ingest boundary go through TraceSource or
+// consumers outside the ingest boundary go through CsvTraceSource or
 // EventStream instead.
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <fstream>
+#include <istream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -150,8 +154,9 @@ struct HeaderInfo {
 }
 
 [[noreturn]] inline void reject_header(std::string_view line, const Cursor& at) {
-  at.reject("", "unrecognized header '" + std::string(line) + "' (expected '" +
-                    std::string(kNativeHeader) + "' or '" + std::string(kFlatHeader) + "[,kind]')");
+  at.reject("", "unrecognized header '" + std::string(line) + "' (known formats: csv '" +
+                    std::string(kNativeHeader) + "', csv-flat '" + std::string(kFlatHeader) +
+                    "[,kind]')");
 }
 
 [[nodiscard]] inline std::size_t expected_fields(const HeaderInfo& header) {
@@ -206,6 +211,81 @@ struct Row {
     row.rec.op = trace::Op::Recv;
   }
   return row;
+}
+
+/// Opens `path` for reading; throws IngestError when it cannot.
+[[nodiscard]] inline std::ifstream open_file(const std::string& path) {
+  std::ifstream is(path);
+  if (!is) {
+    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
+  }
+  return is;
+}
+
+/// What a scan learned about a file besides its data rows.
+struct Layout {
+  HeaderInfo header;
+  std::optional<int> declared_nranks;
+  /// Declared by `# nranks`, or inferred as max observed rank + 1.
+  int nranks = 1;
+  /// Line number of the header, and the byte offset just past it.
+  std::size_t header_line = 0;
+  std::uint64_t data_start = 0;
+  /// Byte offset at the end of the scan (the file size).
+  std::uint64_t end = 0;
+};
+
+/// The one line scanner of both dialects: validates every line of `is`
+/// (directives and comments before the header, the header itself, then
+/// comments, blanks, and data rows; CRLF accepted) and calls
+/// `on_row(header, row, line, offset)` for each data row with its 1-based
+/// line number and the byte offset of its first character. Throws
+/// IngestError, labeled with `file`, on the first malformed line. A
+/// template parameter rather than std::function: the call sits in the
+/// per-line loop of every file open.
+template <typename OnRow>
+Layout scan(std::istream& is, const std::string& file, OnRow&& on_row) {
+  Cursor at{.file = file};
+  Layout out;
+  bool have_header = false;
+  std::int32_t max_rank = -1;
+  std::uint64_t offset = 0;
+  std::string raw;
+  while (std::getline(is, raw)) {
+    ++at.line;
+    const std::uint64_t line_start = offset;
+    offset += raw.size() + (is.eof() ? 0 : 1);
+    const std::string_view line = trace::csv_util::strip_cr(raw);
+    if (line.empty()) {
+      continue;
+    }
+    if (line.front() == '#') {
+      if (!have_header) {
+        handle_directive(trim(line.substr(1)), out.declared_nranks, at);
+      }
+      continue;
+    }
+    if (!have_header) {
+      const std::optional<HeaderInfo> header = match_header(line);
+      if (!header) {
+        reject_header(line, at);
+      }
+      out.header = *header;
+      out.header_line = at.line;
+      out.data_start = offset;
+      have_header = true;
+      continue;
+    }
+    const Row row = parse_row(line, out.header, out.declared_nranks, at);
+    max_rank = std::max({max_rank, static_cast<std::int32_t>(row.rank), row.rec.sender});
+    on_row(out.header, row, at.line, line_start);
+  }
+  if (!have_header) {
+    throw IngestError({.file = file, .line = 0, .field = {}, .reason = "no header line found"});
+  }
+  out.nranks = out.declared_nranks.value_or(std::max(max_rank + 1, 1));
+  out.end = offset;
+  return out;
 }
 
 }  // namespace mpipred::ingest::csv_line

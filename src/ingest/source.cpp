@@ -4,33 +4,12 @@
 #include <istream>
 #include <utility>
 
-#include "ingest/csv_source.hpp"
+#include "engine/engine.hpp"
+#include "ingest/csv_line.hpp"
 #include "ingest/streaming.hpp"
 #include "trace/merge.hpp"
 
 namespace mpipred::ingest {
-
-std::unique_ptr<EventStream> TraceSource::stream_events(trace::Level level) const {
-  std::vector<TimedEvent> timed;
-  if (const trace::TraceStore* records = store()) {
-    const auto merged = trace::merged_records(*records, level);
-    timed.reserve(merged.size());
-    for (const trace::MergedRecord& rec : merged) {
-      timed.push_back({.time = rec.time,
-                       .event = {.source = rec.sender,
-                                 .destination = rec.receiver,
-                                 .tag = static_cast<std::int32_t>(rec.kind),
-                                 .bytes = rec.bytes}});
-    }
-  } else {
-    // Event-only formats carry no timestamps; the transforms still compose
-    // (a time window over an all-zero clock keeps everything or nothing).
-    for (const engine::Event& event : events(level)) {
-      timed.push_back({.time = sim::SimTime{0}, .event = event});
-    }
-  }
-  return std::make_unique<VectorEventStream>(std::move(timed), /*time_ordered=*/true);
-}
 
 std::string to_string(const Diagnostic& d) {
   std::string out = d.file;
@@ -48,126 +27,51 @@ std::string to_string(const Diagnostic& d) {
   return out;
 }
 
-TraceFormatRegistry& TraceFormatRegistry::instance() {
-  static TraceFormatRegistry registry = [] {
-    TraceFormatRegistry r;
-    register_csv_formats(r);
-    return r;
-  }();
-  return registry;
+std::vector<trace::Level> CsvTraceSource::levels() const {
+  if (flat_) {
+    return {trace::Level::Physical};
+  }
+  return {trace::Level::Logical, trace::Level::Physical};
 }
 
-void TraceFormatRegistry::add(TraceFormat format) {
-  for (const TraceFormat& existing : formats_) {
-    if (existing.name == format.name) {
-      throw UsageError("trace format '" + format.name + "' registered twice");
-    }
-  }
-  formats_.push_back(std::move(format));
+// A flat file's store holds Physical records only, so its Logical level
+// reads empty in both views below without a dialect check.
+std::vector<engine::Event> CsvTraceSource::events(trace::Level level) const {
+  return engine::events_from_trace(store_, level);
 }
 
-std::vector<std::string> TraceFormatRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(formats_.size());
-  for (const TraceFormat& f : formats_) {
-    out.push_back(f.name);
+std::unique_ptr<EventStream> CsvTraceSource::stream_events(trace::Level level) const {
+  const auto merged = trace::merged_records(store_, level);
+  std::vector<TimedEvent> timed;
+  timed.reserve(merged.size());
+  for (const trace::MergedRecord& rec : merged) {
+    timed.push_back({.time = rec.time,
+                     .event = {.source = rec.sender,
+                               .destination = rec.receiver,
+                               .tag = static_cast<std::int32_t>(rec.kind),
+                               .bytes = rec.bytes}});
   }
-  return out;
+  return std::make_unique<VectorEventStream>(std::move(timed), /*time_ordered=*/true);
 }
 
-namespace {
-
-/// First non-empty, non-comment line with any trailing '\r' removed — the
-/// probe every format's `matches` sees. Empty when the stream has none.
-std::string first_meaningful_line(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (line.empty() || line.front() == '#') {
-      continue;
-    }
-    return line;
-  }
-  return {};
+CsvTraceSource open_trace(const std::string& path) {
+  std::ifstream is = csv_line::open_file(path);
+  return open_trace_stream(is, path);
 }
 
-}  // namespace
-
-namespace {
-
-[[noreturn]] void throw_unknown_format(const std::vector<TraceFormat>& formats,
-                                       const std::string& probe, const std::string& file) {
-  std::string known;
-  for (const TraceFormat& f : formats) {
-    known += (known.empty() ? "" : ", ") + f.name;
+CsvTraceSource open_trace_stream(std::istream& is, const std::string& label) {
+  // Every line is validated before the store is built, so the rank count
+  // can be inferred when the file does not declare it.
+  std::vector<csv_line::Row> rows;
+  const csv_line::Layout layout =
+      csv_line::scan(is, label, [&rows](const auto&, const csv_line::Row& row, auto...) {
+        rows.push_back(row);
+      });
+  trace::TraceStore store(layout.nranks);
+  for (const csv_line::Row& row : rows) {
+    store.append(row.rank, row.level, row.rec);
   }
-  throw IngestError({.file = file,
-                     .line = 0,
-                     .field = {},
-                     .reason = "no registered trace format matches header '" + probe +
-                               "' (known formats: " + known + ")"});
-}
-
-}  // namespace
-
-std::unique_ptr<TraceSource> TraceFormatRegistry::open(std::istream& is,
-                                                       const std::string& file) const {
-  const std::string probe = first_meaningful_line(is);
-  is.clear();
-  is.seekg(0);
-  if (!is) {
-    throw IngestError({.file = file,
-                       .line = 0,
-                       .field = {},
-                       .reason = "stream is not seekable (cannot rewind probe)"});
-  }
-  for (const TraceFormat& f : formats_) {
-    if (f.matches(probe)) {
-      return f.open(is, file);
-    }
-  }
-  throw_unknown_format(formats_, probe, file);
-}
-
-std::unique_ptr<EventStream> TraceFormatRegistry::open_stream(const std::string& path,
-                                                              trace::Level level) const {
-  std::ifstream is(path);
-  if (!is) {
-    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
-  }
-  const std::string probe = first_meaningful_line(is);
-  for (const TraceFormat& f : formats_) {
-    if (!f.matches(probe)) {
-      continue;
-    }
-    if (f.open_stream) {
-      return f.open_stream(path, level);
-    }
-    is.clear();
-    is.seekg(0);
-    if (!is) {
-      throw IngestError({.file = path,
-                         .line = 0,
-                         .field = {},
-                         .reason = "stream is not seekable (cannot rewind probe)"});
-    }
-    return f.open(is, path)->stream_events(level);
-  }
-  throw_unknown_format(formats_, probe, path);
-}
-
-std::unique_ptr<TraceSource> open_trace(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
-  }
-  return TraceFormatRegistry::instance().open(is, path);
-}
-
-std::unique_ptr<TraceSource> open_trace_stream(std::istream& is, const std::string& label) {
-  return TraceFormatRegistry::instance().open(is, label);
+  return {layout.header.dialect == csv_line::Dialect::Flat, std::move(store)};
 }
 
 }  // namespace mpipred::ingest

@@ -1,14 +1,25 @@
 #pragma once
 
-// Trace ingestion: the boundary where externally captured traces (CSV
-// today, OTF2-style formats tomorrow) become the time-ordered
-// engine::Event streams every consumer of this repo understands. A
-// TraceSource hides the format behind one interface; the format registry
-// probes a file's header and dispatches to the right parser, so benches
-// and examples take `--trace <file>` without knowing any format by name.
+// Trace ingestion: the boundary where externally captured traces become
+// the time-ordered engine::Event streams every consumer of this repo
+// understands. Two CSV dialects are accepted:
+//
+//  * native — `rank,level,time_ns,sender,bytes,kind,op`: the schema
+//    trace::write_csv emits, one line per (receiver rank, level) record.
+//  * flat   — `time_ns,sender,receiver,bytes[,kind]`: one line per
+//    delivered message, the shape external capture tools typically log.
+//    Lines need not be time-sorted; ingestion orders them. Flat traces
+//    carry arrival data only, so they expose just the Physical level.
+//
+// Both dialects accept `#` comment lines anywhere and, before the header,
+// `# key: value` directives: `# mpipred-trace: v1` (schema version; other
+// versions are rejected) and `# nranks: N` (declares the rank count, which
+// is otherwise inferred as max observed rank + 1). Lines may end in CRLF.
+// Every rejected line raises IngestError with file:line, the offending
+// field, and the reason — never an assert. The header line alone decides
+// the dialect; the bounded-memory reader over a file is
+// ingest::open_event_stream (streaming.hpp).
 
-#include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -18,10 +29,7 @@
 #include "common/error.hpp"
 #include "engine/config.hpp"
 #include "trace/event.hpp"
-
-namespace mpipred::trace {
-class TraceStore;
-}  // namespace mpipred::trace
+#include "trace/store.hpp"
 
 namespace mpipred::ingest {
 
@@ -59,94 +67,55 @@ class IngestError : public Error {
   Diagnostic diag_;
 };
 
-/// One fully ingested trace, abstracted over its on-disk format. All
-/// parsing and validation happen at open time — a constructed source can
-/// no longer fail, and its accessors are cheap.
-class TraceSource {
+/// One fully ingested CSV trace. All parsing and validation happen at open
+/// time — a constructed source can no longer fail, and its accessors are
+/// cheap.
+class CsvTraceSource final {
  public:
-  virtual ~TraceSource() = default;
-
-  /// Registry name of the format this source was parsed from.
-  [[nodiscard]] virtual std::string_view format() const noexcept = 0;
+  /// "csv" (native dialect) or "csv-flat".
+  [[nodiscard]] std::string_view format() const noexcept { return flat_ ? "csv-flat" : "csv"; }
 
   /// Ranks covered: declared by the file, or inferred as max rank + 1.
-  [[nodiscard]] virtual int nranks() const noexcept = 0;
+  [[nodiscard]] int nranks() const noexcept { return store_.nranks(); }
 
-  /// Instrumentation levels this format carries, in enum order. Formats
-  /// recording arrivals only (the flat CSV dialect) report just Physical.
-  [[nodiscard]] virtual std::vector<trace::Level> levels() const = 0;
+  /// Instrumentation levels the dialect carries, in enum order: both for
+  /// native files, just Physical for flat ones.
+  [[nodiscard]] std::vector<trace::Level> levels() const;
 
   /// The trace of `level` as a time-ordered global event stream (a stable
   /// merge of the per-rank record streams, so ties keep rank-major order —
   /// the same order a live simulator trace produces), exactly what
   /// engine::PredictionEngine::observe_all and the adaptive replays
   /// consume. Levels outside levels() yield empty.
-  [[nodiscard]] virtual std::vector<engine::Event> events(trace::Level level) const = 0;
+  [[nodiscard]] std::vector<engine::Event> events(trace::Level level) const;
 
-  /// The underlying record store when the format captures full per-rank
-  /// records (the CSV dialects do); nullptr for event-only formats. The
-  /// round-trip gate re-exports it through trace::write_csv.
-  [[nodiscard]] virtual const trace::TraceStore* store() const noexcept { return nullptr; }
+  /// The same stream events(level) returns, timestamps attached, behind
+  /// the pull-based batch contract (each call yields a fresh,
+  /// self-contained stream), so the materialized trace composes with the
+  /// streaming transforms.
+  [[nodiscard]] std::unique_ptr<EventStream> stream_events(trace::Level level) const;
 
-  /// The same stream events(level) returns, behind the pull-based batch
-  /// contract (each call yields a fresh, self-contained stream). The
-  /// default adapter serves the materialized events; it exists so every
-  /// source composes with the streaming transforms — the bounded-memory
-  /// path over a file is ingest::open_event_stream, which skips
-  /// materialization entirely for formats that can parse incrementally.
-  [[nodiscard]] virtual std::unique_ptr<EventStream> stream_events(trace::Level level) const;
-};
-
-/// One pluggable trace format. `matches` probes the first meaningful line
-/// (comments and blanks skipped, CR stripped); `open` parses the whole
-/// stream, labeling diagnostics with `file`, and throws IngestError on the
-/// first malformed line.
-struct TraceFormat {
-  std::string name;
-  std::function<bool(std::string_view first_line)> matches;
-  std::function<std::unique_ptr<TraceSource>(std::istream& is, const std::string& file)> open;
-  /// Optional incremental reader: yields one level's time-ordered events
-  /// without materializing the trace (bounded memory). Formats without one
-  /// are materialized through `open` and adapted.
-  std::function<std::unique_ptr<EventStream>(const std::string& path, trace::Level level)>
-      open_stream;
-};
-
-/// Name -> format map the `--trace` flag dispatches through. The CSV
-/// dialects are built in; OTF2-style readers register the same way from
-/// their own translation unit.
-class TraceFormatRegistry {
- public:
-  [[nodiscard]] static TraceFormatRegistry& instance();
-
-  /// Registers `format`; throws UsageError on a duplicate name.
-  void add(TraceFormat format);
-
-  /// Registered names, in registration order (probe order).
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Probes `is` (which must be seekable: the first meaningful line is
-  /// read and the stream rewound) and parses it with the first matching
-  /// format. Throws IngestError when no format claims the header.
-  [[nodiscard]] std::unique_ptr<TraceSource> open(std::istream& is, const std::string& file) const;
-
-  /// Probes `path` and opens it as an incremental event stream of `level`
-  /// through the matching format's `open_stream` hook (falling back to
-  /// materializing via `open`). Throws IngestError like open().
-  [[nodiscard]] std::unique_ptr<EventStream> open_stream(const std::string& path,
-                                                         trace::Level level) const;
+  /// The parsed per-rank records; the round-trip gate re-exports them
+  /// through trace::write_csv.
+  [[nodiscard]] const trace::TraceStore& store() const noexcept { return store_; }
 
  private:
-  std::vector<TraceFormat> formats_;
+  friend CsvTraceSource open_trace_stream(std::istream& is, const std::string& label);
+
+  CsvTraceSource(bool flat, trace::TraceStore store) : flat_(flat), store_(std::move(store)) {}
+
+  bool flat_;
+  trace::TraceStore store_;
 };
 
-/// Opens `path` through the format registry; throws IngestError on an
-/// unreadable file, unknown format, or malformed content.
-[[nodiscard]] std::unique_ptr<TraceSource> open_trace(const std::string& path);
+/// Parses the CSV trace at `path`; throws IngestError on an unreadable
+/// file, unknown header, or malformed content.
+[[nodiscard]] CsvTraceSource open_trace(const std::string& path);
 
-/// Stream variant for tests and in-memory round trips; `label` names the
-/// stream in diagnostics.
-[[nodiscard]] std::unique_ptr<TraceSource> open_trace_stream(std::istream& is,
-                                                             const std::string& label = "<stream>");
+/// Parses a whole CSV stream (dialect detected from the header); throws
+/// IngestError on the first malformed line. `label` names the stream in
+/// diagnostics.
+[[nodiscard]] CsvTraceSource open_trace_stream(std::istream& is,
+                                               const std::string& label = "<stream>");
 
 }  // namespace mpipred::ingest

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "ingest/csv_line.hpp"
-#include "ingest/csv_source.hpp"
 #include "ingest/source.hpp"
 #include "trace/csv_util.hpp"
 
@@ -117,8 +116,7 @@ struct CsvStreamReader::Impl {
   std::deque<TimedEvent> pending;
 
   // Materialized fallback (layouts the merge cannot stream).
-  std::vector<TimedEvent> materialized;
-  std::size_t next = 0;
+  std::optional<VectorEventStream> materialized;
 
   std::size_t buffered_peak = 0;
 
@@ -237,14 +235,6 @@ struct CsvStreamReader::Impl {
     }
     return appended;
   }
-
-  std::size_t next_batch_materialized(std::size_t max_events, std::vector<TimedEvent>& out) {
-    const std::size_t take = std::min(max_events, materialized.size() - next);
-    out.insert(out.end(), materialized.begin() + static_cast<std::ptrdiff_t>(next),
-               materialized.begin() + static_cast<std::ptrdiff_t>(next + take));
-    next += take;
-    return take;
-  }
 };
 
 CsvStreamReader::CsvStreamReader(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -256,19 +246,9 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
   im->path = path;
   im->level = level;
 
-  // Validation scan: every line is checked with the same grammar the
-  // materializing parser applies (one pass, nothing retained), sections
-  // are indexed, and the time layout is probed so the merge knows whether
-  // it can stream this file.
-  std::ifstream scan(path);
-  if (!scan) {
-    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
-  }
-  csv_line::Cursor at{.file = path};
-  std::optional<csv_line::HeaderInfo> header;
-  std::uint64_t offset = 0;
-  std::string raw;
-  std::int32_t max_rank = -1;
+  // Validation scan: every line is checked by the one csv_line scanner
+  // (one pass, nothing retained), sections are indexed, and the time
+  // layout is probed so the merge knows whether it can stream this file.
   int run_rank = -1;
   int run_level = -1;
   std::int64_t run_last_time = 0;
@@ -277,61 +257,38 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
   std::int64_t flat_last_time = std::numeric_limits<std::int64_t>::min();
   std::vector<Impl::Section> all_sections;
   std::vector<int> section_levels;
-  while (std::getline(scan, raw)) {
-    ++at.line;
-    const std::uint64_t line_start = offset;
-    offset += raw.size() + (scan.eof() ? 0 : 1);
-    const std::string_view line = strip_cr(raw);
-    if (line.empty()) {
-      continue;
+  const auto index_row = [&](const csv_line::HeaderInfo& header, const csv_line::Row& row,
+                             std::size_t line, std::uint64_t offset) {
+    const std::int64_t time = row.rec.time.count();
+    if (header.dialect == csv_line::Dialect::Flat) {
+      flat_sorted = flat_sorted && time >= flat_last_time;
+      flat_last_time = time;
+      return;
     }
-    if (line.front() == '#') {
-      if (!header) {
-        csv_line::handle_directive(csv_line::trim(line.substr(1)), im->declared_nranks, at);
-      }
-      continue;
+    const int row_level = static_cast<int>(row.level);
+    if (row.rank != run_rank || row_level != run_level) {
+      all_sections.push_back({.rank = row.rank, .start = offset, .end = 0, .start_line = line - 1});
+      section_levels.push_back(row_level);
+      run_rank = row.rank;
+      run_level = row_level;
+    } else if (time < run_last_time) {
+      level_mono[row_level] = false;
     }
-    if (!header) {
-      header = csv_line::match_header(line);
-      if (!header) {
-        csv_line::reject_header(line, at);
-      }
-      im->data_start = offset;
-      im->data_start_line = at.line;
-      continue;
-    }
-    const csv_line::Row row = csv_line::parse_row(line, *header, im->declared_nranks, at);
-    max_rank = std::max({max_rank, static_cast<std::int32_t>(row.rank), row.rec.sender});
-    if (header->dialect == csv_line::Dialect::Native) {
-      const int row_level = static_cast<int>(row.level);
-      if (row.rank != run_rank || row_level != run_level) {
-        all_sections.push_back(
-            {.rank = row.rank, .start = line_start, .end = 0, .start_line = at.line - 1});
-        section_levels.push_back(row_level);
-        run_rank = row.rank;
-        run_level = row_level;
-      } else if (row.rec.time.count() < run_last_time) {
-        level_mono[row_level] = false;
-      }
-      run_last_time = row.rec.time.count();
-    } else {
-      if (row.rec.time.count() < flat_last_time) {
-        flat_sorted = false;
-      }
-      flat_last_time = row.rec.time.count();
-    }
-  }
-  if (!header) {
-    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "no header line found"});
-  }
-  im->header = *header;
-  im->nranks = im->declared_nranks.value_or(std::max(max_rank + 1, 1));
+    run_last_time = time;
+  };
+  std::ifstream scan = csv_line::open_file(path);
+  const csv_line::Layout layout = csv_line::scan(scan, path, index_row);
+  im->header = layout.header;
+  im->declared_nranks = layout.declared_nranks;
+  im->nranks = layout.nranks;
+  im->data_start = layout.data_start;
+  im->data_start_line = layout.header_line;
   for (std::size_t i = 0; i < all_sections.size(); ++i) {
-    all_sections[i].end = i + 1 < all_sections.size() ? all_sections[i + 1].start : offset;
+    all_sections[i].end = i + 1 < all_sections.size() ? all_sections[i + 1].start : layout.end;
   }
 
   const int level_int = static_cast<int>(level);
-  if (header->dialect == csv_line::Dialect::Flat) {
+  if (layout.header.dialect == csv_line::Dialect::Flat) {
     if (level != trace::Level::Physical) {
       im->mode = Impl::Mode::Empty;
     } else if (flat_sorted) {
@@ -354,56 +311,29 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
     }
   }
 
-  switch (im->mode) {
-    case Impl::Mode::NativeMerge: {
-      im->is.open(path);
-      if (!im->is) {
-        throw IngestError({.file = path,
-                           .line = 0,
-                           .field = {},
-                           .reason = "cannot open for reading"});
+  if (im->mode == Impl::Mode::NativeMerge || im->mode == Impl::Mode::FlatSequential) {
+    im->is = csv_line::open_file(path);
+  }
+  if (im->mode == Impl::Mode::NativeMerge) {
+    im->cursors.resize(im->sections.size());
+    for (std::uint32_t i = 0; i < im->sections.size(); ++i) {
+      im->cursors[i].next_offset = im->sections[i].start;
+      im->cursors[i].line = im->sections[i].start_line;
+      if (im->refill(i)) {
+        im->heap.push({.time = im->cursors[i].lookahead.time.count(),
+                       .rank = im->sections[i].rank,
+                       .idx = i});
       }
-      im->cursors.resize(im->sections.size());
-      for (std::uint32_t i = 0; i < im->sections.size(); ++i) {
-        im->cursors[i].next_offset = im->sections[i].start;
-        im->cursors[i].line = im->sections[i].start_line;
-        if (im->refill(i)) {
-          im->heap.push({.time = im->cursors[i].lookahead.time.count(),
-                         .rank = im->sections[i].rank,
-                         .idx = i});
-        }
-      }
-      im->note_buffered(im->heap.size());
-      break;
     }
-    case Impl::Mode::FlatSequential: {
-      im->is.open(path);
-      if (!im->is) {
-        throw IngestError({.file = path,
-                           .line = 0,
-                           .field = {},
-                           .reason = "cannot open for reading"});
-      }
-      break;
-    }
-    case Impl::Mode::Materialized: {
-      // This layout (unsorted flat file, native section with non-monotone
-      // times, or a section blow-up) cannot be merged incrementally; fall
-      // back to the materializing parser's own stream adapter so the
-      // emitted order is the non-streamed path's by construction.
-      std::ifstream reparse(path);
-      if (!reparse) {
-        throw IngestError({.file = path,
-                           .line = 0,
-                           .field = {},
-                           .reason = "cannot open for reading"});
-      }
-      im->materialized = drain(*CsvTraceSource::parse(reparse, path)->stream_events(level));
-      im->note_buffered(im->materialized.size());
-      break;
-    }
-    case Impl::Mode::Empty:
-      break;
+    im->note_buffered(im->heap.size());
+  } else if (im->mode == Impl::Mode::Materialized) {
+    // This layout (unsorted flat file, native section with non-monotone
+    // times, or a section blow-up) cannot be merged incrementally; fall
+    // back to the materializing parser's own stream, so the emitted order
+    // is the non-streamed path's by construction.
+    std::vector<TimedEvent> events = drain(*open_trace(path).stream_events(level));
+    im->note_buffered(events.size());
+    im->materialized.emplace(std::move(events), /*time_ordered=*/true);
   }
   return std::unique_ptr<CsvStreamReader>(new CsvStreamReader(std::move(im)));
 }
@@ -415,7 +345,7 @@ std::size_t CsvStreamReader::next_batch(std::size_t max_events, std::vector<Time
     case Impl::Mode::FlatSequential:
       return impl_->next_batch_flat(max_events, out);
     case Impl::Mode::Materialized:
-      return impl_->next_batch_materialized(max_events, out);
+      return impl_->materialized->next_batch(max_events, out);
     case Impl::Mode::Empty:
       return 0;
   }
@@ -431,7 +361,7 @@ std::size_t CsvStreamReader::peak_buffered_events() const noexcept { return impl
 int CsvStreamReader::nranks() const noexcept { return impl_->nranks; }
 
 std::unique_ptr<EventStream> open_event_stream(const std::string& path, trace::Level level) {
-  return TraceFormatRegistry::instance().open_stream(path, level);
+  return CsvStreamReader::open(path, level);
 }
 
 }  // namespace mpipred::ingest

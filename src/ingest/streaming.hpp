@@ -56,8 +56,8 @@ class EventStream {
 };
 
 /// In-memory adapter: serves a materialized vector through the batch
-/// contract (the default TraceSource::stream_events implementation, and
-/// the base of the materialized reference side of every gate).
+/// contract (what CsvTraceSource::stream_events returns, and the base of
+/// the materialized reference side of every gate).
 class VectorEventStream final : public EventStream {
  public:
   explicit VectorEventStream(std::vector<TimedEvent> events, bool time_ordered = false)
@@ -93,9 +93,9 @@ class VectorEventStream final : public EventStream {
 /// decrease, a native section with non-monotone times, or more sections
 /// than kMaxStreamSections — fall back to materializing (still correct,
 /// reported by streaming() == false). open() fully validates every line
-/// (one scan, same grammar as CsvTraceSource::parse) without retaining
-/// events, so a malformed file is rejected up front with the usual
-/// file:line diagnostic.
+/// (the same csv_line scan open_trace runs) without retaining events, so
+/// a malformed file is rejected up front with the usual file:line
+/// diagnostic.
 class CsvStreamReader final : public EventStream {
  public:
   /// Section-count ceiling for the native K-way merge (each section costs
@@ -130,11 +130,9 @@ class CsvStreamReader final : public EventStream {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Opens `path` through the format registry as an incremental stream of
-/// one level's events: formats registering an `open_stream` hook (the CSV
-/// dialects do) parse on demand; others are materialized and adapted.
-/// Throws IngestError on an unreadable file, unknown format, or malformed
-/// content.
+/// Opens the CSV trace at `path` as an incremental stream of one level's
+/// events (a CsvStreamReader). Throws IngestError on an unreadable file,
+/// unknown header, or malformed content.
 [[nodiscard]] std::unique_ptr<EventStream> open_event_stream(const std::string& path,
                                                              trace::Level level);
 

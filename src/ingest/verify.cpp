@@ -1,5 +1,6 @@
 #include "ingest/verify.hpp"
 
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -29,9 +30,9 @@ RoundTripResult verify_csv_round_trip(const trace::TraceStore& store,
   }
   std::stringstream csv;
   trace::write_csv(csv, store);
-  std::unique_ptr<TraceSource> source;
+  std::optional<CsvTraceSource> source;
   try {
-    source = open_trace_stream(csv, "<round-trip>");
+    source.emplace(open_trace_stream(csv, "<round-trip>"));
   } catch (const IngestError& e) {
     return {.ok = false, .detail = std::string("re-ingest failed: ") + e.what()};
   }
@@ -95,7 +96,7 @@ RoundTripResult verify_streamed_replay(const StreamFactory& make_stream,
   return {};
 }
 
-RoundTripResult verify_streamed_source(const std::string& path, const TraceSource& source,
+RoundTripResult verify_streamed_source(const std::string& path, const CsvTraceSource& source,
                                        const TransformSpec& spec, const engine::EngineConfig& cfg,
                                        std::span<const std::size_t> shard_counts) {
   for (const trace::Level level : source.levels()) {

@@ -11,10 +11,13 @@
 //    transform chain) replayed through run_into on a fresh engine must
 //    match the report over its materialized reference at every shard
 //    count × batch size point.
-//  * verify_streamed_source — the per-level gate every `--trace` consumer
-//    runs over its (possibly transformed) input file.
+//  * verify_streamed_source — the same per level of a (possibly
+//    transformed) input file: file-backed streamed reads against the
+//    materialized source.
 //
-// Benches taking `--trace` run these gates and exit 2 on mismatch, so
+// These are the tier-1 oracle (ingest_test, serve_test): the tests run
+// them over simulator-shaped traces in both dialects, with and without
+// transforms, so the `--trace` tools replay without re-checking, and
 // replayed numbers can never silently drift from simulated ones.
 //
 // Gates are comparison-based by design: they materialize one reference
@@ -36,7 +39,7 @@
 
 namespace mpipred::ingest {
 
-class TraceSource;
+class CsvTraceSource;
 
 /// Batch sizes every streamed gate sweeps (0 = unbounded, one batch).
 inline constexpr std::size_t kGateBatchEvents[] = {64, 4096, 0};
@@ -70,12 +73,13 @@ using StreamFactory = std::function<std::unique_ptr<EventStream>()>;
                                                      std::span<const std::size_t> shard_counts,
                                                      std::span<const std::size_t> batch_sizes);
 
-/// The runtime gate of the `--trace` tools: for each level of `source`,
-/// the file-backed streamed path (open_event_stream + `spec` transforms)
-/// must match the materialized reference (source.stream_events + the same
-/// transforms) across `shard_counts` × kGateBatchEvents.
+/// For each level of `source` (parsed from `path`), the file-backed
+/// streamed path the `--trace` tools take (open_event_stream + `spec`
+/// transforms) must match the materialized reference
+/// (source.stream_events + the same transforms) across `shard_counts` ×
+/// kGateBatchEvents.
 [[nodiscard]] RoundTripResult verify_streamed_source(const std::string& path,
-                                                     const TraceSource& source,
+                                                     const CsvTraceSource& source,
                                                      const TransformSpec& spec,
                                                      const engine::EngineConfig& cfg,
                                                      std::span<const std::size_t> shard_counts);

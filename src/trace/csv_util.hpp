@@ -1,9 +1,9 @@
 #pragma once
 
 // Line-level CSV plumbing shared by the simulator-side writer
-// (trace/csv.cpp) and the ingest boundary's readers (ingest/csv_line.hpp,
-// csv_source.cpp, streaming.cpp), so writer and readers of the native
-// schema cannot drift on the header or on how a line is split.
+// (trace/csv.cpp) and the ingest boundary's one line scanner
+// (ingest/csv_line.hpp), so writer and reader of the native schema cannot
+// drift on the header or on how a line is split.
 
 #include <string_view>
 #include <vector>

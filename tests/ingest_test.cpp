@@ -1,7 +1,9 @@
 // The trace-ingestion boundary: dialect parsing, per-line diagnostics,
-// the format registry, and the round-trip determinism gate — a simulator
-// trace exported via write_csv and re-ingested must drive the engine to a
-// byte-identical report for every registry predictor and shard count.
+// and the round-trip determinism gates — a simulator trace exported via
+// write_csv (or as a flat capture) and re-ingested must drive the engine
+// to a byte-identical report for every registry predictor, shard count,
+// and batch size, streamed or materialized. The `--trace` tools rely on
+// these gates instead of re-running them.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +19,6 @@
 #include "common/error.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
-#include "ingest/csv_source.hpp"
 #include "ingest/replay.hpp"
 #include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
@@ -25,11 +26,12 @@
 #include "ingest/verify.hpp"
 #include "mpi/world.hpp"
 #include "trace/csv.hpp"
+#include "trace/merge.hpp"
 
 namespace mpipred::ingest {
 namespace {
 
-std::unique_ptr<TraceSource> parse(const std::string& text) {
+CsvTraceSource parse(const std::string& text) {
   std::stringstream ss(text);
   return open_trace_stream(ss, "<test>");
 }
@@ -64,18 +66,17 @@ TEST(CsvSource, NativeDialectMatchesStoreAndEngineEvents) {
   trace::write_csv(csv, store);
 
   const auto source = open_trace_stream(csv, "<test>");
-  EXPECT_EQ(source->format(), "csv");
-  EXPECT_EQ(source->nranks(), 3);  // declared by write_csv's preamble
-  ASSERT_NE(source->store(), nullptr);
+  EXPECT_EQ(source.format(), "csv");
+  EXPECT_EQ(source.nranks(), 3);  // declared by write_csv's preamble
   for (int r = 0; r < 3; ++r) {
     for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
       const auto a = store.records(r, level);
-      const auto b = source->store()->records(r, level);
+      const auto b = source.store().records(r, level);
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i], b[i]);
       }
-      EXPECT_EQ(source->events(level), engine::events_from_trace(store, level));
+      EXPECT_EQ(source.events(level), engine::events_from_trace(store, level));
     }
   }
 }
@@ -111,7 +112,7 @@ TEST(CsvSource, DiagnosticsNameFileLineFieldAndReason) {
   // The last valid op still parses.
   const auto last_op = parse(std::string(kNative) + "0,0,1,2,3,0," +
                              std::to_string(trace::kNumOps - 1) + "\n");
-  EXPECT_EQ(last_op->store()->records(0, trace::Level::Logical)[0].op, trace::Op::Scan);
+  EXPECT_EQ(last_op.store().records(0, trace::Level::Logical)[0].op, trace::Op::Scan);
 }
 
 TEST(CsvSource, ToStringFormatsEditorFriendlyLocation) {
@@ -125,10 +126,9 @@ TEST(CsvSource, CrlfAndCommentsAccepted) {
                             "0,0,1,1,64,0,0\r\n"
                             "# a comment between data lines\r\n"
                             "1,1,2,0,128,1,4\r\n");
-  ASSERT_NE(source->store(), nullptr);
-  EXPECT_EQ(source->store()->total_records(trace::Level::Logical), 1u);
-  EXPECT_EQ(source->store()->total_records(trace::Level::Physical), 1u);
-  EXPECT_EQ(source->store()->records(1, trace::Level::Physical)[0].op, trace::Op::Allreduce);
+  EXPECT_EQ(source.store().total_records(trace::Level::Logical), 1u);
+  EXPECT_EQ(source.store().total_records(trace::Level::Physical), 1u);
+  EXPECT_EQ(source.store().records(1, trace::Level::Physical)[0].op, trace::Op::Allreduce);
 }
 
 TEST(CsvSource, VersionDirectiveGatesUnsupportedSchemas) {
@@ -140,7 +140,7 @@ TEST(CsvSource, VersionDirectiveGatesUnsupportedSchemas) {
 
 TEST(CsvSource, NranksDirectiveDeclaresAndBounds) {
   const auto source = parse(std::string("# nranks: 6\n") + kNative + "0,0,1,1,64,0,0\n");
-  EXPECT_EQ(source->nranks(), 6);  // declared beats inference (max rank 1)
+  EXPECT_EQ(source.nranks(), 6);  // declared beats inference (max rank 1)
 
   for (const char* rank : {"2", "5", "1000"}) {
     const Diagnostic rank_over =
@@ -164,7 +164,7 @@ TEST(CsvSource, IdleTopRanksSurviveTheRoundTrip) {
   std::stringstream csv;
   trace::write_csv(csv, store);
   const auto source = open_trace_stream(csv, "<test>");
-  EXPECT_EQ(source->nranks(), 5);
+  EXPECT_EQ(source.nranks(), 5);
 }
 
 // Hostile rank values must become diagnostics, not aborts: the rank count
@@ -179,12 +179,12 @@ TEST(CsvSource, AstronomicalRanksAreRejectedNotAllocated) {
 
 TEST(CsvSource, FlatDialectOrdersByTimeAndInfersRanks) {
   const auto source = parse(std::string(kFlat) + "10,1,0,100\n5,2,0,200\n20,0,3,50\n");
-  EXPECT_EQ(source->format(), "csv-flat");
-  EXPECT_EQ(source->nranks(), 4);  // receiver 3 + 1
-  EXPECT_EQ(source->levels(), std::vector<trace::Level>{trace::Level::Physical});
-  EXPECT_TRUE(source->events(trace::Level::Logical).empty());
+  EXPECT_EQ(source.format(), "csv-flat");
+  EXPECT_EQ(source.nranks(), 4);  // receiver 3 + 1
+  EXPECT_EQ(source.levels(), std::vector<trace::Level>{trace::Level::Physical});
+  EXPECT_TRUE(source.events(trace::Level::Logical).empty());
 
-  const auto events = source->events(trace::Level::Physical);
+  const auto events = source.events(trace::Level::Physical);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0], (engine::Event{.source = 2, .destination = 0, .tag = 0, .bytes = 200}));
   EXPECT_EQ(events[1], (engine::Event{.source = 1, .destination = 0, .tag = 0, .bytes = 100}));
@@ -194,7 +194,7 @@ TEST(CsvSource, FlatDialectOrdersByTimeAndInfersRanks) {
 TEST(CsvSource, FlatDialectKindColumnAndValidation) {
   const auto source =
       parse("time_ns,sender,receiver,bytes,kind\n1,0,1,64,1\n2,1,0,32,0\n");
-  const auto events = source->events(trace::Level::Physical);
+  const auto events = source.events(trace::Level::Physical);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].tag, 1);  // OpKind rides in the tag dimension
   EXPECT_EQ(events[1].tag, 0);
@@ -207,6 +207,7 @@ TEST(CsvSource, FlatDialectKindColumnAndValidation) {
 TEST(CsvSource, UnknownHeaderListsKnownFormats) {
   for (const char* text : {"who,knows,what\n1,2,3\n", "not,a,header\n"}) {
     const Diagnostic d = reject(text);
+    EXPECT_EQ(d.line, 1u) << text;
     EXPECT_NE(d.reason.find("csv"), std::string::npos) << text;
     EXPECT_NE(d.reason.find("csv-flat"), std::string::npos) << text;
   }
@@ -220,7 +221,7 @@ trace::Record record(std::int32_t sender, std::int64_t bytes, trace::OpKind kind
   return {.time = sim::SimTime{t}, .sender = sender, .bytes = bytes, .kind = kind, .op = op};
 }
 
-std::unique_ptr<TraceSource> round_trip(const trace::TraceStore& store) {
+CsvTraceSource round_trip(const trace::TraceStore& store) {
   std::stringstream csv;
   trace::write_csv(csv, store);
   return open_trace_stream(csv, "<test>");
@@ -237,8 +238,7 @@ TEST(CsvSource, RoundTripsAllFields) {
                       trace::Op::Alltoallv, 9));
 
   const auto source = round_trip(store);
-  ASSERT_NE(source->store(), nullptr);
-  const trace::TraceStore& back = *source->store();
+  const trace::TraceStore& back = source.store();
   for (int r = 0; r < 2; ++r) {
     for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
       const auto a = store.records(r, level);
@@ -266,8 +266,7 @@ TEST(CsvSource, RoundTripsThroughCrlfLineEndings) {
     text.replace(pos, 1, "\r\n");
   }
   const auto source = parse(text);
-  ASSERT_NE(source->store(), nullptr);
-  const trace::TraceStore& back = *source->store();
+  const trace::TraceStore& back = source.store();
   EXPECT_EQ(back.records(0, trace::Level::Logical)[0], store.records(0, trace::Level::Logical)[0]);
   EXPECT_EQ(back.records(1, trace::Level::Physical)[0],
             store.records(1, trace::Level::Physical)[0]);
@@ -298,8 +297,7 @@ TEST(CsvSource, RandomizedRoundTripProperty) {
       }
     }
     const auto source = round_trip(store);
-    ASSERT_NE(source->store(), nullptr);
-    const trace::TraceStore& back = *source->store();
+    const trace::TraceStore& back = source.store();
     ASSERT_EQ(back.nranks(), nranks) << "iteration " << iteration;
     for (int rank = 0; rank < nranks; ++rank) {
       for (const trace::Level level : {trace::Level::Logical, trace::Level::Physical}) {
@@ -321,8 +319,7 @@ TEST(CsvSource, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/mpipred_csv_round_trip.csv";
   trace::write_csv_file(path, store);
   const auto source = open_trace(path);
-  ASSERT_NE(source->store(), nullptr);
-  EXPECT_EQ(source->store()->records(0, trace::Level::Logical).size(), 1u);
+  EXPECT_EQ(source.store().records(0, trace::Level::Logical).size(), 1u);
   EXPECT_THROW((void)open_trace("/nonexistent/dir/x.csv"), Error);
 }
 
@@ -330,30 +327,6 @@ TEST(CsvSource, EmptyFileNeedsHeader) {
   const Diagnostic d = reject("# just a comment\n");
   EXPECT_EQ(d.line, 0u);
   EXPECT_NE(d.reason.find("header"), std::string::npos);
-}
-
-TEST(FormatRegistry, PluggableFormatsDispatchByProbe) {
-  struct NullSource final : TraceSource {
-    [[nodiscard]] std::string_view format() const noexcept override { return "null"; }
-    [[nodiscard]] int nranks() const noexcept override { return 1; }
-    [[nodiscard]] std::vector<trace::Level> levels() const override { return {}; }
-    [[nodiscard]] std::vector<engine::Event> events(trace::Level) const override { return {}; }
-  };
-  auto& registry = TraceFormatRegistry::instance();
-  const auto names = registry.names();
-  if (std::find(names.begin(), names.end(), "null") == names.end()) {
-    registry.add({.name = "null",
-                  .matches = [](std::string_view header) { return header == "nullfmt"; },
-                  .open = [](std::istream&, const std::string&) -> std::unique_ptr<TraceSource> {
-                    return std::make_unique<NullSource>();
-                  },
-                  .open_stream = {}});
-  }
-  EXPECT_THROW(registry.add({.name = "null", .matches = {}, .open = {}, .open_stream = {}}),
-               UsageError);
-  const auto source = parse("nullfmt\n");
-  EXPECT_EQ(source->format(), "null");
-  EXPECT_EQ(source->store(), nullptr);
 }
 
 // The acceptance gate: a simulated run exported with write_csv and
@@ -632,7 +605,7 @@ TEST(Streaming, NativeInterleavedSectionsMergeLikeMaterialized) {
                            "0,1,10,1,444,0,0\n";  // tie with section A's 10
   const std::string path = write_temp_file("stream_sections.csv", text);
   const auto source = parse(text);
-  const auto expect = source->events(trace::Level::Physical);
+  const auto expect = source.events(trace::Level::Physical);
 
   auto reader = CsvStreamReader::open(path, trace::Level::Physical);
   EXPECT_TRUE(reader->streaming());
@@ -650,7 +623,7 @@ TEST(Streaming, NativeInterleavedSectionsMergeLikeMaterialized) {
 TEST(Streaming, FlatSortedStreamsUnsortedFallsBack) {
   const std::string sorted = std::string(kFlat) + "5,1,0,100\n5,2,1,200\n5,3,0,300\n7,0,1,50\n";
   const std::string sorted_path = write_temp_file("stream_flat_sorted.csv", sorted);
-  const auto sorted_expect = parse(sorted)->events(trace::Level::Physical);
+  const auto sorted_expect = parse(sorted).events(trace::Level::Physical);
   auto sorted_reader = CsvStreamReader::open(sorted_path, trace::Level::Physical);
   EXPECT_TRUE(sorted_reader->streaming());
   EXPECT_EQ(strip_times(pull_all(*sorted_reader, 1)), sorted_expect);
@@ -667,7 +640,7 @@ TEST(Streaming, FlatSortedStreamsUnsortedFallsBack) {
   auto unsorted_reader = CsvStreamReader::open(unsorted_path, trace::Level::Physical);
   EXPECT_FALSE(unsorted_reader->streaming());  // decreasing time: materialized fallback
   EXPECT_EQ(strip_times(pull_all(*unsorted_reader, 2)),
-            parse(unsorted)->events(trace::Level::Physical));
+            parse(unsorted).events(trace::Level::Physical));
 
   // Flat traces carry the physical level only; the logical stream is empty.
   auto logical = CsvStreamReader::open(sorted_path, trace::Level::Logical);
@@ -705,7 +678,7 @@ TEST(Streaming, NonMonotoneNativeSectionFallsBackByteIdentical) {
   const std::string path = write_temp_file("stream_nonmono.csv", text);
   auto reader = CsvStreamReader::open(path, trace::Level::Physical);
   EXPECT_FALSE(reader->streaming());
-  EXPECT_EQ(strip_times(pull_all(*reader, 1)), parse(text)->events(trace::Level::Physical));
+  EXPECT_EQ(strip_times(pull_all(*reader, 1)), parse(text).events(trace::Level::Physical));
 }
 
 TEST(Streaming, OpenValidatesTheWholeFileUpFront) {
@@ -727,9 +700,9 @@ TEST(Streaming, SourceStreamEventsMatchesEvents) {
   trace::write_csv(csv, store);
   const auto source = open_trace_stream(csv, "<test>");
   for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
-    const auto stream = source->stream_events(level);
+    const auto stream = source.stream_events(level);
     EXPECT_TRUE(stream->time_ordered());
-    EXPECT_EQ(strip_times(drain(*stream)), source->events(level));
+    EXPECT_EQ(strip_times(drain(*stream)), source.events(level));
   }
 }
 
@@ -954,9 +927,54 @@ TEST(Transform, StreamedSourceGateHoldsOverTransformedFile) {
   const auto source = open_trace(path);
   const TransformSpec spec = TransformSpec::parse("10:120", "keep:0-2");
   const std::size_t shard_counts[] = {1, 2, 4};
-  const auto gate = verify_streamed_source(path, *source, spec,
+  const auto gate = verify_streamed_source(path, source, spec,
                                            engine::EngineConfig{}, shard_counts);
   EXPECT_TRUE(gate.ok) << gate.detail;
+}
+
+// The `--trace` tools' former per-run gates, over a simulator-shaped trace
+// in both dialects: the native write_csv export and a time-sorted flat
+// capture of the same run. For each file, the file-backed streamed read
+// must match the materialized one across shard counts and batch sizes,
+// untransformed and through a window plus a rank fold; the store must
+// survive the write_csv round trip; and both dialects must yield the same
+// arrival stream.
+TEST(RoundTrip, SimulatedTraceGatesHoldInBothDialects) {
+  mpi::World world(8, apps::paper_world_config(/*seed=*/11));
+  ASSERT_TRUE(
+      apps::run_is(world, apps::AppConfig{.problem_class = apps::ProblemClass::S}).verified);
+  const trace::TraceStore& store = world.traces();
+
+  const std::string native_path = ::testing::TempDir() + "is8_native.csv";
+  trace::write_csv_file(native_path, store);
+  std::string flat = "time_ns,sender,receiver,bytes,kind\n";
+  std::int64_t last_time = 0;
+  for (const trace::MergedRecord& rec : trace::merged_records(store, trace::Level::Physical)) {
+    flat += std::to_string(rec.time.count()) + "," + std::to_string(rec.sender) + "," +
+            std::to_string(rec.receiver) + "," + std::to_string(rec.bytes) + "," +
+            std::to_string(static_cast<int>(rec.kind)) + "\n";
+    last_time = rec.time.count();
+  }
+  const std::string flat_path = write_temp_file("is8_flat.csv", flat);
+  ASSERT_GT(last_time, 0);
+
+  const std::size_t shard_counts[] = {1, 2, 4};
+  const engine::EngineConfig cfg{};
+  const TransformSpec windowed_remap = TransformSpec::parse(
+      std::to_string(last_time / 4) + ":" + std::to_string(3 * (last_time / 4)), "mod:3");
+  for (const std::string& path : {native_path, flat_path}) {
+    const CsvTraceSource source = open_trace(path);
+    for (const TransformSpec& spec : {TransformSpec{}, windowed_remap}) {
+      const auto gate = verify_streamed_source(path, source, spec, cfg, shard_counts);
+      EXPECT_TRUE(gate.ok) << path << " (" << (spec.active() ? "window+remap" : "plain")
+                           << "): " << gate.detail;
+    }
+  }
+  EXPECT_EQ(open_trace(flat_path).events(trace::Level::Physical),
+            open_trace(native_path).events(trace::Level::Physical));
+
+  const auto round_trip_gate = verify_csv_round_trip(store, cfg, shard_counts);
+  EXPECT_TRUE(round_trip_gate.ok) << round_trip_gate.detail;
 }
 
 }  // namespace

@@ -142,8 +142,7 @@ TEST(Pipeline, TraceRoundTripPreservesEvaluation) {
   std::stringstream ss;
   trace::write_csv(ss, world.traces());
   const auto reloaded = ingest::open_trace_stream(ss, "<round-trip>");
-  ASSERT_NE(reloaded->store(), nullptr);
-  const auto after = trace::extract_streams(*reloaded->store(), 2, trace::Level::Logical);
+  const auto after = trace::extract_streams(reloaded.store(), 2, trace::Level::Logical);
 
   EXPECT_EQ(before.senders, after.senders);
   EXPECT_EQ(before.sizes, after.sizes);
