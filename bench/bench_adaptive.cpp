@@ -6,28 +6,25 @@
 // skip the handshake). A prediction-free LRU replay at the adaptive
 // policy's own buffer budget is the "same memory, no predictor" yardstick.
 //
-// Every adaptive world is run at engine shard counts {1, 2, 4} (plus
-// --shards when different) and the formatted reports must be
-// byte-identical — the bench exits 2 on any mismatch, so the memory and
-// round-trip numbers can never drift away from the determinism guarantee.
+// Each world runs once, at `--shards` (default 1): the seed pins every
+// random stream, so a rerun adds no sample. That the adaptive reports are
+// identical at every shard count and with telemetry attached is pinned in
+// the tier-1 suite (mpi_gate_test, telemetry_test), not re-checked here.
 //
 // With `--trace <file>` the comparison runs over an externally captured
 // trace instead: the file is streamed through src/ingest/ (batched parse,
 // optional `--window` slice and `--remap-ranks` rank fold), its physical
-// arrival stream replayed through the same adaptive policy at every sweep
-// shard count (byte-identical summaries enforced, exit 2 on a mismatch)
-// and scored against the static per-peer allocation and the same-budget
-// LRU yardstick. That the streamed read matches the materialized one and
-// survives a write_csv round trip is pinned in ingest_test, not re-checked
-// here.
+// arrival stream replayed once through the same adaptive policy and
+// scored against the static per-peer allocation and the same-budget LRU
+// yardstick. That the streamed read matches the materialized one,
+// survives a write_csv round trip, and replays identically at every shard
+// count is pinned in ingest_test, not re-checked here.
 //
 // `--emit-metrics <file>` writes a final metrics snapshot as JSON and
 // `--emit-trace-events <file>` records Chrome trace-event JSON. In
-// simulated mode both cover the first case's (bt.16) reference adaptive
-// world — its repeats run telemetry-free, so the byte-identical-report
-// gate doubles as the telemetry on/off check. In `--trace` mode the
-// instrumented adaptive replay (decision instants on an event-ordinal
-// clock) must reproduce the un-instrumented sweep's summary byte for byte.
+// simulated mode both cover the first case's (bt.16) adaptive world; in
+// `--trace` mode they cover the adaptive replay (decision instants on an
+// event-ordinal clock).
 //
 // `--help` prints the usage below and exits 0; a bad argument or an
 // unreadable or malformed trace prints one line to stderr and exits 1.
@@ -80,24 +77,6 @@ AdaptiveRun run_adaptive(const std::string& app, int procs, const std::string& p
   return run;
 }
 
-/// Everything the comparison prints, formatted — the determinism check
-/// compares these strings byte-for-byte across shard counts.
-std::string format_report(const AdaptiveRun& run) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "messages=%lld hits=%lld misses=%lld avg_buffers=%.6f peak_buffers=%lld "
-                "pledged_peak=%lld rendezvous=%lld elided=%lld checksum=%llu",
-                static_cast<long long>(run.policy.messages),
-                static_cast<long long>(run.policy.prepost_hits),
-                static_cast<long long>(run.policy.prepost_misses), run.policy.avg_buffers(),
-                static_cast<long long>(run.policy.peak_buffers),
-                static_cast<long long>(run.counters.preposted_bytes_peak),
-                static_cast<long long>(run.counters.rendezvous_received),
-                static_cast<long long>(run.counters.rendezvous_elided),
-                static_cast<unsigned long long>(run.outcome.combined_checksum()));
-  return buf;
-}
-
 /// `--trace` mode: the static-vs-adaptive comparison over an ingested
 /// external trace. The simulator cannot be re-run from a trace, so the
 /// static side is the analytic per-peer allocation (nranks-1 buffers,
@@ -126,39 +105,23 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
     transform_lines += "  remap " + chain.remap->config().to_string() + ": " +
                        chain.remap->report().summary() + "\n";
   }
-  const auto sweep = bench::gate_shard_sweep(shards);
-
   std::printf("§2 closed loop — static per-peer library vs adaptive replay of %s\n",
               path.c_str());
-  std::printf("(format %s, %d ranks, %zu %s-level arrivals, predictor %s; replay repeated at\n"
-              " engine shards {1,2,4}; summaries must match byte-for-byte)\n",
+  std::printf("(format %s, %d ranks, %zu %s-level arrivals, predictor %s)\n",
               std::string(source.format()).c_str(), nranks, events.size(),
               std::string(to_string(level)).c_str(), predictor.c_str());
   std::printf("%s\n", transform_lines.c_str());
 
   adaptive::RuntimeConfig rt;
   rt.service.engine.predictor = predictor;
-  const ingest::SweptReplay swept = ingest::replay_adaptive_swept(events, rt, sweep);
-  const ingest::AdaptiveReplay& adaptive = swept.replay;
-  if (!swept.deterministic) {
-    std::printf("REPLAY MISMATCH at %s\n", swept.mismatch.c_str());
-  }
-
-  // Telemetry on/off gate + exports: the instrumented replay must
-  // reproduce the un-instrumented sweep's summary byte for byte.
+  rt.service.engine.shards = shards;
   telemetry::Telemetry telem;
-  bool telemetry_ok = true;
+  if (!telem_flags.trace_path.empty()) {
+    telem.enable_tracing();
+  }
+  const ingest::AdaptiveReplay adaptive =
+      ingest::replay_adaptive(events, rt, telem_flags.any() ? &telem : nullptr);
   if (telem_flags.any()) {
-    if (!telem_flags.trace_path.empty()) {
-      telem.enable_tracing();
-    }
-    const ingest::AdaptiveReplay instrumented = ingest::replay_adaptive(events, rt, &telem);
-    if (instrumented.summary() != swept.replay.summary()) {
-      std::fprintf(stderr, "telemetry gate FAILED: instrumented replay differs\n  ref : %s\n"
-                           "  got : %s\n",
-                   swept.replay.summary().c_str(), instrumented.summary().c_str());
-      telemetry_ok = false;
-    }
     bench::write_telemetry_or_exit(telem_flags, telem);
   }
 
@@ -182,8 +145,7 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
               static_cast<long long>(adaptive.stats.rendezvous_sends),
               static_cast<long long>(adaptive.stats.rendezvous_elided),
               bench::pct(adaptive.stats.elision_rate()));
-  std::printf("  deterministic across shards: %s\n", swept.deterministic ? "yes" : "NO");
-  return swept.deterministic && telemetry_ok ? 0 : 2;
+  return 0;
 }
 
 int run(int argc, char** argv) {
@@ -191,72 +153,39 @@ int run(int argc, char** argv) {
   const std::size_t shards = bench::shards_flag(arg.rest, /*fallback=*/1);
   const bench::TraceFlags trace_flags = bench::trace_flags_or_exit(arg.rest);
   const bench::TelemetryFlags telem_flags = bench::telemetry_flags(arg.rest);
-  if (!trace_flags.path.empty()) {
-    if (!arg.rest.empty()) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-      return 1;
-    }
-    return run_trace_mode(trace_flags.path, arg.name, shards, trace_flags, telem_flags);
-  }
   if (!arg.rest.empty()) {
     std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
     return 1;
   }
-
-  std::vector<std::size_t> sweep{1, 2, 4};
-  if (std::find(sweep.begin(), sweep.end(), shards) == sweep.end()) {
-    sweep.push_back(shards);
+  if (!trace_flags.path.empty()) {
+    return run_trace_mode(trace_flags.path, arg.name, shards, trace_flags, telem_flags);
   }
 
   std::printf("§2 closed loop — static per-peer library vs adaptive runtime (predictor %s)\n",
               arg.name.c_str());
-  std::printf("(each adaptive world repeated at engine shards {");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    std::printf("%s%zu", i == 0 ? "" : ",", sweep[i]);
-  }
-  std::printf("}; reports must match byte-for-byte)\n");
   // Reproducibility disclosure (Hunold & Carpen-Amarie, "MPI Benchmarking
-  // Revisited"): the seed pins every random stream, so one run per shard
-  // count is a complete repetition set — no hidden variance is averaged
-  // away.
-  std::printf("(sim seed 2003; %zu repetitions per world — one deterministic run per shard "
-              "count)\n\n",
-              sweep.size());
+  // Revisited"): the seed pins every random stream, so one run per world
+  // is the complete sample — no hidden variance is averaged away.
+  std::printf("(sim seed 2003; one deterministic run per world)\n\n");
 
   struct Case {
     const char* app;
     int procs;
   };
-  bool deterministic = true;
-  // With `--emit-*`, the first case's reference world carries the
-  // telemetry; its repeats (and every later case) run telemetry-free, so
-  // the byte-identical-report gate below is also the on/off check.
+  // With `--emit-*`, the first case's adaptive world carries the
+  // telemetry.
   telemetry::Telemetry telem;
   if (!telem_flags.trace_path.empty()) {
     telem.enable_tracing();
   }
   telemetry::Telemetry* pending_telem = telem_flags.any() ? &telem : nullptr;
   for (const auto& [app, procs] : {Case{"bt", 16}, Case{"cg", 16}, Case{"lu", 16}}) {
-    const std::string label = std::string(app) + "." + std::to_string(procs);
-
     // Static library: per-peer pre-allocation, full rendezvous.
     auto baseline = bench::run_traced(app, procs);
     const auto static_counters = baseline.world->aggregate_counters();
 
-    // Adaptive runtime, once per sweep point; all reports must agree.
-    AdaptiveRun adaptive = run_adaptive(app, procs, arg.name, sweep.front(), pending_telem);
+    const AdaptiveRun adaptive = run_adaptive(app, procs, arg.name, shards, pending_telem);
     pending_telem = nullptr;
-    const std::string reference = format_report(adaptive);
-    bool case_deterministic = true;
-    for (std::size_t i = 1; i < sweep.size(); ++i) {
-      const AdaptiveRun repeat = run_adaptive(app, procs, arg.name, sweep[i]);
-      if (format_report(repeat) != reference) {
-        std::printf("%s: REPORT MISMATCH at shards=%zu\n  ref : %s\n  got : %s\n", label.c_str(),
-                    sweep[i], reference.c_str(), format_report(repeat).c_str());
-        case_deterministic = false;
-      }
-    }
-    deterministic = deterministic && case_deterministic;
 
     // Prediction-free yardstick: LRU buffers at the adaptive policy's own
     // mean budget, replayed over every rank's physical sender stream of
@@ -271,7 +200,7 @@ int run(int argc, char** argv) {
     const auto round_trips = [](const mpi::detail::EndpointCounters& c) {
       return c.rendezvous_received;
     };
-    std::printf("%s\n", label.c_str());
+    std::printf("%s.%d\n", app, procs);
     std::printf("  static per-peer : %4.1f buffers/process (%6.1f KiB), hit-rate 100.0%%, "
                 "rendezvous round-trips %lld\n",
                 static_cast<double>(procs - 1),
@@ -295,8 +224,7 @@ int run(int argc, char** argv) {
                     : 100.0 *
                           (1.0 - static_cast<double>(round_trips(adaptive.counters)) /
                                      static_cast<double>(round_trips(static_counters))));
-    std::printf("  verified: %s | deterministic across shards: %s\n\n",
-                adaptive.outcome.verified ? "yes" : "NO", case_deterministic ? "yes" : "NO");
+    std::printf("  verified: %s\n\n", adaptive.outcome.verified ? "yes" : "NO");
     std::fflush(stdout);
   }
 
@@ -307,7 +235,7 @@ int run(int argc, char** argv) {
               "nranks-1");
   if (telem_flags.any()) {
     bench::write_telemetry_or_exit(telem_flags, telem);
-    std::printf("telemetry (bt.16 reference world):");
+    std::printf("telemetry (bt.16 adaptive world):");
     if (!telem_flags.metrics_path.empty()) {
       std::printf(" metrics -> %s", telem_flags.metrics_path.c_str());
     }
@@ -316,7 +244,7 @@ int run(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  return deterministic ? 0 : 2;
+  return 0;
 }
 
 }  // namespace

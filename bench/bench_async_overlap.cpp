@@ -13,14 +13,14 @@
 //             (FeedPath::Progress): delivery timing untouched, the work
 //             tracked in the endpoint's feed counters.
 //
-// Two gates, both exit 2 on failure:
-//   1. The async run is byte-identical to the baseline — logical and
-//      physical trace fingerprints, payload checksum, and final simulated
-//      time all match. Off the critical path means *provably* off.
-//   2. The inline run is strictly slower than the async run on every app:
-//      the refactor moved real overhead off the critical path.
+// That the async run is byte-identical to the baseline and the inline run
+// strictly slower is pinned in the tier-1 suite (mpi_gate_test's
+// FeedCostGate), not re-checked here.
 //
 // Writes BENCH_async_overlap.json (deterministic, diffable).
+//
+// `--help` prints the usage below and exits 0; a bad argument prints one
+// line to stderr and exits 1.
 //
 //   $ ./bench_async_overlap [--cost-ns <n>] [--iters <n>] [--out <file>]
 
@@ -35,7 +35,6 @@
 #include "bench/bench_util.hpp"
 #include "bench/json_writer.hpp"
 #include "mpi/world.hpp"
-#include "trace/store.hpp"
 
 namespace {
 
@@ -43,37 +42,10 @@ using namespace mpipred;
 
 constexpr int kProcs = 16;
 
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
-
-/// Order-sensitive hash of every record of every (rank, level) stream —
-/// the same fingerprint mpi_gate_test pins the blocking wrappers with.
-std::uint64_t trace_fingerprint(const trace::TraceStore& store, trace::Level level) {
-  std::uint64_t h = kFnvOffset;
-  for (int r = 0; r < store.nranks(); ++r) {
-    mix(h, 0x5241u + static_cast<std::uint64_t>(r));
-    for (const trace::Record& rec : store.records(r, level)) {
-      mix(h, static_cast<std::uint64_t>(rec.time.count()));
-      mix(h, static_cast<std::uint64_t>(rec.sender));
-      mix(h, static_cast<std::uint64_t>(rec.bytes));
-      mix(h, static_cast<std::uint64_t>(rec.kind));
-      mix(h, static_cast<std::uint64_t>(rec.op));
-    }
-  }
-  return h;
-}
+constexpr const char* kUsage =
+    "usage: bench_async_overlap [--cost-ns <n>] [--iters <n>] [--out <file>]\n";
 
 struct RunResult {
-  std::uint64_t logical = 0;
-  std::uint64_t physical = 0;
-  std::uint64_t checksum = 0;
   std::int64_t final_time_ns = 0;
   std::int64_t feed_events = 0;
   std::int64_t feed_work_ns = 0;
@@ -88,14 +60,11 @@ RunResult run_app(const std::string& app, int iters, std::int64_t cost_ns,
   cfg.adaptive.predict_cost_ns = cost_ns;
   cfg.adaptive.feed_path = path;
   mpi::World world(kProcs, cfg);
-  const auto outcome = apps::find_app(app).run(
+  (void)apps::find_app(app).run(
       world, apps::AppConfig{.problem_class = apps::ProblemClass::S,
                              .iterations_override = iters});
   const auto counters = world.aggregate_counters();
   RunResult r;
-  r.logical = trace_fingerprint(world.traces(), trace::Level::Logical);
-  r.physical = trace_fingerprint(world.traces(), trace::Level::Physical);
-  r.checksum = outcome.combined_checksum();
   r.final_time_ns = world.engine().stats().final_time.count();
   r.feed_events = counters.prepost_hits + counters.prepost_misses;
   r.feed_work_ns = counters.adaptive_feed_ns;
@@ -103,14 +72,7 @@ RunResult run_app(const std::string& app, int iters, std::int64_t cost_ns,
   return r;
 }
 
-int fail_gate(const char* what) {
-  std::fprintf(stderr, "GATE FAILED: %s\n", what);
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   const auto cost_ns = static_cast<std::int64_t>(bench::size_flag(args, "--cost-ns", 2000));
   const int iters = static_cast<int>(bench::size_flag(args, "--iters", 8));
@@ -140,19 +102,10 @@ int main(int argc, char** argv) {
   json.end_object();
   json.key("apps").begin_array();
 
-  bool async_identical = true;
-  bool inline_slower = true;
   for (const char* app : {"bt", "cg", "lu"}) {
     const RunResult baseline = run_app(app, iters, 0, adaptive::FeedPath::Progress);
     const RunResult inl = run_app(app, iters, cost_ns, adaptive::FeedPath::Inline);
     const RunResult async = run_app(app, iters, cost_ns, adaptive::FeedPath::Progress);
-
-    const bool identical = async.logical == baseline.logical &&
-                           async.physical == baseline.physical &&
-                           async.checksum == baseline.checksum &&
-                           async.final_time_ns == baseline.final_time_ns;
-    async_identical = async_identical && identical;
-    inline_slower = inline_slower && inl.final_time_ns > async.final_time_ns;
 
     const std::int64_t inline_overhead = inl.final_time_ns - baseline.final_time_ns;
     // The work the progress engine absorbed without moving the clock.
@@ -179,15 +132,10 @@ int main(int argc, char** argv) {
     json.key("async_overhead_ns").value(async.final_time_ns - baseline.final_time_ns);
     json.key("overlapped_feed_work_ns").value(hidden);
     json.key("feed_lag_peak_ns").value(async.feed_lag_peak_ns);
-    json.key("async_identical_to_baseline").value(identical);
     json.end_object();
   }
 
   json.end_array();
-  json.key("gates").begin_object();
-  json.key("async_byte_identical_to_baseline").value(async_identical);
-  json.key("inline_strictly_slower_than_async").value(inline_slower);
-  json.end_object();
   json.end_object();
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -198,12 +146,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "%s\n", json.str().c_str());
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (!async_identical) {
-    return fail_gate("async feed run diverged from the zero-cost baseline");
-  }
-  if (!inline_slower) {
-    return fail_gate("inline feed cost did not slow the run vs the async path");
-  }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::cli_main(argc, argv, kUsage, run);
 }

@@ -87,8 +87,10 @@ inline std::vector<engine::Event> representative_arrivals(const trace::TraceStor
 /// The shared main of the command-line tools: `--help` / `-h` anywhere
 /// prints `usage` to stdout and exits 0; otherwise `run(argc, argv)`
 /// decides the exit code, and any Error escaping it (a bad argument, an
-/// unreadable or malformed trace, an unwritable output) becomes one line
-/// on stderr and exit 1. Exit 2 stays reserved for gate violations.
+/// unreadable or malformed trace, an unknown application, an unwritable
+/// output) becomes one line on stderr and exit 1. The tools check no
+/// invariants at run time (the tier-1 suite does), so nothing else exits
+/// nonzero.
 inline int cli_main(int argc, char** argv, const char* usage, int (*run)(int, char**)) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -232,17 +234,6 @@ inline std::string string_flag(std::vector<std::string>& rest, const std::string
     }
   }
   return value;
-}
-
-/// The shard sweep the `--trace` tools' adaptive-replay determinism gate
-/// runs at: {1, 2, 4} plus the explicitly requested count when it is not
-/// already covered.
-inline std::vector<std::size_t> gate_shard_sweep(std::size_t shards) {
-  std::vector<std::size_t> sweep{1, 2, 4};
-  if (shards != 0 && std::find(sweep.begin(), sweep.end(), shards) == sweep.end()) {
-    sweep.push_back(shards);
-  }
-  return sweep;
 }
 
 /// size_flag that also reports whether the flag appeared at all (tools use

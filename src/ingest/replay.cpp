@@ -96,25 +96,4 @@ adaptive::PolicyStats replay_lru(std::span<const engine::Event> events, std::siz
   return stats;
 }
 
-SweptReplay replay_adaptive_swept(std::span<const engine::Event> events,
-                                  adaptive::RuntimeConfig cfg,
-                                  std::span<const std::size_t> shard_counts) {
-  SweptReplay out;
-  std::string reference;
-  for (const std::size_t shards : shard_counts) {
-    cfg.service.engine.shards = shards;
-    AdaptiveReplay replay = replay_adaptive(events, cfg);
-    const std::string summary = replay.summary();
-    if (reference.empty()) {
-      out.replay = std::move(replay);
-      reference = summary;
-    } else if (out.deterministic && summary != reference) {
-      out.deterministic = false;
-      out.mismatch = "shards=" + std::to_string(shards) + ":\n  ref : " + reference +
-                     "\n  got : " + summary;
-    }
-  }
-  return out;
-}
-
 }  // namespace mpipred::ingest

@@ -39,8 +39,8 @@ struct AdaptiveReplay {
   }
 
   /// One-line summary of every stat (integers and fixed-precision floats
-  /// only, no length cap), compared byte-for-byte across shard counts by
-  /// the `--trace` determinism gates.
+  /// only, no length cap), the line the `--trace` tools print and
+  /// ingest_test compares byte-for-byte across shard counts.
   [[nodiscard]] std::string summary() const;
 };
 
@@ -55,7 +55,7 @@ struct AdaptiveReplay {
 /// instant per event on the destination's track, stamped with the event
 /// ordinal (an ingested stream has no simulated clock). Telemetry never
 /// feeds back into a decision: stats are byte-identical with or without
-/// it, which telemetry_test and the CLI `--emit-*` gates pin.
+/// it, which telemetry_test pins.
 [[nodiscard]] AdaptiveReplay replay_adaptive(std::span<const engine::Event> events,
                                              const adaptive::RuntimeConfig& cfg = {},
                                              telemetry::Telemetry* telemetry = nullptr);
@@ -66,20 +66,5 @@ struct AdaptiveReplay {
 /// peak_buffers) as replay_adaptive would for an LRU-only policy.
 [[nodiscard]] adaptive::PolicyStats replay_lru(std::span<const engine::Event> events,
                                                std::size_t k);
-
-/// replay_adaptive at every shard count in `shard_counts` plus the
-/// byte-identical-summary gate — the one implementation every `--trace`
-/// consumer's determinism check goes through.
-struct SweptReplay {
-  /// The replay at shard_counts.front() (all others must match it).
-  AdaptiveReplay replay;
-  bool deterministic = true;
-  /// First mismatch (shard count, both summaries); empty when deterministic.
-  std::string mismatch;
-};
-
-[[nodiscard]] SweptReplay replay_adaptive_swept(std::span<const engine::Event> events,
-                                                adaptive::RuntimeConfig cfg,
-                                                std::span<const std::size_t> shard_counts);
 
 }  // namespace mpipred::ingest

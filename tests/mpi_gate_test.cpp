@@ -9,15 +9,22 @@
 // prediction-engine report over the physical stream must all stay
 // byte-identical. Any change to matching order, credit timing, adaptive
 // feed order, or trace stamping shows up here as a fingerprint mismatch.
+//
+// The same fingerprints pin the adaptive runtime's invariants: the
+// prediction service's shard count never moves a byte, min_confidence 1.0
+// is static behaviour, and feed work charged to the progress engine stays
+// off the critical path.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
 
+#include "adaptive/policy.hpp"
 #include "apps/app.hpp"
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
@@ -114,8 +121,17 @@ struct Fingerprints {
   std::int64_t final_time = 0;  // simulated ns at the end of the run
 };
 
-Fingerprints run_app(const std::string& app, bool adaptive,
-                     const std::function<void(mpi::WorldConfig&)>& mutate = {}) {
+/// One world's fingerprints plus what the shard sweep compares beyond
+/// them: every endpoint counter and the adaptive policy's statistics
+/// (zero for a static world).
+struct WorldRun {
+  Fingerprints fp;
+  mpi::detail::EndpointCounters counters;
+  adaptive::PolicyStats policy;
+};
+
+WorldRun run_app(const std::string& app, bool adaptive,
+                 const std::function<void(mpi::WorldConfig&)>& mutate = {}) {
   // The exact machine profile and seed the §2 benches use.
   mpi::WorldConfig cfg = apps::paper_world_config(/*seed=*/2003);
   if (adaptive) {
@@ -128,14 +144,27 @@ Fingerprints run_app(const std::string& app, bool adaptive,
   mpi::World world(16, cfg);
   const auto outcome = apps::find_app(app).run(
       world, apps::AppConfig{.problem_class = apps::ProblemClass::S, .iterations_override = 8});
-  Fingerprints fp;
-  fp.logical = trace_fingerprint(world.traces(), trace::Level::Logical);
-  fp.physical = trace_fingerprint(world.traces(), trace::Level::Physical);
-  fp.counters = counters_fingerprint(world.aggregate_counters());
-  fp.report = report_fingerprint(world.traces());
-  fp.checksum = outcome.combined_checksum();
-  fp.final_time = world.engine().stats().final_time.count();
-  return fp;
+  WorldRun run;
+  run.fp.logical = trace_fingerprint(world.traces(), trace::Level::Logical);
+  run.fp.physical = trace_fingerprint(world.traces(), trace::Level::Physical);
+  run.counters = world.aggregate_counters();
+  run.fp.counters = counters_fingerprint(run.counters);
+  run.fp.report = report_fingerprint(world.traces());
+  run.fp.checksum = outcome.combined_checksum();
+  run.fp.final_time = world.engine().stats().final_time.count();
+  if (const adaptive::AdaptivePolicy* policy = world.adaptive_policy()) {
+    run.policy = policy->stats();
+  }
+  return run;
+}
+
+void expect_fingerprints(const Fingerprints& got, const Fingerprints& want) {
+  EXPECT_EQ(got.logical, want.logical) << "logical trace fingerprint";
+  EXPECT_EQ(got.physical, want.physical) << "physical trace fingerprint";
+  EXPECT_EQ(got.counters, want.counters) << "endpoint counters fingerprint";
+  EXPECT_EQ(got.report, want.report) << "engine report fingerprint";
+  EXPECT_EQ(got.checksum, want.checksum) << "payload checksum";
+  EXPECT_EQ(got.final_time, want.final_time) << "final simulated time";
 }
 
 struct Golden {
@@ -172,7 +201,7 @@ TEST(BlockingWrapperGate, TracesCountersAndReportsMatchPreRefactorFingerprints) 
   // MPIPRED_PRINT_FINGERPRINTS=1 ./mpi_gate_test prints the kGolden table.
   const bool print = std::getenv("MPIPRED_PRINT_FINGERPRINTS") != nullptr;
   for (const Golden& g : kGolden) {
-    const Fingerprints fp = run_app(g.app, g.adaptive);
+    const Fingerprints fp = run_app(g.app, g.adaptive).fp;
     if (print) {
       std::printf("    {\"%s\", %s,\n     {0x%llXULL, 0x%llXULL, 0x%llXULL, 0x%llXULL, "
                   "0x%llXULL, %lld}},\n",
@@ -186,12 +215,7 @@ TEST(BlockingWrapperGate, TracesCountersAndReportsMatchPreRefactorFingerprints) 
       continue;
     }
     SCOPED_TRACE(std::string(g.app) + (g.adaptive ? " adaptive" : " static"));
-    EXPECT_EQ(fp.logical, g.fp.logical) << "logical trace fingerprint";
-    EXPECT_EQ(fp.physical, g.fp.physical) << "physical trace fingerprint";
-    EXPECT_EQ(fp.counters, g.fp.counters) << "endpoint counters fingerprint";
-    EXPECT_EQ(fp.report, g.fp.report) << "engine report fingerprint";
-    EXPECT_EQ(fp.checksum, g.fp.checksum) << "payload checksum";
-    EXPECT_EQ(fp.final_time, g.fp.final_time) << "final simulated time";
+    expect_fingerprints(fp, g.fp);
   }
 }
 
@@ -215,8 +239,8 @@ TEST(ConfidenceGate, MinConfidenceOneIsBehaviorallyStatic) {
   };
   for (const char* app : {"bt", "cg", "lu"}) {
     SCOPED_TRACE(app);
-    const Fingerprints st = run_app(app, /*adaptive=*/false, price);
-    const Fingerprints ad = run_app(app, /*adaptive=*/true, price);
+    const Fingerprints st = run_app(app, /*adaptive=*/false, price).fp;
+    const Fingerprints ad = run_app(app, /*adaptive=*/true, price).fp;
     EXPECT_EQ(ad.logical, st.logical) << "logical trace fingerprint";
     EXPECT_EQ(ad.physical, st.physical) << "physical trace fingerprint";
     EXPECT_EQ(ad.report, st.report) << "engine report fingerprint";
@@ -234,15 +258,91 @@ TEST(ConfidenceGate, MinConfidenceZeroReproducesAdaptiveGoldens) {
       continue;
     }
     SCOPED_TRACE(g.app);
-    const Fingerprints fp = run_app(g.app, /*adaptive=*/true, [](mpi::WorldConfig& cfg) {
+    const auto zero = [](mpi::WorldConfig& cfg) { cfg.adaptive.policy.min_confidence = 0.0; };
+    expect_fingerprints(run_app(g.app, /*adaptive=*/true, zero).fp, g.fp);
+  }
+}
+
+// ----------------------------------------------- shard-invariance gate --
+// Every adaptive decision is a pure function of per-stream predictor
+// state, so the prediction service's shard count must not move a byte.
+
+TEST(ShardGate, AdaptiveGoldensHoldAtEveryShardCount) {
+  for (const Golden& g : kGolden) {
+    if (!g.adaptive) {
+      continue;
+    }
+    for (const std::size_t shards : {2, 4}) {
+      SCOPED_TRACE(std::string(g.app) + " shards=" + std::to_string(shards));
+      const auto sharded = [shards](mpi::WorldConfig& cfg) {
+        cfg.adaptive.service.engine.shards = shards;
+      };
+      expect_fingerprints(run_app(g.app, /*adaptive=*/true, sharded).fp, g.fp);
+    }
+  }
+}
+
+void expect_policy_integers(const adaptive::PolicyStats& got, const adaptive::PolicyStats& want) {
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.prepost_hits, want.prepost_hits);
+  EXPECT_EQ(got.prepost_misses, want.prepost_misses);
+  EXPECT_EQ(got.peak_buffers, want.peak_buffers);
+  EXPECT_EQ(got.eager_sends, want.eager_sends);
+  EXPECT_EQ(got.rendezvous_sends, want.rendezvous_sends);
+  EXPECT_EQ(got.rendezvous_elided, want.rendezvous_elided);
+  EXPECT_EQ(got.degraded_arrivals, want.degraded_arrivals);
+  EXPECT_EQ(got.elision_saved_ns, want.elision_saved_ns);
+}
+
+TEST(ShardGate, PricedRunIsIdenticalAtEveryShardCount) {
+  // Every priced mechanism live (fallback round-trips, per-stream credits,
+  // every prediction accepted): each endpoint counter, not just the
+  // fingerprinted subset, and every policy statistic must match.
+  const auto priced = [](std::size_t shards) {
+    return [shards](mpi::WorldConfig& cfg) {
+      cfg.engine.network.fallback_cost = sim::SimTime{20'000};
+      cfg.adaptive.per_stream_credits = true;
       cfg.adaptive.policy.min_confidence = 0.0;
-    });
-    EXPECT_EQ(fp.logical, g.fp.logical);
-    EXPECT_EQ(fp.physical, g.fp.physical);
-    EXPECT_EQ(fp.counters, g.fp.counters);
-    EXPECT_EQ(fp.report, g.fp.report);
-    EXPECT_EQ(fp.checksum, g.fp.checksum);
-    EXPECT_EQ(fp.final_time, g.fp.final_time);
+      cfg.adaptive.service.engine.shards = shards;
+    };
+  };
+  for (const char* app : {"bt", "cg", "lu"}) {
+    const WorldRun ref = run_app(app, /*adaptive=*/true, priced(1));
+    EXPECT_GT(ref.policy.messages, 0) << app;
+    for (const std::size_t shards : {2, 4}) {
+      SCOPED_TRACE(std::string(app) + " shards=" + std::to_string(shards));
+      const WorldRun run = run_app(app, /*adaptive=*/true, priced(shards));
+      expect_fingerprints(run.fp, ref.fp);
+      for (const auto& field : mpi::detail::EndpointCounters::fields()) {
+        EXPECT_EQ(run.counters.*(field.member), ref.counters.*(field.member)) << field.name;
+      }
+      expect_policy_integers(run.policy, ref.policy);
+    }
+  }
+}
+
+// -------------------------------------------------- feed-cost gate --
+// Prediction work charged to the progress engine (FeedPath::Progress)
+// must leave the run byte-identical to the free feed; the same cost
+// charged on the receive path (FeedPath::Inline) must slow it down.
+
+TEST(FeedCostGate, ProgressPathHidesFeedWorkAndInlinePathPaysIt) {
+  const auto cost = [](adaptive::FeedPath path) {
+    return [path](mpi::WorldConfig& cfg) {
+      cfg.adaptive.predict_cost_ns = 2000;
+      cfg.adaptive.feed_path = path;
+    };
+  };
+  for (const Golden& g : kGolden) {
+    if (!g.adaptive) {
+      continue;
+    }
+    SCOPED_TRACE(g.app);
+    const WorldRun progress =
+        run_app(g.app, /*adaptive=*/true, cost(adaptive::FeedPath::Progress));
+    expect_fingerprints(progress.fp, g.fp);
+    const WorldRun inl = run_app(g.app, /*adaptive=*/true, cost(adaptive::FeedPath::Inline));
+    EXPECT_GT(inl.fp.final_time, g.fp.final_time);
   }
 }
 

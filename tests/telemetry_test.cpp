@@ -253,41 +253,45 @@ TEST(TelemetryReplay, InstrumentedReplayIsByteIdentical) {
 }
 
 TEST(TelemetryWorld, AttachingTelemetryNeverChangesTheRun) {
-  // The end-to-end on/off gate: an adaptive NAS CG world with tracing
-  // telemetry attached must reproduce the plain world bit for bit —
-  // outcome, final simulated time, and every endpoint counter.
+  // The end-to-end on/off gate: a NAS CG world, static and adaptive, with
+  // tracing telemetry attached must reproduce the plain world bit for bit
+  // — outcome, final simulated time, and every endpoint counter.
   const auto& info = apps::find_app("cg");
   const apps::AppConfig app_cfg{.problem_class = apps::ProblemClass::A};
 
-  mpi::WorldConfig plain_cfg = apps::paper_world_config(/*seed=*/7);
-  plain_cfg.adaptive.enabled = true;
-  mpi::World plain(8, plain_cfg);
-  const apps::AppOutcome plain_outcome = info.run(plain, app_cfg);
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "adaptive" : "static");
+    mpi::WorldConfig plain_cfg = apps::paper_world_config(/*seed=*/7);
+    plain_cfg.adaptive.enabled = adaptive;
+    mpi::World plain(8, plain_cfg);
+    const apps::AppOutcome plain_outcome = info.run(plain, app_cfg);
 
-  telemetry::Telemetry telem;
-  telem.enable_tracing();
-  mpi::WorldConfig traced_cfg = apps::paper_world_config(/*seed=*/7);
-  traced_cfg.adaptive.enabled = true;
-  traced_cfg.telemetry = &telem;
-  mpi::World traced(8, traced_cfg);
-  const apps::AppOutcome outcome = info.run(traced, app_cfg);
+    telemetry::Telemetry telem;
+    telem.enable_tracing();
+    mpi::WorldConfig traced_cfg = plain_cfg;
+    traced_cfg.telemetry = &telem;
+    mpi::World traced(8, traced_cfg);
+    const apps::AppOutcome outcome = info.run(traced, app_cfg);
 
-  EXPECT_EQ(outcome.verified, plain_outcome.verified);
-  EXPECT_EQ(outcome.metric, plain_outcome.metric);
-  EXPECT_EQ(outcome.combined_checksum(), plain_outcome.combined_checksum());
-  EXPECT_EQ(traced.engine().stats().final_time, plain.engine().stats().final_time);
-  EXPECT_TRUE(traced.aggregate_counters() == plain.aggregate_counters());
-  EXPECT_GT(telem.trace_sink().size(), 0u);
+    EXPECT_EQ(outcome.verified, plain_outcome.verified);
+    EXPECT_EQ(outcome.metric, plain_outcome.metric);
+    EXPECT_EQ(outcome.combined_checksum(), plain_outcome.combined_checksum());
+    EXPECT_EQ(traced.engine().stats().final_time, plain.engine().stats().final_time);
+    EXPECT_TRUE(traced.aggregate_counters() == plain.aggregate_counters());
+    EXPECT_GT(telem.trace_sink().size(), 0u);
 
-  // The registry's totals are the aggregated endpoint counters — the
-  // migration left one source of truth, not two.
-  const telemetry::MetricsSnapshot snap = telem.metrics().snapshot();
-  const mpi::detail::EndpointCounters totals = traced.aggregate_counters();
-  EXPECT_EQ(snap.value("mpi.endpoint.eager_received"), totals.eager_received);
-  EXPECT_EQ(snap.value("mpi.endpoint.sends_posted"), totals.sends_posted);
-  EXPECT_EQ(snap.value("mpi.endpoint.prepost_hits"), totals.prepost_hits);
-  EXPECT_GT(snap.value("sim.events_processed"), 0);
-  EXPECT_GT(snap.value("adaptive.policy.messages"), 0);
+    // The registry's totals are the aggregated endpoint counters — the
+    // migration left one source of truth, not two.
+    const telemetry::MetricsSnapshot snap = telem.metrics().snapshot();
+    const mpi::detail::EndpointCounters totals = traced.aggregate_counters();
+    EXPECT_EQ(snap.value("mpi.endpoint.eager_received"), totals.eager_received);
+    EXPECT_EQ(snap.value("mpi.endpoint.sends_posted"), totals.sends_posted);
+    EXPECT_EQ(snap.value("mpi.endpoint.prepost_hits"), totals.prepost_hits);
+    EXPECT_GT(snap.value("sim.events_processed"), 0);
+    if (adaptive) {
+      EXPECT_GT(snap.value("adaptive.policy.messages"), 0);
+    }
+  }
 }
 
 TEST(TelemetryWorld, AggregateProgressStatsSumsEveryEndpoint) {
