@@ -22,6 +22,11 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: bench_ablation [--predictor <name>] [--list-predictors]\n"
+    "Compares the swept predictor (default: dpd) with the strict-run and\n"
+    "full-window DPD criteria on bt.9, lu.8, sweep3d.16 and cg.16.\n";
+
 using namespace mpipred;
 
 core::AccuracyReport eval_family(const std::string& name, const engine::PredictorOptions& options,
@@ -30,9 +35,7 @@ core::AccuracyReport eval_family(const std::string& name, const engine::Predicto
   return core::evaluate_with(*predictor, stream, 5);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const std::string predictor = bench::predictor_flag(argc, argv);
 
   // Effectively disable the hysteresis fallback: one mismatch drains any
@@ -69,4 +72,10 @@ int main(int argc, char** argv) {
   std::printf("\n(expected with the default dpd column: all three agree on logical streams;\n"
               " on physical streams hysteretic production > strict runs > full-window d(m))\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -15,7 +15,14 @@
 #include "bench/bench_util.hpp"
 #include "core/evaluate.hpp"
 
-int main() {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_baselines\n"
+    "Runs bt.9, cg.8, lu.8, is.16 and sweep3d.16 and prints the §6 predictor\n"
+    "comparison (dpd, last-value, cycle, markov-1, markov-2). No options.\n";
+
+int run() {
   using namespace mpipred;
   std::printf("§6 — predictor comparison on logical sender streams (%% correct)\n\n");
   std::printf("%-12s %-10s", "config", "predictor");
@@ -51,4 +58,10 @@ int main() {
   }
   std::printf("(expected: dpd flat and high across +1..+5; heuristics fall off with horizon)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

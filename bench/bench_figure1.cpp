@@ -8,7 +8,14 @@
 #include "bench/bench_util.hpp"
 #include "core/dpd.hpp"
 
-int main() {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_figure1\n"
+    "Runs bt.9 and prints Figure 1: the sender and size streams received by\n"
+    "process 3 and the periods the DPD detects in them. No options.\n";
+
+int run() {
   using namespace mpipred;
   auto run = bench::run_traced("bt", 9);
   const auto streams = trace::extract_streams(run.world->traces(), 3, trace::Level::Logical,
@@ -55,4 +62,10 @@ int main() {
   }
   std::printf("}  (paper: processes 1, 2, 5, 7, 9 — five senders at 9 procs)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -8,7 +8,14 @@
 
 #include "bench/bench_util.hpp"
 
-int main() {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_figure2\n"
+    "Runs bt.4 and prints Figure 2: the logical vs physical sender streams\n"
+    "at process 3. No options.\n";
+
+int run() {
   using namespace mpipred;
   auto run = bench::run_traced("bt", 4);
   const auto logical = trace::extract_streams(run.world->traces(), 3, trace::Level::Logical,
@@ -45,4 +52,10 @@ int main() {
               diffs_total, physical.length(),
               100.0 * static_cast<double>(diffs_total) / static_cast<double>(physical.length()));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -13,7 +13,14 @@
 
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_figure3 [--predictor <name>] [--list-predictors]\n"
+    "Prints Figure 3: logical-level +1..+5 accuracy over the Table 1 grid\n"
+    "(default predictor: dpd).\n";
+
+int run(int argc, char** argv) {
   using namespace mpipred;
   const std::string predictor = bench::predictor_flag(argc, argv);
   std::printf("Figure 3 — logical-level prediction accuracy (%% correct, Class A, %s)\n\n",
@@ -31,4 +38,10 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(paper: >90%% everywhere, mostly ~100%%; is.4 ~80%% from its short stream)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -10,7 +10,14 @@
 
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_figure4 [--predictor <name>] [--list-predictors]\n"
+    "Prints Figure 4: physical-level +1..+5 accuracy over the Table 1 grid\n"
+    "(default predictor: dpd).\n";
+
+int run(int argc, char** argv) {
   using namespace mpipred;
   const std::string predictor = bench::predictor_flag(argc, argv);
   std::printf("Figure 4 — physical-level prediction accuracy (%% correct, Class A, %s)\n\n",
@@ -28,4 +35,10 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(paper: below logical; lu/sweep3d high, bt lower, is lowest)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -17,6 +17,11 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: bench_flow_control\n"
+    "Replays the physical traces of lu.8, bt.9, cg.16, sweep3d.16 and\n"
+    "is.16 and prints the §2.2 credit flow-control table. No options.\n";
+
 void print_row(const std::string& config, const char* policy, double hit_rate,
                std::int64_t peak_pledged_bytes, double total_ns, std::size_t messages) {
   std::printf("%-12s %-18s %10.1f %14lld %14.2f\n", config.c_str(), policy,
@@ -24,14 +29,8 @@ void print_row(const std::string& config, const char* policy, double hit_rate,
               total_ns / static_cast<double>(messages) / 1000.0);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run() {
   using namespace mpipred;
-  bench::no_args_or_exit(argc, argv,
-                         "usage: bench_flow_control\n"
-                         "Replays the physical traces of lu.8, bt.9, cg.16, sweep3d.16 and\n"
-                         "is.16 and prints the §2.2 credit flow-control table. No options.\n");
   std::printf("§2.2 — credit-based flow control on physical traces\n\n");
   std::printf("%-12s %-18s %10s %14s %14s\n", "config", "policy", "hit-rate%", "peak-pledged-B",
               "mean-lat-us");
@@ -84,4 +83,10 @@ int main(int argc, char** argv) {
   std::printf("(expected: predicted-credits ~eager latency with ~always-ask memory bounds\n"
               " on periodic apps; IS degrades towards always-ask)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -14,12 +14,15 @@
 #include "bench/bench_util.hpp"
 #include "ingest/replay.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_memory_reduction\n"
+    "Replays the physical traces of bt.16, bt.25, lu.32, cg.32 and\n"
+    "sweep3d.32 and prints the §2.1 buffer-memory table. No options.\n";
+
+int run() {
   using namespace mpipred;
-  bench::no_args_or_exit(argc, argv,
-                         "usage: bench_memory_reduction\n"
-                         "Replays the physical traces of bt.16, bt.25, lu.32, cg.32 and\n"
-                         "sweep3d.32 and prints the §2.1 buffer-memory table. No options.\n");
   std::printf("§2.1 — buffer memory: all-pairs vs prediction-driven (physical traces)\n\n");
   std::printf("%-12s %10s %10s %10s %12s %12s %10s\n", "config", "hit-rate%", "buffers",
               "peak-buf", "mem-bytes", "allpairs-B", "latencyx");
@@ -69,4 +72,10 @@ int main(int argc, char** argv) {
                 static_cast<double>(predicted) / (1024.0 * 1024.0));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

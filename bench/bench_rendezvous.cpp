@@ -13,12 +13,15 @@
 #include "bench/bench_util.hpp"
 #include "ingest/replay.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_rendezvous\n"
+    "Replays the physical traces of lu.4, lu.16, bt.9, bt.25, cg.8 and\n"
+    "is.8 and prints the §2.3 rendezvous-elision table. No options.\n";
+
+int run() {
   using namespace mpipred;
-  bench::no_args_or_exit(argc, argv,
-                         "usage: bench_rendezvous\n"
-                         "Replays the physical traces of lu.4, lu.16, bt.9, bt.25, cg.8 and\n"
-                         "is.8 and prints the §2.3 rendezvous-elision table. No options.\n");
   std::printf("§2.3 — rendezvous elision for long messages (physical traces)\n\n");
   std::printf("%-12s %10s %10s %14s %10s\n", "config", "long-msgs", "elided%", "lat-saved-us",
               "speedup");
@@ -61,4 +64,10 @@ int main(int argc, char** argv) {
   std::printf("\n(expected: periodic large transfers — LU faces, BT faces — mostly elided;\n"
               " IS's data-dependent alltoallv sizes resist elision)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -13,6 +13,11 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: bench_table1\n"
+    "Runs every application at its paper process counts (Class A) and prints\n"
+    "Table 1 next to the paper's values. No options.\n";
+
 struct PaperRow {
   long p2p;
   long coll;
@@ -34,9 +39,7 @@ const std::map<std::string, PaperRow> kPaper = {
     {"sweep3d.32", {949, 36, 2, 2}},
 };
 
-}  // namespace
-
-int main() {
+int run() {
   using namespace mpipred;
   std::printf("Table 1 — application characteristics (Class A, representative rank)\n");
   std::printf("%-12s | %9s %9s %6s %8s | %9s %9s %6s %8s\n", "app.procs", "p2p", "coll",
@@ -66,4 +69,10 @@ int main() {
   std::printf("\n(* paper values; our counts come from the simulator's Class A runs —\n"
               " magnitudes and locality structure are the reproduction target)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -85,13 +86,15 @@ inline std::vector<engine::Event> representative_arrivals(const trace::TraceStor
 }
 
 /// The shared main of the command-line tools: `--help` / `-h` anywhere
-/// prints `usage` to stdout and exits 0; otherwise `run(argc, argv)`
-/// decides the exit code, and any Error escaping it (a bad argument, an
-/// unreadable or malformed trace, an unknown application, an unwritable
-/// output) becomes one line on stderr and exit 1. The tools check no
-/// invariants at run time (the tier-1 suite does), so nothing else exits
-/// nonzero.
-inline int cli_main(int argc, char** argv, const char* usage, int (*run)(int, char**)) {
+/// prints `usage` to stdout and exits 0; otherwise `run` decides the exit
+/// code, and any Error escaping it (a bad argument, an unreadable or
+/// malformed trace, an unknown application, an unwritable output) becomes
+/// one line on stderr and exit 1. A `run` that takes no parameters marks a
+/// tool without options: any argument is rejected the same way (a typoed
+/// flag must not silently run). The tools check no invariants at run time
+/// (the tier-1 suite does), so nothing else exits nonzero.
+template <typename Run>
+int cli_main(int argc, char** argv, const char* usage, Run run) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -100,27 +103,18 @@ inline int cli_main(int argc, char** argv, const char* usage, int (*run)(int, ch
     }
   }
   try {
-    return run(argc, argv);
+    if constexpr (std::is_invocable_v<Run>) {
+      if (argc > 1) {
+        throw UsageError("unexpected argument '" + std::string(argv[1]) + "' (try --help)");
+      }
+      return run();
+    } else {
+      return run(argc, argv);
+    }
   } catch (const Error& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-}
-
-/// Fail-closed argument check for mains that take no arguments: `--help`
-/// / `-h` prints `usage` to stdout and exits 0; anything else gets one
-/// line on stderr and exit 1 (a typoed flag must not silently run).
-inline void no_args_or_exit(int argc, char** argv, const char* usage) {
-  if (argc < 2) {
-    return;
-  }
-  const std::string_view arg = argv[1];
-  if (arg == "--help" || arg == "-h") {
-    std::fputs(usage, stdout);
-    std::exit(0);
-  }
-  std::fprintf(stderr, "unexpected argument '%s' (try --help)\n", argv[1]);
-  std::exit(1);
 }
 
 /// Per-(app, procs) cell of Figures 3/4, routed through the prediction

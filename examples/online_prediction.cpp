@@ -12,10 +12,18 @@
 #include <string>
 
 #include "apps/app.hpp"
+#include "bench/bench_util.hpp"
 #include "engine/engine.hpp"
 #include "mpi/world.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: online_prediction [--predictor <name>] [--list-predictors]\n"
+    "Replays every sweep3d.6 (Class A) arrival online through the prediction\n"
+    "engine and prints the rolling +1 hit rate (default predictor: dpd).\n";
+
+int run(int argc, char** argv) {
   using namespace mpipred;
   const auto arg = engine::predictor_arg_or_exit(argc, argv);
   if (!arg.rest.empty()) {
@@ -72,4 +80,10 @@ int main(int argc, char** argv) {
               report.streams.size(), eng.shard_count(),
               static_cast<double>(report.total_footprint_bytes) / 1024.0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

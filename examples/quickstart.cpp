@@ -9,25 +9,31 @@
 #include <memory>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "common/error.hpp"
 #include "core/predictor.hpp"
 #include "engine/registry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: quickstart [predictor]\n"
+    "Feeds a synthetic periodic sender stream to one registered predictor\n"
+    "(default: dpd) and prints its next five predictions.\n";
+
+int run(int argc, char** argv) {
   using namespace mpipred;
+  if (argc > 2) {
+    throw UsageError("unexpected argument '" + std::string(argv[2]) + "' (try --help)");
+  }
   const std::string name = argc > 1 ? argv[1] : "dpd";
 
   // A process that receives from peers 3, 1, 4, 1, 5 over and over — the
   // kind of iterative pattern Figure 1 of the paper shows for NAS BT.
   const std::vector<std::int64_t> pattern = {3, 1, 4, 1, 5};
 
-  std::unique_ptr<core::Predictor> predictor;  // defaults: horizon 5
-  try {
-    predictor = engine::make_predictor(name);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  // Defaults: horizon 5. An unknown name throws UsageError (exit 1).
+  const std::unique_ptr<core::Predictor> predictor = engine::make_predictor(name);
   std::printf("predictor: %s\n", std::string(predictor->name()).c_str());
 
   std::printf("observing the stream...\n");
@@ -54,4 +60,10 @@ int main(int argc, char** argv) {
                 value == actual ? "hit" : "miss");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mpipred::bench::cli_main(argc, argv, kUsage, run);
 }

@@ -29,27 +29,12 @@ struct PolicyConfig {
   std::int64_t credit_granule_bytes = 1024;
 };
 
-/// Where the runtime charges the simulated cost of one prediction feed
-/// step (predict → pre-post → reconcile) per fed arrival.
-enum class FeedPath : std::uint8_t {
-  /// On the receive critical path: packet processing waits behind the feed
-  /// work — the pre-refactor inline architecture's cost model.
-  Inline,
-  /// As progress-engine work overlapped with whatever the rank does next:
-  /// delivery timing is untouched (traces stay byte-identical to a
-  /// zero-cost run); the work is tracked in the endpoint's
-  /// `adaptive_feed_ns` / `adaptive_feed_lag_peak_ns` counters.
-  Progress,
-};
-
 struct ServiceConfig {
   /// Predictor family, options and shard count shared by both engine
   /// views. The key policy field is ignored: the service fixes its own
-  /// policies (see service.hpp).
+  /// policies (see service.hpp), and neither splits streams by tag — the
+  /// paper's per-receiver setup, where the tag rides along as data.
   engine::EngineConfig engine{};
-  /// Split streams by tag as well as by endpoint (off reproduces the
-  /// paper's per-receiver setup, where the tag rides along as data).
-  bool by_tag = false;
 };
 
 /// Configuration of the closed loop inside the simulated MPI library
@@ -84,12 +69,6 @@ struct RuntimeConfig {
   /// credit is returned when the receiver consumes the payload. Off by
   /// default — live flow control then stays per peer, as before.
   bool per_stream_credits = false;
-  /// Simulated cost of one feed step, charged per fed physical arrival.
-  /// 0 (the default) makes both feed paths take identical code paths and
-  /// leave the event stream untouched.
-  std::int64_t predict_cost_ns = 0;
-  /// Which path pays `predict_cost_ns` — see FeedPath.
-  FeedPath feed_path = FeedPath::Progress;
   ServiceConfig service{};
   /// policy.rendezvous_threshold_bytes is overridden with the world's
   /// eager threshold so the two protocol cutoffs cannot diverge.

@@ -97,7 +97,7 @@ Protocol AdaptivePolicy::choose_protocol(const engine::Event& event) {
   }
   // Was (sender, >= size) anticipated anywhere in the predicted window?
   // Buffers pre-allocated for the window make arrival order moot (§5.3).
-  for (const Prediction& p : service_.predicted_window(event.destination, event.tag)) {
+  for (const Prediction& p : service_.predicted_window(event.destination)) {
     if (p.sender == event.source && p.bytes && *p.bytes >= event.bytes &&
         p.confidence >= cfg_.min_confidence) {
       ++stats_.rendezvous_elided;

@@ -8,11 +8,16 @@ namespace {
 
 engine::EngineConfig view_config(const ServiceConfig& cfg, bool by_source) {
   engine::EngineConfig out = cfg.engine;
-  out.key = {.by_source = by_source, .by_destination = true, .by_tag = cfg.by_tag};
+  out.key = {.by_source = by_source, .by_destination = true, .by_tag = false};
   // Both views share one registry (when the caller passed one); the view
   // label keeps their engine.* instruments distinct.
   out.metric_labels.set("view", by_source ? "stream" : "arrival");
   return out;
+}
+
+/// The arrival view's key: one stream per receiver.
+engine::StreamKey receiver_key(std::int32_t destination) {
+  return {.source = engine::kAnyKey, .destination = destination, .tag = engine::kAnyKey};
 }
 
 }  // namespace
@@ -45,20 +50,6 @@ void PredictionService::observe_all(std::span<const engine::Event> events) {
   }
 }
 
-engine::StreamKey PredictionService::arrival_key(std::int32_t destination,
-                                                 std::int32_t tag) const {
-  return {.source = engine::kAnyKey,
-          .destination = destination,
-          .tag = cfg_.by_tag ? tag : engine::kAnyKey};
-}
-
-engine::StreamKey PredictionService::stream_key(std::int32_t source, std::int32_t destination,
-                                                std::int32_t tag) const {
-  return {.source = source,
-          .destination = destination,
-          .tag = cfg_.by_tag ? tag : engine::kAnyKey};
-}
-
 namespace {
 
 /// One horizon slot read off an already-resolved stream (no per-call
@@ -79,15 +70,14 @@ std::optional<Prediction> prediction_at(const engine::StreamRef& ref,
 
 }  // namespace
 
-std::optional<Prediction> PredictionService::predict_next(std::int32_t destination, std::size_t h,
-                                                          std::int32_t tag) const {
-  const engine::StreamRef ref = arrival_.stream(arrival_key(destination, tag));
+std::optional<Prediction> PredictionService::predict_next(std::int32_t destination,
+                                                          std::size_t h) const {
+  const engine::StreamRef ref = arrival_.stream(receiver_key(destination));
   return prediction_at(ref, ref.snapshot(), h);
 }
 
-std::vector<Prediction> PredictionService::predicted_window(std::int32_t destination,
-                                                            std::int32_t tag) const {
-  const engine::StreamRef ref = arrival_.stream(arrival_key(destination, tag));
+std::vector<Prediction> PredictionService::predicted_window(std::int32_t destination) const {
+  const engine::StreamRef ref = arrival_.stream(receiver_key(destination));
   const engine::StreamSnapshot snap = ref.snapshot();
   std::vector<Prediction> out;
   out.reserve(horizon_);
@@ -100,10 +90,9 @@ std::vector<Prediction> PredictionService::predicted_window(std::int32_t destina
 }
 
 std::vector<std::int32_t> PredictionService::predicted_senders(std::int32_t destination,
-                                                               double min_confidence,
-                                                               std::int32_t tag) const {
+                                                               double min_confidence) const {
   std::vector<std::int32_t> out;
-  const engine::StreamRef ref = arrival_.stream(arrival_key(destination, tag));
+  const engine::StreamRef ref = arrival_.stream(receiver_key(destination));
   // Gate on the sender dimension alone: a missing size prediction must not
   // block buffer pre-posting (the buffer has a fixed size anyway).
   if (ref.snapshot().sender_accuracy < min_confidence) {
@@ -119,25 +108,13 @@ std::vector<std::int32_t> PredictionService::predicted_senders(std::int32_t dest
   return out;
 }
 
-std::optional<std::int64_t> PredictionService::predict_stream_size(std::int32_t source,
-                                                                   std::int32_t destination,
-                                                                   std::size_t h,
-                                                                   std::int32_t tag) const {
-  return stream_view(source, destination, tag).predict_size(h);
+double PredictionService::arrival_confidence(std::int32_t destination) const {
+  return arrival_.stream(receiver_key(destination)).snapshot().sender_accuracy;
 }
 
-double PredictionService::stream_confidence(std::int32_t source, std::int32_t destination,
-                                            std::int32_t tag) const {
-  return stream_view(source, destination, tag).snapshot().size_accuracy;
-}
-
-double PredictionService::arrival_confidence(std::int32_t destination, std::int32_t tag) const {
-  return arrival_.stream(arrival_key(destination, tag)).snapshot().sender_accuracy;
-}
-
-engine::StreamRef PredictionService::stream_view(std::int32_t source, std::int32_t destination,
-                                                 std::int32_t tag) const {
-  return stream_.stream(stream_key(source, destination, tag));
+engine::StreamRef PredictionService::stream_view(std::int32_t source,
+                                                 std::int32_t destination) const {
+  return stream_.stream({.source = source, .destination = destination, .tag = engine::kAnyKey});
 }
 
 std::span<const std::int32_t> PredictionService::sources_of(std::int32_t destination) const {

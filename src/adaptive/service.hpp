@@ -1,7 +1,7 @@
 #pragma once
 
 // The query half of the adaptive runtime: wraps the sharded
-// PredictionEngine behind the online per-(source, destination, tag) API
+// PredictionEngine behind the online per-receiver and per-(source, destination) API
 // the simulated MPI library and ingest::replay_adaptive consume. Where the
 // engine answers "how accurate were we" (scoring), the service answers
 // "what should the library do next" (steering): who sends to `dst` next,
@@ -35,7 +35,7 @@ struct Prediction {
 /// Online prediction queries over a live trace of arrivals. Internally two
 /// sharded engines consume every event: the *arrival* view keys streams
 /// per receiver (the paper's setup — its sender sequence answers "who is
-/// next"), the *stream* view keys per (source, destination[, tag]) (its
+/// next"), the *stream* view keys per (source, destination) (its
 /// size sequence answers "how large is the next message of this flow",
 /// the granularity credits are planned at). All answers are pure functions
 /// of per-stream predictor state, so they are identical for any
@@ -52,43 +52,29 @@ class PredictionService {
 
   /// Predicted (sender, size, confidence) `h` steps ahead for the stream
   /// arriving at `destination`; nullopt while the sender dimension has no
-  /// prediction. `tag` participates only under `by_tag`.
-  [[nodiscard]] std::optional<Prediction> predict_next(std::int32_t destination, std::size_t h = 1,
-                                                       std::int32_t tag = 0) const;
+  /// prediction.
+  [[nodiscard]] std::optional<Prediction> predict_next(std::int32_t destination,
+                                                       std::size_t h = 1) const;
 
   /// The §5.3 set view: predictions for h = 1..horizon() that have a
   /// sender, in horizon order. Buffers and credits care about membership,
   /// not arrival order.
-  [[nodiscard]] std::vector<Prediction> predicted_window(std::int32_t destination,
-                                                         std::int32_t tag = 0) const;
+  [[nodiscard]] std::vector<Prediction> predicted_window(std::int32_t destination) const;
 
   /// Distinct senders of the predicted window whose confidence reaches
   /// `min_confidence`, in first-appearance order (deterministic).
   [[nodiscard]] std::vector<std::int32_t> predicted_senders(std::int32_t destination,
-                                                            double min_confidence = 0.0,
-                                                            std::int32_t tag = 0) const;
-
-  /// Next predicted size of the (source -> destination) flow, from the
-  /// per-stream view; nullopt without a basis.
-  [[nodiscard]] std::optional<std::int64_t> predict_stream_size(std::int32_t source,
-                                                                std::int32_t destination,
-                                                                std::size_t h = 1,
-                                                                std::int32_t tag = 0) const;
-
-  /// Observed +1 size accuracy of the (source -> destination) flow; 0.0
-  /// for unknown flows.
-  [[nodiscard]] double stream_confidence(std::int32_t source, std::int32_t destination,
-                                         std::int32_t tag = 0) const;
+                                                            double min_confidence = 0.0) const;
 
   /// Observed +1 sender accuracy of the arrival stream at `destination`;
   /// 0.0 for receivers that have seen nothing. This is the confidence the
   /// policy's degrade gate compares against `min_confidence`.
-  [[nodiscard]] double arrival_confidence(std::int32_t destination, std::int32_t tag = 0) const;
+  [[nodiscard]] double arrival_confidence(std::int32_t destination) const;
 
-  /// The (source -> destination) flow resolved once — for consumers that
-  /// read both its size prediction and its confidence per message.
-  [[nodiscard]] engine::StreamRef stream_view(std::int32_t source, std::int32_t destination,
-                                              std::int32_t tag = 0) const;
+  /// The (source -> destination) flow resolved once: its next sizes
+  /// (`predict_size(h)`, nullopt without a basis) and observed +1 size
+  /// accuracy (`snapshot().size_accuracy`, 0.0 for unknown flows).
+  [[nodiscard]] engine::StreamRef stream_view(std::int32_t source, std::int32_t destination) const;
 
   /// Every source that has ever sent to `destination`, in first-seen
   /// order. The feed order is deterministic, so so is this.
@@ -102,7 +88,7 @@ class PredictionService {
   [[nodiscard]] const engine::PredictionEngine& arrival_engine() const noexcept {
     return arrival_;
   }
-  /// The per-(source, destination[, tag]) view credits are planned from.
+  /// The per-(source, destination) view credits are planned from.
   [[nodiscard]] const engine::PredictionEngine& stream_engine() const noexcept { return stream_; }
 
   [[nodiscard]] const ServiceConfig& config() const noexcept { return cfg_; }
@@ -112,10 +98,6 @@ class PredictionService {
     std::int32_t destination = 0;
     std::vector<std::int32_t> sources;  // first-seen order
   };
-
-  [[nodiscard]] engine::StreamKey arrival_key(std::int32_t destination, std::int32_t tag) const;
-  [[nodiscard]] engine::StreamKey stream_key(std::int32_t source, std::int32_t destination,
-                                             std::int32_t tag) const;
 
   ServiceConfig cfg_;
   engine::PredictionEngine arrival_;

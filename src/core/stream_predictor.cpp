@@ -22,10 +22,7 @@ std::optional<Predictor::Value> StreamPredictor::predict(std::size_t h) const {
   // sample, so this is a lookup.
   const auto period = detector_.prediction_lag();
   if (!period) {
-    if (cfg_.last_value_fallback && detector_.samples() > 0) {
-      return detector_.value_at_lag(0);
-    }
-    return std::nullopt;
+    return std::nullopt;  // the paper counts warm-up samples as misses (Figure 3)
   }
   // x̂(t+h) = x(t+h - k*m) for the smallest k that reaches into history.
   const std::size_t m = *period;

@@ -13,10 +13,6 @@ struct StreamPredictorConfig {
   DpdConfig dpd{};
   /// How many future values to predict (+1 ... +horizon; the paper uses 5).
   std::size_t horizon = 5;
-  /// If true, fall back to repeating the last observed value while no
-  /// period is detected (off by default: the paper counts unpredicted
-  /// samples as misses, reproducing the warm-up effect of Figure 3).
-  bool last_value_fallback = false;
 };
 
 /// The paper's predictor (§4.2): detect the iterative pattern with the

@@ -23,12 +23,6 @@ struct PredictorOptions {
   std::size_t horizon = 5;
   /// DPD tuning, used by `dpd` and `dpd-window`.
   core::DpdConfig dpd{};
-  /// `dpd` only: repeat the last value while no period is detected.
-  bool last_value_fallback = false;
-  /// `markov` only: context length of the transition table.
-  std::size_t markov_order = 1;
-  /// `cycle` only: ring-buffer length for history replay.
-  std::size_t cycle_history = 512;
 };
 
 /// Wildcard component of a StreamKey: the key policy left this dimension

@@ -119,7 +119,7 @@ PredictorArg predictor_arg_or_exit(int argc, char** argv, std::string fallback) 
 namespace {
 
 core::StreamPredictorConfig dpd_config(const PredictorOptions& o) {
-  return {.dpd = o.dpd, .horizon = o.horizon, .last_value_fallback = o.last_value_fallback};
+  return {.dpd = o.dpd, .horizon = o.horizon};
 }
 
 const PredictorRegistrar kDpd{"dpd", [](const PredictorOptions& o) {
@@ -135,17 +135,15 @@ const PredictorRegistrar kWindowedDpd{"dpd-window", kWindowedDpdFactory};
 const PredictorRegistrar kWindowedDpdAlias{"windowed_dpd", kWindowedDpdFactory};
 
 const PredictorRegistrar kCycle{"cycle", [](const PredictorOptions& o) {
-                                  return std::make_unique<core::CyclePredictor>(o.horizon,
-                                                                                o.cycle_history);
+                                  return std::make_unique<core::CyclePredictor>(o.horizon);
                                 }};
 
-const PredictorRegistrar kMarkov{"markov", [](const PredictorOptions& o) {
-                                   return std::make_unique<core::MarkovPredictor>(o.markov_order,
-                                                                                  o.horizon);
-                                 }};
-const PredictorRegistrar kMarkov1{"markov-1", [](const PredictorOptions& o) {
-                                    return std::make_unique<core::MarkovPredictor>(1, o.horizon);
-                                  }};
+// `markov` is the first-order table under its family name.
+const PredictorRegistry::Factory kMarkov1Factory = [](const PredictorOptions& o) {
+  return std::make_unique<core::MarkovPredictor>(1, o.horizon);
+};
+const PredictorRegistrar kMarkov{"markov", kMarkov1Factory};
+const PredictorRegistrar kMarkov1{"markov-1", kMarkov1Factory};
 const PredictorRegistrar kMarkov2{"markov-2", [](const PredictorOptions& o) {
                                     return std::make_unique<core::MarkovPredictor>(2, o.horizon);
                                   }};

@@ -45,8 +45,6 @@ std::span<const EndpointCounters::Field> EndpointCounters::fields() noexcept {
       {"preposted_bytes_now", &EndpointCounters::preposted_bytes_now},
       {"preposted_bytes_peak", &EndpointCounters::preposted_bytes_peak},
       {"rendezvous_elided", &EndpointCounters::rendezvous_elided},
-      {"adaptive_feed_ns", &EndpointCounters::adaptive_feed_ns},
-      {"adaptive_feed_lag_peak_ns", &EndpointCounters::adaptive_feed_lag_peak_ns},
       {"fallback_round_trips", &EndpointCounters::fallback_round_trips},
       {"fallback_ns", &EndpointCounters::fallback_ns},
       {"stream_credit_grants", &EndpointCounters::stream_credit_grants},
@@ -80,8 +78,6 @@ Endpoint::Endpoint(World& world, int rank)
   inst_.prepost_misses = &metrics.counter("mpi.endpoint.prepost_misses", labels);
   inst_.preposted_bytes = &metrics.gauge("mpi.endpoint.preposted_bytes", labels);
   inst_.rendezvous_elided = &metrics.counter("mpi.endpoint.rendezvous_elided", labels);
-  inst_.adaptive_feed_ns = &metrics.counter("mpi.endpoint.adaptive_feed_ns", labels);
-  inst_.adaptive_feed_lag = &metrics.gauge("mpi.endpoint.adaptive_feed_lag_ns", labels);
   inst_.fallback_round_trips = &metrics.counter("mpi.endpoint.fallback_round_trips", labels);
   inst_.fallback_ns = &metrics.counter("mpi.endpoint.fallback_ns", labels);
   inst_.stream_credit_grants = &metrics.counter("mpi.endpoint.stream_credit_grants", labels);
@@ -89,8 +85,6 @@ Endpoint::Endpoint(World& world, int rank)
   inst_.stream_credit_bytes = &metrics.gauge("mpi.endpoint.stream_credit_bytes", labels);
   inst_.message_bytes = &metrics.histogram(
       "mpi.endpoint.message_bytes", {64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}, labels);
-  inst_.feed_lag_ns = &metrics.histogram("mpi.adaptive.feed_lag_ns",
-                                         {100, 1000, 10000, 100000, 1000000}, labels);
   progress_.set_tracer(tracer_, rank_);
 }
 
@@ -109,8 +103,6 @@ EndpointCounters Endpoint::counters() const {
   c.preposted_bytes_now = inst_.preposted_bytes->value();
   c.preposted_bytes_peak = inst_.preposted_bytes->peak();
   c.rendezvous_elided = inst_.rendezvous_elided->value();
-  c.adaptive_feed_ns = inst_.adaptive_feed_ns->value();
-  c.adaptive_feed_lag_peak_ns = inst_.adaptive_feed_lag->peak();
   c.fallback_round_trips = inst_.fallback_round_trips->value();
   c.fallback_ns = inst_.fallback_ns->value();
   c.stream_credit_grants = inst_.stream_credit_grants->value();
@@ -146,39 +138,18 @@ void Endpoint::dispatch(ProgressTask& task) {
   }
 }
 
-void Endpoint::submit_delivery(ProgressTask task) {
-  // FeedPath::Inline charges the prediction feed on the receive path: the
-  // packet waits behind the feed work, exactly what the pre-refactor
-  // inline architecture would cost. FeedPath::Progress leaves delivery
-  // timing untouched (the cost is tracked in note_adaptive_arrival's
-  // busy-until bookkeeping instead) — that difference is the quantity
-  // bench_async_overlap measures.
-  const auto& adaptive = world_->config().adaptive;
-  const std::int64_t cost_ns =
-      (world_->adaptive_policy() != nullptr && adaptive.feed_path == adaptive::FeedPath::Inline)
-          ? adaptive.predict_cost_ns
-          : 0;
-  if (cost_ns <= 0) {
-    progress_.submit(std::move(task));
-    return;
-  }
-  world_->engine().schedule_after(sim::from_ns(cost_ns), [this, task = std::move(task)]() mutable {
-    progress_.submit(std::move(task));
-  });
-}
-
 void Endpoint::deliver_eager(Arrival arrival) {
   ProgressTask task;
   task.kind = ProgressTask::Kind::EagerArrival;
   task.arrival = std::move(arrival);
-  submit_delivery(std::move(task));
+  progress_.submit(std::move(task));
 }
 
 void Endpoint::deliver_rts(Arrival arrival) {
   ProgressTask task;
   task.kind = ProgressTask::Kind::RtsArrival;
   task.arrival = std::move(arrival);
-  submit_delivery(std::move(task));
+  progress_.submit(std::move(task));
 }
 
 void Endpoint::deliver_data(std::shared_ptr<SendState> send, std::shared_ptr<RecvState> recv) {
@@ -186,7 +157,7 @@ void Endpoint::deliver_data(std::shared_ptr<SendState> send, std::shared_ptr<Rec
   task.kind = ProgressTask::Kind::RendezvousData;
   task.send = std::move(send);
   task.recv = std::move(recv);
-  submit_delivery(std::move(task));
+  progress_.submit(std::move(task));
 }
 
 void Endpoint::credit_returned(int peer, std::int64_t bytes) {
@@ -285,21 +256,6 @@ bool Endpoint::note_adaptive_arrival(int sender, std::int64_t bytes, trace::OpKi
   }
   if (tracer_ != nullptr) {
     tracer_->instant(rank_, hit ? "prepost-hit" : "prepost-miss", "adaptive", std::move(args));
-  }
-  // Charge the feed's simulated cost. Decisions above are unaffected — the
-  // cost models the latency of the predict → pre-post → reconcile step,
-  // not its outcome. Under FeedPath::Progress this is pure bookkeeping
-  // (work overlapped with whatever the rank does next); under Inline the
-  // same cost was already paid as a delivery delay in submit_delivery.
-  const std::int64_t cost_ns = world_->config().adaptive.predict_cost_ns;
-  if (cost_ns > 0) {
-    const sim::SimTime now = world_->engine().now();
-    const sim::SimTime start = std::max(now, feed_busy_until_);
-    feed_busy_until_ = start + sim::from_ns(cost_ns);
-    inst_.adaptive_feed_ns->add(cost_ns);
-    const std::int64_t lag = (feed_busy_until_ - now).count();
-    inst_.adaptive_feed_lag->observe_peak(lag);
-    inst_.feed_lag_ns->observe(lag);
   }
   return hit && world_->config().adaptive.prepost_buffers;
 }

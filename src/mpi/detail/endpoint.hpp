@@ -46,15 +46,6 @@ struct EndpointCounters {
   /// Sender side: large sends that skipped the RTS/CTS handshake because
   /// the receiver's predictions anticipated them.
   std::int64_t rendezvous_elided = 0;
-  /// Simulated ns of adaptive feed work (predict → pre-post → reconcile)
-  /// charged at `RuntimeConfig::predict_cost_ns` per fed arrival. Under
-  /// FeedPath::Progress this work runs off the critical path and only
-  /// shows up here; under FeedPath::Inline it also delays delivery.
-  std::int64_t adaptive_feed_ns = 0;
-  /// Worst backlog of the off-critical-path feed: how far (simulated ns)
-  /// the prediction service's busy-until horizon ever ran ahead of the
-  /// arrival that queued the work.
-  std::int64_t adaptive_feed_lag_peak_ns = 0;
   /// §2.2 priced fallbacks: unexpected-pool eager arrivals that paid the
   /// ask-permission round-trip (only under NetworkConfig::fallback_cost >
   /// 0), and the total simulated ns those round-trips added before the
@@ -111,8 +102,7 @@ class Endpoint {
 
   // --- network-delivery entry points (engine event context) ---------------
   // Each submits one progress task; the queue drains synchronously, so the
-  // packet is processed at exactly this simulated instant unless an inline
-  // adaptive feed cost (FeedPath::Inline) is configured.
+  // packet is processed at exactly this simulated instant.
 
   void deliver_eager(Arrival arrival);
   void deliver_rts(Arrival arrival);
@@ -169,11 +159,6 @@ class Endpoint {
   void handle_data(const std::shared_ptr<SendState>& send, const std::shared_ptr<RecvState>& recv);
   void handle_credit(int peer, std::int64_t bytes, bool per_stream);
 
-  /// Routes a delivery task through the progress queue. Under
-  /// FeedPath::Inline with a nonzero predict cost, the submit is delayed by
-  /// that cost — modelling prediction work on the receive critical path.
-  void submit_delivery(ProgressTask task);
-
   // §2.1 per-pair eager flow control (sender side): an eager message may
   // only fly while the receiver's per-peer buffer has room; otherwise it
   // queues here until a credit returns.
@@ -216,15 +201,12 @@ class Endpoint {
     telemetry::Counter* prepost_misses = nullptr;
     telemetry::Gauge* preposted_bytes = nullptr;
     telemetry::Counter* rendezvous_elided = nullptr;
-    telemetry::Counter* adaptive_feed_ns = nullptr;
-    telemetry::Gauge* adaptive_feed_lag = nullptr;  // peak-only
     telemetry::Counter* fallback_round_trips = nullptr;
     telemetry::Counter* fallback_ns = nullptr;
     telemetry::Counter* stream_credit_grants = nullptr;
     telemetry::Counter* stream_credit_releases = nullptr;
     telemetry::Gauge* stream_credit_bytes = nullptr;
     telemetry::Histogram* message_bytes = nullptr;
-    telemetry::Histogram* feed_lag_ns = nullptr;
   };
 
   /// Emits the preposted/unexpected byte-pool counter tracks after a
@@ -241,10 +223,6 @@ class Endpoint {
   std::vector<std::int64_t> stream_credit_used_;                    // per destination
   std::vector<std::deque<std::shared_ptr<SendState>>> send_queue_;  // per destination
   std::function<void(const Status&)> recv_notify_;
-  /// Busy-until horizon of the deferred (FeedPath::Progress) adaptive
-  /// feed: bookkeeping only, never scheduled — the async path must leave
-  /// the event stream untouched.
-  sim::SimTime feed_busy_until_{0};
   Instruments inst_;
 };
 

@@ -79,14 +79,14 @@ TEST(PredictionService, PerStreamSizeViewSeparatesFlows) {
   for (const auto& e : periodic_arrivals({1, 2}, {100, 9000}, 200)) {
     service.observe(e);
   }
-  const auto s1 = service.predict_stream_size(1, 0);
-  const auto s2 = service.predict_stream_size(2, 0);
+  const auto s1 = service.stream_view(1, 0).predict_size();
+  const auto s2 = service.stream_view(2, 0).predict_size();
   ASSERT_TRUE(s1.has_value());
   ASSERT_TRUE(s2.has_value());
   EXPECT_EQ(*s1, 100);
   EXPECT_EQ(*s2, 9000);
-  EXPECT_GT(service.stream_confidence(1, 0), 0.8);
-  EXPECT_EQ(service.stream_confidence(42, 0), 0.0);
+  EXPECT_GT(service.stream_view(1, 0).snapshot().size_accuracy, 0.8);
+  EXPECT_EQ(service.stream_view(42, 0).snapshot().size_accuracy, 0.0);
 }
 
 TEST(PredictionService, SourcesOfKeepsFirstSeenOrder) {

@@ -378,61 +378,5 @@ TEST(ByteAccounting, ElidedArrivalsNeverChargeTheUnexpectedPool) {
   EXPECT_LE(c.unexpected_bytes_peak, c.unexpected_arrivals * cfg.control_bytes);
 }
 
-// ------------------------------------------------- deferred feed model --
-
-TEST(Async, ProgressFeedPathLeavesTimingUntouchedAndTracksCost) {
-  // Same run, predict_cost_ns 0 vs nonzero on the Progress path: final
-  // simulated time must be identical (the cost is bookkeeping, not
-  // events); the feed counters must record the work.
-  auto run_once = [](std::int64_t cost_ns) {
-    WorldConfig cfg;
-    cfg.adaptive.enabled = true;
-    cfg.adaptive.service.engine.shards = 1;
-    cfg.adaptive.predict_cost_ns = cost_ns;
-    cfg.adaptive.feed_path = adaptive::FeedPath::Progress;
-    World world(2, cfg);
-    world.run([&](Communicator& comm) {
-      std::vector<std::byte> buf(512);
-      for (int i = 0; i < 8; ++i) {
-        if (comm.rank() == 0) {
-          comm.send(buf, 1, i);
-        } else {
-          comm.recv(buf, 0, i);
-        }
-      }
-    });
-    return std::pair{world.engine().stats().final_time,
-                     world.aggregate_counters().adaptive_feed_ns};
-  };
-  const auto [t_free, work_free] = run_once(0);
-  const auto [t_cost, work_cost] = run_once(500);
-  EXPECT_EQ(t_free, t_cost) << "async feed cost leaked onto the critical path";
-  EXPECT_EQ(work_free, 0);
-  EXPECT_EQ(work_cost, 8 * 500);  // 8 arrivals fed at 500 ns each
-}
-
-TEST(Async, InlineFeedPathDelaysDelivery) {
-  auto final_time = [](std::int64_t cost_ns) {
-    WorldConfig cfg;
-    cfg.adaptive.enabled = true;
-    cfg.adaptive.service.engine.shards = 1;
-    cfg.adaptive.predict_cost_ns = cost_ns;
-    cfg.adaptive.feed_path = adaptive::FeedPath::Inline;
-    World world(2, cfg);
-    world.run([&](Communicator& comm) {
-      std::vector<std::byte> buf(512);
-      for (int i = 0; i < 8; ++i) {
-        if (comm.rank() == 0) {
-          comm.send(buf, 1, i);
-        } else {
-          comm.recv(buf, 0, i);
-        }
-      }
-    });
-    return world.engine().stats().final_time;
-  };
-  EXPECT_GT(final_time(500), final_time(0));
-}
-
 }  // namespace
 }  // namespace mpipred::mpi

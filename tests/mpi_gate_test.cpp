@@ -11,9 +11,8 @@
 // feed order, or trace stamping shows up here as a fingerprint mismatch.
 //
 // The same fingerprints pin the adaptive runtime's invariants: the
-// prediction service's shard count never moves a byte, min_confidence 1.0
-// is static behaviour, and feed work charged to the progress engine stays
-// off the critical path.
+// prediction service's shard count never moves a byte, and min_confidence
+// 1.0 is static behaviour.
 
 #include <gtest/gtest.h>
 
@@ -318,31 +317,6 @@ TEST(ShardGate, PricedRunIsIdenticalAtEveryShardCount) {
       }
       expect_policy_integers(run.policy, ref.policy);
     }
-  }
-}
-
-// -------------------------------------------------- feed-cost gate --
-// Prediction work charged to the progress engine (FeedPath::Progress)
-// must leave the run byte-identical to the free feed; the same cost
-// charged on the receive path (FeedPath::Inline) must slow it down.
-
-TEST(FeedCostGate, ProgressPathHidesFeedWorkAndInlinePathPaysIt) {
-  const auto cost = [](adaptive::FeedPath path) {
-    return [path](mpi::WorldConfig& cfg) {
-      cfg.adaptive.predict_cost_ns = 2000;
-      cfg.adaptive.feed_path = path;
-    };
-  };
-  for (const Golden& g : kGolden) {
-    if (!g.adaptive) {
-      continue;
-    }
-    SCOPED_TRACE(g.app);
-    const WorldRun progress =
-        run_app(g.app, /*adaptive=*/true, cost(adaptive::FeedPath::Progress));
-    expect_fingerprints(progress.fp, g.fp);
-    const WorldRun inl = run_app(g.app, /*adaptive=*/true, cost(adaptive::FeedPath::Inline));
-    EXPECT_GT(inl.fp.final_time, g.fp.final_time);
   }
 }
 

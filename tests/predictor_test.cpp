@@ -73,17 +73,6 @@ TEST(StreamPredictor, HorizonOutOfRangeThrows) {
   EXPECT_THROW((void)p.predict(6), UsageError);
 }
 
-TEST(StreamPredictor, LastValueFallbackWhenEnabled) {
-  StreamPredictorConfig cfg;
-  cfg.last_value_fallback = true;
-  StreamPredictor p(cfg);
-  p.observe(42);
-  p.observe(17);  // aperiodic so far
-  EXPECT_FALSE(p.period().has_value());
-  EXPECT_EQ(p.predict(1), 17);
-  EXPECT_EQ(p.predict(5), 17);
-}
-
 TEST(StreamPredictor, ExactPredictionPropertyOverWholeCycle) {
   // Property: after warm-up, prediction at every horizon equals the true
   // future for an exactly periodic stream.

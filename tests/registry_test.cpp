@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "core/baselines/last_value.hpp"
-#include "core/baselines/markov.hpp"
 #include "core/stream_predictor.hpp"
 #include "engine/registry.hpp"
 
@@ -64,7 +63,6 @@ TEST(PredictorRegistry, CloneFreshRoundTripsEveryFamily) {
 TEST(PredictorRegistry, OptionsReachTheFactories) {
   PredictorOptions options;
   options.horizon = 3;
-  options.markov_order = 2;
   options.dpd.window = 64;
   options.dpd.max_period = 16;
 
@@ -74,8 +72,6 @@ TEST(PredictorRegistry, OptionsReachTheFactories) {
   EXPECT_EQ(stream.config().dpd.window, 64u);
 
   const auto markov = make_predictor("markov", options);
-  const auto& markov_ref = dynamic_cast<const core::MarkovPredictor&>(*markov);
-  EXPECT_EQ(markov_ref.order(), 2u);
   EXPECT_EQ(markov->max_horizon(), 3u);
 }
 
