@@ -5,15 +5,17 @@
 // rows/series of the corresponding paper table or figure.
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <vector>
 
@@ -87,12 +89,14 @@ inline std::vector<engine::Event> representative_arrivals(const trace::TraceStor
 
 /// The shared main of the command-line tools: `--help` / `-h` anywhere
 /// prints `usage` to stdout and exits 0; otherwise `run` decides the exit
-/// code, and any Error escaping it (a bad argument, an unreadable or
-/// malformed trace, an unknown application, an unwritable output) becomes
-/// one line on stderr and exit 1. A `run` that takes no parameters marks a
-/// tool without options: any argument is rejected the same way (a typoed
-/// flag must not silently run). The tools check no invariants at run time
-/// (the tier-1 suite does), so nothing else exits nonzero.
+/// code, and any exception escaping it (a bad argument, an unreadable or
+/// malformed trace, an unknown application, an unwritable output, or a
+/// standard-library error such as std::length_error from an absurd count)
+/// becomes one line on stderr and exit 1, never std::terminate. A `run`
+/// that takes no parameters marks a tool without options: any argument is
+/// rejected the same way (a typoed flag must not silently run). The tools
+/// check no invariants at run time (the tier-1 suite does), so nothing
+/// else exits nonzero.
 template <typename Run>
 int cli_main(int argc, char** argv, const char* usage, Run run) {
   for (int i = 1; i < argc; ++i) {
@@ -111,7 +115,7 @@ int cli_main(int argc, char** argv, const char* usage, Run run) {
     } else {
       return run(argc, argv);
     }
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
@@ -161,18 +165,18 @@ inline std::string predictor_flag(int argc, char** argv, std::string fallback = 
 inline std::size_t size_flag(std::vector<std::string>& rest, const std::string& flag,
                              std::size_t fallback) {
   const auto parse = [&flag](const std::string& text) -> std::size_t {
-    // strtoull would happily wrap a leading '-' and saturate on overflow;
-    // reject both instead of handing the caller a surprise huge count.
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || text.front() == '-' || end == nullptr || *end != '\0' ||
-        errno == ERANGE) {
+    // Digits only: from_chars takes no sign and no leading whitespace, and
+    // reports overflow instead of wrapping (strtoull skips spaces and
+    // negates a '-' into a huge count).
+    std::size_t value = 0;
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc() || end != last) {
       std::fprintf(stderr, "%s requires a non-negative integer, got '%s'\n", flag.c_str(),
                    text.c_str());
       std::exit(1);
     }
-    return static_cast<std::size_t>(value);
+    return value;
   };
   std::size_t value = fallback;
   for (auto it = rest.begin(); it != rest.end();) {

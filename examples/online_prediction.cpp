@@ -55,8 +55,9 @@ int run(int argc, char** argv) {
     // where a stream with nothing to say scores a miss.
     const auto key = eng.key_of(event);
     if (seen[key]++ > 0) {
-      const auto sender = eng.predict_sender(key);
-      const auto size = eng.predict_size(key);
+      const engine::StreamRef stream = eng.stream(key);
+      const auto sender = stream.predict_sender();
+      const auto size = stream.predict_size();
       const bool hit = sender == event.source && size == event.bytes;
       hits += hit ? 1 : 0;
       window_hits += hit ? 1 : 0;

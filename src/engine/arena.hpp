@@ -3,8 +3,8 @@
 // Fixed-size pooled allocation for per-shard stream state. Every shard owns
 // one PoolArena<StreamState>: stream creation takes a slot from the shard's
 // free list instead of a global malloc (the per-event allocation cost the
-// resident engine exists to cut), eviction returns the slot for reuse, and
-// the blocks are released wholesale when the shard dies. Slots never move,
+// resident engine exists to cut), and the blocks are released wholesale
+// when the shard dies. Slots never move,
 // so StreamState pointers handed out by the table stay stable for the
 // arena's lifetime — the same stability guarantee the previous
 // unique_ptr-per-stream layout gave, without its allocation traffic.

@@ -93,16 +93,6 @@ void PredictionEngine::observe_batches(const BatchProducer& produce) {
   drive_batches(produce, [this](std::span<const Event> batch) { shards_->feed(batch); });
 }
 
-std::optional<core::Predictor::Value> PredictionEngine::predict_sender(const StreamKey& key,
-                                                                       std::size_t h) const {
-  return stream(key).predict_sender(h);
-}
-
-std::optional<core::Predictor::Value> PredictionEngine::predict_size(const StreamKey& key,
-                                                                     std::size_t h) const {
-  return stream(key).predict_size(h);
-}
-
 std::optional<core::Predictor::Value> StreamRef::predict_sender(std::size_t h) const {
   return state_ == nullptr ? std::nullopt : state_->sender_predictor->predict(h);
 }
@@ -121,11 +111,6 @@ StreamSnapshot StreamRef::snapshot() const {
   return {.events = state_->events,
           .sender_accuracy = plus_one(state_->sender_eval.report()),
           .size_accuracy = plus_one(state_->size_eval.report())};
-}
-
-std::optional<StreamSnapshot> PredictionEngine::snapshot(const StreamKey& key) const {
-  const StreamRef ref = stream(key);
-  return ref.valid() ? std::optional(ref.snapshot()) : std::nullopt;
 }
 
 StreamRef PredictionEngine::stream(const StreamKey& key) const { return shards_->stream(key); }

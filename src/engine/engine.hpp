@@ -71,12 +71,12 @@ struct StreamSnapshot {
 
 struct StreamState;
 
-/// One stream resolved once: the view every query verb answers from.
-/// ShardSet::stream is the only code that turns a key into one; the
-/// engine's predict_sender/predict_size/snapshot each resolve a fresh
-/// view, while per-message consumers that read several horizons and both
-/// dimensions keep one and pay the lookup once. Invalidated by the next
-/// feed into the owning shard set.
+/// One stream resolved once: the one query verb of the engine and the
+/// serve layer (`stream(key)`). ShardSet::stream is the only code that
+/// turns a key into one; per-message consumers that read several horizons
+/// and both dimensions keep one and pay the lookup once. Streams are never
+/// removed, so a view is invalidated only by the next feed into the
+/// owning shard set.
 class StreamRef {
  public:
   /// False for keys never observed; all queries then return empty.
@@ -162,19 +162,10 @@ class PredictionEngine {
   /// max_horizon(). Predictions exist for h = 1..horizon() only.
   [[nodiscard]] std::size_t horizon() const noexcept { return horizon_; }
 
-  /// Predictions for the stream `key`, `h` steps ahead (h = 1 is next).
-  /// nullopt if the stream is unknown or its predictor has no basis yet.
-  [[nodiscard]] std::optional<core::Predictor::Value> predict_sender(const StreamKey& key,
-                                                                     std::size_t h = 1) const;
-  [[nodiscard]] std::optional<core::Predictor::Value> predict_size(const StreamKey& key,
-                                                                   std::size_t h = 1) const;
-
-  /// Event count and observed +1 accuracies of the stream `key`; nullopt
-  /// if the stream has never been observed.
-  [[nodiscard]] std::optional<StreamSnapshot> snapshot(const StreamKey& key) const;
-
   /// Resolves `key` with one lookup; the returned view answers prediction
-  /// and snapshot queries until the engine's next observe call.
+  /// (`h` steps ahead; nullopt for an unknown stream or one whose
+  /// predictor has no basis yet) and snapshot queries until the engine's
+  /// next observe call.
   [[nodiscard]] StreamRef stream(const StreamKey& key) const;
 
   /// Accuracy and footprint of everything observed so far.

@@ -25,10 +25,6 @@ namespace {
 // Slots per table before the first growth; always a power of two.
 constexpr std::size_t kInitialSlots = 16;
 
-// Slot marker for an erased key: probes walk through it (the key that
-// hashed past it must stay reachable), inserts may recycle it.
-constexpr std::uint32_t kTombstone = 0xffffffffu;
-
 }  // namespace
 
 StreamTable::StreamTable() : slots_(kInitialSlots) {}
@@ -42,29 +38,18 @@ StreamTable::~StreamTable() {
 StreamState& StreamTable::find_or_create(const StreamKey& key, std::uint64_t hash,
                                          const core::Predictor& prototype,
                                          std::size_t horizon) {
-  // Grow at 3/4 load — counting tombstones, which lengthen probe chains
-  // just like live keys — before probing, so the probe below always
-  // terminates at a free slot.
-  if ((entries_.size() + tombstones_ + 1) * 4 > slots_.size() * 3) {
+  // Grow at 3/4 load before probing, so the probe below always terminates
+  // at a free slot.
+  if ((entries_.size() + 1) * 4 > slots_.size() * 3) {
     grow();
   }
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = static_cast<std::size_t>(hash) & mask;
-  std::size_t insert_at = slots_.size();  // first tombstone seen, if any
   while (slots_[i].index != 0) {
-    if (slots_[i].index == kTombstone) {
-      if (insert_at == slots_.size()) {
-        insert_at = i;
-      }
-    } else if (slots_[i].key == key) {
+    if (slots_[i].key == key) {
       return *entries_[slots_[i].index - 1].state;
     }
     i = (i + 1) & mask;
-  }
-  if (insert_at == slots_.size()) {
-    insert_at = i;
-  } else {
-    --tombstones_;
   }
   StreamState* state = arena_.create(prototype, horizon);
   try {
@@ -73,7 +58,7 @@ StreamState& StreamTable::find_or_create(const StreamKey& key, std::uint64_t has
     arena_.destroy(state);
     throw;
   }
-  slots_[insert_at] = {key, static_cast<std::uint32_t>(entries_.size())};
+  slots_[i] = {key, static_cast<std::uint32_t>(entries_.size())};
   return *state;
 }
 
@@ -81,7 +66,7 @@ const StreamState* StreamTable::find(const StreamKey& key, std::uint64_t hash) c
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = static_cast<std::size_t>(hash) & mask;
   while (slots_[i].index != 0) {
-    if (slots_[i].index != kTombstone && slots_[i].key == key) {
+    if (slots_[i].key == key) {
       return entries_[slots_[i].index - 1].state;
     }
     i = (i + 1) & mask;
@@ -89,41 +74,7 @@ const StreamState* StreamTable::find(const StreamKey& key, std::uint64_t hash) c
   return nullptr;
 }
 
-bool StreamTable::erase(const StreamKey& key, std::uint64_t hash) {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(hash) & mask;
-  while (slots_[i].index != 0) {
-    if (slots_[i].index != kTombstone && slots_[i].key == key) {
-      const std::uint32_t index = slots_[i].index;  // 1-based entry position
-      arena_.destroy(entries_[index - 1].state);
-      // Swap-remove keeps entries_ dense; the moved entry's slot must then
-      // point at its new position.
-      if (index != entries_.size()) {
-        entries_[index - 1] = entries_.back();
-        const std::uint64_t moved_hash = stream_key_hash(entries_[index - 1].key);
-        std::size_t j = static_cast<std::size_t>(moved_hash) & mask;
-        // Entry indices are unique across slots, and the moved key's slot
-        // is reachable from its hash (erase leaves tombstones, never
-        // holes), so probing for the index value alone terminates at it.
-        while (slots_[j].index != static_cast<std::uint32_t>(entries_.size())) {
-          j = (j + 1) & mask;
-        }
-        slots_[j].index = index;
-      }
-      entries_.pop_back();
-      slots_[i].index = kTombstone;
-      ++tombstones_;
-      return true;
-    }
-    i = (i + 1) & mask;
-  }
-  return false;
-}
-
 void StreamTable::grow() {
-  // Rebuild from the dense entries (rather than rehashing slots): erased
-  // keys' tombstones are dropped here, so heavy eviction churn cannot
-  // ratchet the table size up forever.
   std::vector<Slot> bigger(slots_.size() * 2);
   const std::size_t mask = bigger.size() - 1;
   for (std::size_t e = 0; e < entries_.size(); ++e) {
@@ -134,31 +85,26 @@ void StreamTable::grow() {
     bigger[i] = {entries_[e].key, static_cast<std::uint32_t>(e + 1)};
   }
   slots_ = std::move(bigger);
-  tombstones_ = 0;
 }
 
-void EngineShard::observe(const Event& event, const StreamKey& key, std::uint64_t hash,
-                          std::uint64_t tick) {
+void EngineShard::observe(const Event& event, const StreamKey& key, std::uint64_t hash) {
   StreamState& stream = table_.find_or_create(key, hash, *prototype_, horizon_);
   stream.sender_eval.observe(event.source);
   stream.size_eval.observe(event.bytes);
   ++stream.events;
-  stream.last_touch = tick;
 }
 
-void EngineShard::drain(const KeyPolicy& policy, std::uint64_t tick) {
+void EngineShard::drain(const KeyPolicy& policy) {
   for (const Event& event : batch_) {
     const StreamKey key = key_for(event, policy);
-    observe(event, key, stream_key_hash(key), tick);
+    observe(event, key, stream_key_hash(key));
   }
   batch_.clear();
 }
 
 ShardSet::ShardSet(std::size_t shards, const core::Predictor& prototype, std::size_t horizon,
                    KeyPolicy policy, ShardSetOptions options)
-    : policy_(policy),
-      pool_(options.pool),
-      clock_(options.clock != nullptr ? options.clock : &own_clock_) {
+    : policy_(policy), pool_(options.pool) {
   MPIPRED_REQUIRE(shards >= 1, "engine needs at least one shard");
   MPIPRED_REQUIRE(options.pool == nullptr || options.pool->worker_count() + 1 >= shards,
                   "shared worker pool has fewer slots than shards - 1");
@@ -187,32 +133,24 @@ std::size_t ShardSet::shard_index(std::uint64_t hash) const noexcept {
   return static_cast<std::size_t>(((hash >> 32) * shards_.size()) >> 32);
 }
 
-std::uint64_t ShardSet::next_tick() noexcept {
-  // One tick per feed call (not per event or per shard): the stamp is
-  // identical no matter how the batch is partitioned, so recency ordering
-  // is deterministic across shard counts and batch sizes.
-  return clock_->fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-void ShardSet::observe_tick(const Event& event, std::uint64_t tick) {
+void ShardSet::route(const Event& event) {
   const StreamKey key = key_for(event, policy_);
   const std::uint64_t hash = stream_key_hash(key);
-  shards_[shard_index(hash)].observe(event, key, hash, tick);
+  shards_[shard_index(hash)].observe(event, key, hash);
 }
 
 void ShardSet::observe_one(const Event& event) {
-  observe_tick(event, next_tick());
+  route(event);
   feed_events_->inc();
   update_resident_gauge();
 }
 
 void ShardSet::feed(std::span<const Event> events) {
-  const std::uint64_t tick = next_tick();
   feed_batches_->inc();
   feed_events_->add(static_cast<std::int64_t>(events.size()));
   if (shards_.size() == 1 || events.size() < kMinParallelBatch) {
     for (const Event& event : events) {
-      observe_tick(event, tick);
+      route(event);
     }
     update_resident_gauge();
     return;
@@ -231,8 +169,8 @@ void ShardSet::feed(std::span<const Event> events) {
     }
   }
   pool_->run(
-      pending_, [this, tick](std::size_t worker) { shards_[worker + 1].drain(policy_, tick); },
-      [this, tick] { shards_[0].drain(policy_, tick); });
+      pending_, [this](std::size_t worker) { shards_[worker + 1].drain(policy_); },
+      [this] { shards_[0].drain(policy_); });
   update_resident_gauge();
 }
 
@@ -248,20 +186,6 @@ void ShardSet::partition(std::span<const Event> events) {
   for (const Event& event : events) {
     shards_[shard_index(stream_key_hash(key_for(event, policy_)))].batch().push_back(event);
   }
-}
-
-std::optional<std::size_t> ShardSet::erase(const StreamKey& key) {
-  const std::uint64_t hash = stream_key_hash(key);
-  EngineShard& shard = shards_[shard_index(hash)];
-  const StreamState* state = shard.table().find(key, hash);
-  if (state == nullptr) {
-    return std::nullopt;
-  }
-  const std::size_t bytes =
-      state->sender_predictor->footprint_bytes() + state->size_predictor->footprint_bytes();
-  shard.table().erase(key, hash);
-  update_resident_gauge();
-  return bytes;
 }
 
 StreamRef ShardSet::stream(const StreamKey& key) const noexcept {

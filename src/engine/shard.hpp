@@ -7,10 +7,8 @@
 // engine — the serve layer builds one ShardSet per tenant session on top
 // of a shared WorkerPool and the same invariants.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,10 +35,6 @@ struct StreamState {
   core::AccuracyEvaluator sender_eval;
   core::AccuracyEvaluator size_eval;
   std::int64_t events = 0;
-  /// Value of the owning set's feed clock when this stream last received
-  /// an event — the recency the serve layer's cold-stream eviction sorts
-  /// by. Never part of a report.
-  std::uint64_t last_touch = 0;
 };
 
 /// Deterministic 64-bit mix of all three key dimensions (splitmix64
@@ -52,9 +46,8 @@ struct StreamState {
 /// StreamKey to StreamState. States live in a pooled arena behind stable
 /// pointers, so references returned by find_or_create survive growth;
 /// entries() walks insertion order, which is deterministic for a
-/// deterministic feed. erase() (the serve layer's eviction hook) recycles
-/// the state's arena slot and leaves a tombstone in the probe sequence;
-/// erasing one stream never perturbs any other stream's state.
+/// deterministic feed. Streams are never removed: a state lives as long
+/// as its table.
 class StreamTable {
  public:
   struct Entry {
@@ -77,15 +70,11 @@ class StreamTable {
     return find_or_create(key, stream_key_hash(key), prototype, horizon);
   }
 
-  /// nullptr for keys never observed (or evicted since).
+  /// nullptr for keys never observed.
   [[nodiscard]] const StreamState* find(const StreamKey& key, std::uint64_t hash) const noexcept;
   [[nodiscard]] const StreamState* find(const StreamKey& key) const noexcept {
     return find(key, stream_key_hash(key));
   }
-
-  /// Destroys the stream `key` and recycles its slot; false if unknown.
-  bool erase(const StreamKey& key, std::uint64_t hash);
-  bool erase(const StreamKey& key) { return erase(key, stream_key_hash(key)); }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
@@ -96,12 +85,11 @@ class StreamTable {
 
   struct Slot {
     StreamKey key{};
-    std::uint32_t index = 0;  // 0 = empty, kTombstone = erased, else entries_[index - 1]
+    std::uint32_t index = 0;  // 0 = empty, else entries_[index - 1]
   };
 
   std::vector<Slot> slots_;
   std::vector<Entry> entries_;
-  std::size_t tombstones_ = 0;
   PoolArena<StreamState> arena_;
 };
 
@@ -120,13 +108,12 @@ class EngineShard {
   /// Routes one event into this shard's table; `key`/`hash` are the
   /// event's precomputed stream key and its hash (already needed for
   /// shard routing — recomputing them per event would double the
-  /// demux cost this layer exists to cut). `tick` stamps the stream's
-  /// last_touch recency.
-  void observe(const Event& event, const StreamKey& key, std::uint64_t hash, std::uint64_t tick);
+  /// demux cost this layer exists to cut).
+  void observe(const Event& event, const StreamKey& key, std::uint64_t hash);
 
   /// Processes the queued batch in order, then clears it (keeping its
   /// capacity for the next feed).
-  void drain(const KeyPolicy& policy, std::uint64_t tick);
+  void drain(const KeyPolicy& policy);
 
   [[nodiscard]] std::vector<Event>& batch() noexcept { return batch_; }
   [[nodiscard]] const StreamTable& table() const noexcept { return table_; }
@@ -145,15 +132,13 @@ class EngineShard {
 inline constexpr std::size_t kMinParallelBatch = 2048;
 
 /// Runtime wiring of a ShardSet beyond the stream-space partitioning: the
-/// resident pool and feed clock to use (owned when null — the serve layer
-/// passes its shared ones so every tenant session reuses one set of worker
-/// threads and one recency clock) and the metrics destination.
+/// resident pool to use (owned when null — the serve layer passes its
+/// shared one so every tenant session reuses one set of worker threads)
+/// and the metrics destination.
 struct ShardSetOptions {
   /// Shared resident workers (must have >= shards - 1 slots and outlive
   /// the set); nullptr = the set lazily owns its own.
   WorkerPool* pool = nullptr;
-  /// Shared feed clock for StreamState::last_touch; nullptr = own one.
-  std::atomic<std::uint64_t>* clock = nullptr;
   /// Registry for the set's feed/stream metrics; nullptr = own a private
   /// one. Only shard-invariant quantities are exported (event and batch
   /// totals, resident stream count), never anything per-shard, so a
@@ -186,13 +171,8 @@ class ShardSet {
   /// replayed.
   void feed(std::span<const Event> events);
 
-  /// Evicts the stream `key`, returning the predictor bytes it held;
-  /// nullopt if unknown. Surviving streams are untouched: their rows in a
-  /// later report are identical to a run that never held `key`'s state.
-  std::optional<std::size_t> erase(const StreamKey& key);
-
-  /// The one key-to-stream lookup behind every query verb of the engine
-  /// and the serve layer; invalid for keys never observed (or evicted).
+  /// The one key-to-stream lookup behind the query verb of the engine
+  /// and the serve layer; invalid for keys never observed.
   [[nodiscard]] StreamRef stream(const StreamKey& key) const noexcept;
   [[nodiscard]] std::size_t stream_count() const noexcept;
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
@@ -210,8 +190,7 @@ class ShardSet {
 
  private:
   [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const noexcept;
-  [[nodiscard]] std::uint64_t next_tick() noexcept;
-  void observe_tick(const Event& event, std::uint64_t tick);
+  void route(const Event& event);
   void partition(std::span<const Event> events);
   void update_resident_gauge() noexcept;
 
@@ -219,8 +198,6 @@ class ShardSet {
   std::vector<EngineShard> shards_;
   WorkerPool* pool_;                        // resident workers actually used
   std::unique_ptr<WorkerPool> owned_pool_;  // set when options.pool was null
-  std::atomic<std::uint64_t>* clock_;
-  std::atomic<std::uint64_t> own_clock_{0};
   std::vector<std::size_t> pending_;  // reused worker-slot scratch
   std::unique_ptr<telemetry::MetricsRegistry> owned_metrics_;  // when none was passed
   telemetry::Counter* feed_events_ = nullptr;

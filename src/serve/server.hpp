@@ -1,25 +1,24 @@
 #pragma once
 
 // Multi-tenant resident prediction service. A PredictionServer owns the
-// expensive shared machinery once — the per-stream predictor prototype,
-// one WorkerPool of resident shard threads, one recency clock, and an
-// optional global memory budget — and hands out Sessions, each of which
-// is a fully isolated prediction namespace (its own ShardSet over the
-// shared pool). Two sessions feeding streams with identical
+// expensive shared machinery once — the per-stream predictor prototype
+// and one WorkerPool of resident shard threads — and hands out Sessions,
+// each of which is a fully isolated prediction namespace (its own ShardSet
+// over the shared pool). A session keeps every stream it has seen for its
+// whole lifetime. Two sessions feeding streams with identical
 // (source, destination, tag) keys never share or perturb each other's
 // predictor state; a session's report is byte-identical to what a
 // standalone PredictionEngine fed the same events would produce — the
 // property serve_test pins.
 //
 // The single-tenant PredictionEngine and a Session are two handles on the
-// same ShardSet code: feeds, queries (ShardSet::stream -> StreamRef),
+// same ShardSet code: feeds, the one query (ShardSet::stream -> StreamRef),
 // reports (report_of), and pulled batches (drive_batches) all run one
 // implementation underneath, so the two surfaces cannot drift apart.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "common/mutex.hpp"
@@ -34,25 +33,17 @@ struct ServeConfig {
   /// Predictor family, options, key policy, and shard count every session
   /// of this server runs with.
   engine::EngineConfig engine{};
-  /// Global cap on resident predictor state across all sessions, in
-  /// bytes; 0 = unlimited. When a feed pushes the total over the cap, the
-  /// coldest streams (least recently fed, ties broken by session id then
-  /// key) are evicted server-wide until the total fits. Eviction drops
-  /// whole streams only: surviving streams' predictor state and report
-  /// rows are exactly what they would be had the evicted streams never
-  /// existed.
-  std::size_t memory_budget_bytes = 0;
 };
 
-/// Point-in-time accounting of a server, for budget monitoring and tests.
+/// Point-in-time accounting of a server, for monitoring and tests.
 struct ServerStats {
   std::size_t sessions = 0;
   std::size_t streams = 0;
-  /// Bytes the budget meters: per-stream predictor footprints plus the
-  /// fixed per-stream bookkeeping overhead.
+  /// Per-stream predictor footprints plus the fixed per-stream
+  /// bookkeeping overhead.
   std::size_t resident_bytes = 0;
-  std::size_t budget_bytes = 0;
-  /// Streams evicted over the server's lifetime.
+  /// Always 0: the server never evicts. Kept only for readers that still
+  /// check it.
   std::uint64_t evictions = 0;
 };
 
@@ -60,24 +51,24 @@ class ServerCore;
 
 /// One tenant's prediction namespace. Sessions are handed out by
 /// PredictionServer::open_session() and support the full engine verb set
-/// — observe / observe_all / observe_batches / predict / snapshot /
-/// stream / report. A session is internally synchronized against the
-/// server's eviction pass; distinct sessions may feed concurrently (the
-/// shared worker pool serializes dispatches), but calls on ONE session
-/// must not overlap, same as one engine.
+/// — observe / observe_all / observe_batches / stream / report. A session
+/// is internally synchronized against the server's stats() walk; distinct
+/// sessions may feed concurrently (the shared worker pool serializes
+/// dispatches), but calls on ONE session must not overlap, same as one
+/// engine.
 ///
 /// A session may outlive its server: destruction of the server orphans
 /// live sessions, after which mutating calls (observe / observe_all) throw
-/// UsageError while reads (report, predict, snapshot) keep answering
-/// from the frozen state.
+/// UsageError while reads (stream, report) keep answering from the frozen
+/// state.
 class Session {
  public:
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
   ~Session();
 
-  /// Server-unique id, in open order starting at 1. Part of the eviction
-  /// tie-break, so eviction order is deterministic.
+  /// Server-unique id, in open order starting at 1; the session's
+  /// {tenant=id} metric label.
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   /// Routes one event into this session's streams. Throws UsageError if
@@ -85,7 +76,7 @@ class Session {
   void observe(const engine::Event& event) MPIPRED_EXCLUDES(mu_);
 
   /// Batched feed through the resident shard workers; blocks until every
-  /// event is observed (and any budget-driven eviction ran).
+  /// event is observed.
   void observe_all(std::span<const engine::Event> events) MPIPRED_EXCLUDES(mu_);
 
   /// Pull-based batched feed; same double-buffered driver as
@@ -94,21 +85,13 @@ class Session {
 
   [[nodiscard]] engine::StreamKey key_of(const engine::Event& event) const;
 
-  [[nodiscard]] std::optional<core::Predictor::Value> predict_sender(
-      const engine::StreamKey& key, std::size_t h = 1) const MPIPRED_EXCLUDES(mu_);
-  [[nodiscard]] std::optional<core::Predictor::Value> predict_size(
-      const engine::StreamKey& key, std::size_t h = 1) const MPIPRED_EXCLUDES(mu_);
-  [[nodiscard]] std::optional<engine::StreamSnapshot> snapshot(const engine::StreamKey& key) const
-      MPIPRED_EXCLUDES(mu_);
-
-  /// One-lookup stream view; invalidated by this session's next observe
-  /// and by any eviction that removes the stream.
+  /// One-lookup stream view answering prediction and snapshot queries;
+  /// invalidated only by this session's next observe.
   [[nodiscard]] engine::StreamRef stream(const engine::StreamKey& key) const
       MPIPRED_EXCLUDES(mu_);
 
-  /// Accuracy and footprint of everything this session observed and still
-  /// holds; identical to a standalone engine's report over the same feed
-  /// (when nothing was evicted).
+  /// Accuracy and footprint of everything this session observed; identical
+  /// to a standalone engine's report over the same feed.
   [[nodiscard]] engine::EngineReport report() const MPIPRED_EXCLUDES(mu_);
 
   [[nodiscard]] std::size_t stream_count() const MPIPRED_EXCLUDES(mu_);
@@ -127,7 +110,7 @@ class Session {
   /// Copied out of shards_ at construction (immutable afterwards) so the
   /// lock-free shard_count() observer needs no capability.
   std::size_t shard_count_;
-  /// Guards shards_ against the server's cross-session eviction pass.
+  /// Guards shards_ against the server's cross-session stats() walk.
   mutable common::Mutex mu_;
   engine::ShardSet shards_ MPIPRED_GUARDED_BY(mu_);
 };

@@ -117,8 +117,9 @@ TEST(EngineParallel, OnlineObserveMatchesBatchedFeed) {
   const auto report = online.report();
   EXPECT_EQ(report, batched.report());
   for (const auto& stream : report.streams) {
-    EXPECT_EQ(online.predict_sender(stream.key), batched.predict_sender(stream.key));
-    EXPECT_EQ(online.predict_size(stream.key), batched.predict_size(stream.key));
+    EXPECT_EQ(online.stream(stream.key).predict_sender(),
+              batched.stream(stream.key).predict_sender());
+    EXPECT_EQ(online.stream(stream.key).predict_size(), batched.stream(stream.key).predict_size());
   }
 }
 
@@ -132,8 +133,9 @@ TEST(EngineParallel, QueriesAgreeAcrossShardCounts) {
   EXPECT_EQ(five.shard_count(), 5u);
   for (const auto& stream : one.report().streams) {
     for (std::size_t h = 1; h <= 2; ++h) {
-      EXPECT_EQ(one.predict_sender(stream.key, h), five.predict_sender(stream.key, h));
-      EXPECT_EQ(one.predict_size(stream.key, h), five.predict_size(stream.key, h));
+      EXPECT_EQ(one.stream(stream.key).predict_sender(h),
+                five.stream(stream.key).predict_sender(h));
+      EXPECT_EQ(one.stream(stream.key).predict_size(h), five.stream(stream.key).predict_size(h));
     }
   }
 }

@@ -137,17 +137,19 @@ TEST(PredictionEngine, OnlineQueriesPredictPerStream) {
 
   // Receiver 2's sender is constant and its sizes cycle 10,20,30,40; after
   // 60 rounds the DPD has locked on. Round 60 starts at size 10 again.
-  const StreamKey key{.source = kAnyKey, .destination = 2, .tag = kAnyKey};
-  ASSERT_TRUE(engine.predict_sender(key).has_value());
-  EXPECT_EQ(*engine.predict_sender(key), 5);
-  ASSERT_TRUE(engine.predict_size(key).has_value());
-  EXPECT_EQ(*engine.predict_size(key), 10);
-  EXPECT_EQ(*engine.predict_size(key, 2), 20);
+  const StreamRef stream = engine.stream({.source = kAnyKey, .destination = 2, .tag = kAnyKey});
+  ASSERT_TRUE(stream.valid());
+  ASSERT_TRUE(stream.predict_sender().has_value());
+  EXPECT_EQ(*stream.predict_sender(), 5);
+  ASSERT_TRUE(stream.predict_size().has_value());
+  EXPECT_EQ(*stream.predict_size(), 10);
+  EXPECT_EQ(*stream.predict_size(2), 20);
 
   // Unknown streams answer nothing rather than throwing.
-  const StreamKey unknown{.source = kAnyKey, .destination = 99, .tag = kAnyKey};
-  EXPECT_FALSE(engine.predict_sender(unknown).has_value());
-  EXPECT_FALSE(engine.predict_size(unknown).has_value());
+  const StreamRef unknown = engine.stream({.source = kAnyKey, .destination = 99, .tag = kAnyKey});
+  EXPECT_FALSE(unknown.valid());
+  EXPECT_FALSE(unknown.predict_sender().has_value());
+  EXPECT_FALSE(unknown.predict_size().has_value());
 }
 
 // The streaming-ingest hook: a pull-based batched feed must be exactly

@@ -1,11 +1,11 @@
 // The resident-service harness: the worker pool every parallel feed
-// drains on, the stream-table eviction hooks, and the multi-tenant
+// drains on, the stream table every shard keeps, and the multi-tenant
 // PredictionServer built on both. The load-bearing properties: pool
-// shutdown is clean under load and re-dispatch, tenant namespaces are
-// isolated even for identical stream keys, a session's report is
-// byte-identical to a standalone engine fed the same events (batched,
-// streamed from a CSV file, with or without a live metrics registry),
-// and budget-driven eviction never changes a surviving stream's row.
+// shutdown is clean under load and re-dispatch, table growth never moves
+// a stream's state, tenant namespaces are isolated even for identical
+// stream keys, and a session's report and queries are byte-identical to
+// a standalone engine fed the same events (batched, streamed from a CSV
+// file, with or without a live metrics registry).
 
 #include <gtest/gtest.h>
 
@@ -168,55 +168,20 @@ TEST(WorkerPool, DestructionAfterHeavyLoadJoinsCleanly) {
   }
 }
 
-TEST(StreamTable, EraseRemovesOnlyTheNamedStream) {
+TEST(StreamTable, GrowthKeepsEveryStateAtItsAddress) {
   const auto prototype = engine::make_predictor("dpd", {});
   engine::StreamTable table;
-  const engine::StreamKey a{.destination = 1};
-  const engine::StreamKey b{.destination = 2};
-  const engine::StreamKey c{.destination = 3};
-  engine::StreamState& sa = table.find_or_create(a, *prototype, 5);
-  table.find_or_create(b, *prototype, 5);
-  engine::StreamState& sc = table.find_or_create(c, *prototype, 5);
-  sa.events = 11;
-  sc.events = 33;
-
-  EXPECT_TRUE(table.erase(b));
-  EXPECT_FALSE(table.erase(b)) << "double erase must report the key as gone";
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.find(b), nullptr);
-  ASSERT_NE(table.find(a), nullptr);
-  ASSERT_NE(table.find(c), nullptr);
-  EXPECT_EQ(table.find(a), &sa) << "survivors keep their exact state objects";
-  EXPECT_EQ(table.find(c), &sc);
-  EXPECT_EQ(table.find(a)->events, 11);
-  EXPECT_EQ(table.find(c)->events, 33);
-}
-
-TEST(StreamTable, TombstonesAreRecycledAndSurviveGrowth) {
-  const auto prototype = engine::make_predictor("dpd", {});
-  engine::StreamTable table;
-  // Churn far past the initial capacity: every round erases half of what
-  // it inserted, so probe chains cross tombstones and growth must rebuild
-  // without them.
-  for (std::int32_t round = 0; round < 8; ++round) {
-    for (std::int32_t i = 0; i < 32; ++i) {
-      table.find_or_create({.destination = round * 32 + i}, *prototype, 5);
-    }
-    for (std::int32_t i = 0; i < 32; i += 2) {
-      EXPECT_TRUE(table.erase({.destination = round * 32 + i}));
-    }
+  // 256 keys grow the 16-slot table several times; every growth rehashes
+  // the slots but must leave the pooled states where they were.
+  std::vector<const engine::StreamState*> created;
+  for (std::int32_t d = 0; d < 256; ++d) {
+    created.push_back(&table.find_or_create({.destination = d}, *prototype, 5));
   }
-  EXPECT_EQ(table.size(), 8u * 16u);
-  for (std::int32_t round = 0; round < 8; ++round) {
-    for (std::int32_t i = 0; i < 32; ++i) {
-      const auto* state = table.find({.destination = round * 32 + i});
-      if (i % 2 == 0) {
-        EXPECT_EQ(state, nullptr);
-      } else {
-        EXPECT_NE(state, nullptr);
-      }
-    }
+  EXPECT_EQ(table.size(), 256u);
+  for (std::int32_t d = 0; d < 256; ++d) {
+    EXPECT_EQ(table.find({.destination = d}), created[static_cast<std::size_t>(d)]);
   }
+  EXPECT_EQ(table.find({.destination = 256}), nullptr);
 }
 
 engine::EngineReport engine_report(const std::vector<Event>& events,
@@ -311,15 +276,17 @@ TEST(Serve, SessionQueriesMatchTheEngine) {
   session->observe_all(events);
 
   for (const auto& row : eng.report().streams) {
-    EXPECT_EQ(session->predict_sender(row.key), eng.predict_sender(row.key));
-    EXPECT_EQ(session->predict_size(row.key), eng.predict_size(row.key));
-    const auto engine_snap = eng.snapshot(row.key);
-    const auto session_snap = session->snapshot(row.key);
-    ASSERT_TRUE(engine_snap.has_value());
-    ASSERT_TRUE(session_snap.has_value());
-    EXPECT_EQ(session_snap->events, engine_snap->events);
-    EXPECT_EQ(session_snap->sender_accuracy, engine_snap->sender_accuracy);
-    EXPECT_EQ(session_snap->size_accuracy, engine_snap->size_accuracy);
+    const engine::StreamRef engine_stream = eng.stream(row.key);
+    const engine::StreamRef session_stream = session->stream(row.key);
+    ASSERT_TRUE(engine_stream.valid());
+    ASSERT_TRUE(session_stream.valid());
+    EXPECT_EQ(session_stream.predict_sender(), engine_stream.predict_sender());
+    EXPECT_EQ(session_stream.predict_size(), engine_stream.predict_size());
+    const engine::StreamSnapshot engine_snap = engine_stream.snapshot();
+    const engine::StreamSnapshot session_snap = session_stream.snapshot();
+    EXPECT_EQ(session_snap.events, engine_snap.events);
+    EXPECT_EQ(session_snap.sender_accuracy, engine_snap.sender_accuracy);
+    EXPECT_EQ(session_snap.size_accuracy, engine_snap.size_accuracy);
   }
 }
 
@@ -366,78 +333,6 @@ TEST(Serve, ConcurrentTenantsWithIdenticalKeysStayIsolated) {
   EXPECT_EQ(server.stats().sessions, static_cast<std::size_t>(kTenants));
 }
 
-TEST(Serve, EvictionNeverChangesASurvivingStreamsRow) {
-  const engine::EngineConfig cfg{.shards = 2};
-  constexpr std::int32_t kStreams = 24;
-  // One feed call per destination, oldest first: every stream gets its own
-  // recency tick, so eviction order is exactly destination order.
-  const auto feed_all = [&](Session& session) {
-    for (std::int32_t d = 0; d < kStreams; ++d) {
-      std::vector<Event> burst;
-      for (int i = 0; i < 80; ++i) {
-        burst.push_back(
-            {.source = i % 5, .destination = d, .tag = 0, .bytes = std::int64_t{64} << (i % 3)});
-      }
-      session.observe_all(burst);
-    }
-  };
-
-  // Reference: no budget — full resident set and its report.
-  PredictionServer unbudgeted({.engine = cfg});
-  const auto reference = unbudgeted.open_session();
-  feed_all(*reference);
-  const auto full_report = reference->report();
-  const std::size_t full_bytes = unbudgeted.stats().resident_bytes;
-  ASSERT_EQ(full_report.streams.size(), static_cast<std::size_t>(kStreams));
-
-  // Budgeted run: half the bytes forces evictions of the coldest streams.
-  PredictionServer budgeted({.engine = cfg, .memory_budget_bytes = full_bytes / 2});
-  const auto session = budgeted.open_session();
-  feed_all(*session);
-  const auto stats = budgeted.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.resident_bytes, stats.budget_bytes);
-
-  const auto evicted_report = session->report();
-  EXPECT_LT(evicted_report.streams.size(), full_report.streams.size());
-  EXPECT_FALSE(evicted_report.streams.empty());
-  for (const auto& row : evicted_report.streams) {
-    // Find this survivor in the unbudgeted report: its row must be
-    // untouched by the evictions that happened around it.
-    const auto it =
-        std::find_if(full_report.streams.begin(), full_report.streams.end(),
-                     [&](const engine::StreamReport& full) { return full.key == row.key; });
-    ASSERT_NE(it, full_report.streams.end());
-    EXPECT_EQ(row, *it);
-  }
-  // Coldest-first: the survivors must be the most recently fed
-  // destinations, not an arbitrary subset.
-  for (const auto& row : evicted_report.streams) {
-    EXPECT_GE(row.key.destination,
-              static_cast<std::int32_t>(kStreams - evicted_report.streams.size()));
-  }
-}
-
-TEST(Serve, EvictionIsDeterministicAcrossRuns) {
-  const auto run_once = [] {
-    PredictionServer server(
-        {.engine = {.shards = 4}, .memory_budget_bytes = 64 * 1024});
-    const auto session = server.open_session();
-    for (std::int32_t d = 0; d < 40; ++d) {
-      std::vector<Event> burst;
-      for (int i = 0; i < 60; ++i) {
-        burst.push_back({.source = i % 3, .destination = d, .tag = 0, .bytes = 128});
-      }
-      session->observe_all(burst);
-    }
-    return session->report();
-  };
-  const auto first = run_once();
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(run_once(), first);
-  }
-}
-
 TEST(Serve, OrphanedSessionRejectsFeedsButKeepsAnswering) {
   const auto events = periodic_trace(3000, 8, /*phase=*/1);
   auto server = std::make_unique<PredictionServer>(
@@ -446,15 +341,15 @@ TEST(Serve, OrphanedSessionRejectsFeedsButKeepsAnswering) {
   session->observe_all(events);
   const auto before = session->report();
   const engine::StreamKey key{.destination = 3};
-  const auto prediction = session->predict_sender(key);
+  const auto prediction = session->stream(key).predict_sender();
 
   server.reset();  // orphan the session
 
   EXPECT_THROW(session->observe_all(events), UsageError);
   EXPECT_THROW(session->observe(events.front()), UsageError);
   EXPECT_EQ(session->report(), before) << "reads must keep working from frozen state";
-  EXPECT_EQ(session->predict_sender(key), prediction);
-  EXPECT_TRUE(session->snapshot(key).has_value());
+  EXPECT_EQ(session->stream(key).predict_sender(), prediction);
+  EXPECT_TRUE(session->stream(key).valid());
 }
 
 TEST(Serve, SessionsInterleaveWithSingleEventObserves) {
