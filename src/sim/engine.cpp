@@ -80,9 +80,11 @@ void Rank::unblock() {
     return;  // a resume is already scheduled; don't double-schedule
   }
   resume_pending_ = true;
-  engine_->schedule(engine_->now(), [this, e = engine_, r = id_] {
+  // Captures only `this`, so the callback fits std::function's inline
+  // buffer: an unblock allocates nothing.
+  engine_->schedule(engine_->now(), [this] {
     resume_pending_ = false;
-    e->resume_rank(r);
+    engine_->resume_rank(id_);
   });
 }
 
@@ -137,6 +139,21 @@ void Engine::resume_rank(int r) {
   current_rank_ = prev;
 }
 
+void Engine::unwind_unfinished_ranks() noexcept {
+  for (int r = 0; r < nranks(); ++r) {
+    Fiber& f = *fibers_[static_cast<std::size_t>(r)];
+    if (!f.finished()) {
+      current_rank_ = r;
+      f.unwind();
+      // The unwind left block() by exception, past its own reset.
+      Rank& rank = *ranks_[static_cast<std::size_t>(r)];
+      rank.blocked_ = false;
+      rank.block_reason_.clear();
+    }
+  }
+  current_rank_ = -1;
+}
+
 std::string Engine::describe_blocked_ranks() const {
   std::ostringstream os;
   for (int r = 0; r < nranks(); ++r) {
@@ -165,6 +182,13 @@ void Engine::run(const std::function<void(Rank&)>& rank_main) {
   for (int r = 0; r < nranks(); ++r) {
     schedule(SimTime{0}, [this, r] { resume_rank(r); });
   }
+  // A deadlock or an escaping exception leaves fibers suspended; unwinding
+  // them frees what their frames own. Runs after the DeadlockError text is
+  // built, and before the caller's objects (the MPI world) go away.
+  struct UnwindOnExit {
+    Engine& engine;
+    ~UnwindOnExit() { engine.unwind_unfinished_ranks(); }
+  } unwind_on_exit{*this};
 
   while (!events_.empty()) {
     // std::priority_queue exposes only a const top(); moving out right

@@ -137,6 +137,9 @@ class Engine {
   };
 
   void resume_rank(int r);
+  /// Unwinds every rank fiber that has not finished, while whatever its
+  /// frames point at (the MPI world's endpoints) is still alive.
+  void unwind_unfinished_ranks() noexcept;
   [[nodiscard]] std::string describe_blocked_ranks() const;
 
   EngineConfig cfg_;

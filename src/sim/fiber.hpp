@@ -7,13 +7,16 @@
 
 namespace mpipred::sim {
 
-/// A stackful cooperative coroutine ("fiber") built on POSIX ucontext.
+/// A stackful cooperative coroutine ("fiber").
 ///
 /// The simulation runs every rank of the simulated machine as a fiber inside
 /// one OS thread: `resume()` transfers control into the fiber, and the fiber
-/// gives control back with `Fiber::yield()`. Handoffs cost ~100 ns, which is
-/// what makes simulating millions of blocking MPI calls practical, and the
-/// single-threaded execution makes every run bit-reproducible.
+/// gives control back with `Fiber::yield()`. A resume/yield round trip is
+/// two _setjmp/_longjmp pairs and no system call: about 60 ns in a Release
+/// build (GCC 12.2, 4-vCPU Xeon host). That is what makes simulating
+/// millions of blocking MPI calls practical, and the single-threaded
+/// execution makes every run bit-reproducible. Switches are annotated for
+/// ASan and TSan, so both see every stack change.
 ///
 /// Exceptions thrown inside the fiber body are captured and rethrown from
 /// the `resume()` call that observed the termination.
@@ -27,8 +30,10 @@ class Fiber {
   Fiber(Fiber&&) = delete;
   Fiber& operator=(Fiber&&) = delete;
 
-  /// Destroying a fiber that has not finished is allowed (its stack is
-  /// simply released); the body must not rely on running to completion.
+  /// Destroying a fiber that has not finished unwinds it first (see
+  /// unwind()), so the objects its frames own are destroyed. Destroy
+  /// fibers from scheduler context; from inside a fiber the stack can only
+  /// be released as is.
   ~Fiber();
 
   /// Runs the fiber until it yields or finishes. Must be called from
@@ -40,6 +45,15 @@ class Fiber {
   /// scheduler context that called resume(). Must be called from inside a
   /// fiber.
   static void yield();
+
+  /// Destroys every frame of a suspended fiber: resumes it once so the
+  /// yield() it is suspended in throws a private token, which only the
+  /// fiber's entry function catches. The fiber is finished afterwards, and
+  /// an exception that a destructor raises on the way is discarded. The
+  /// body must not suspend again while unwinding (a yield() then throws
+  /// the token again). No-op for a fiber that never started, has finished,
+  /// or when called from inside a fiber.
+  void unwind() noexcept;
 
   /// True once the body has returned (or thrown).
   [[nodiscard]] bool finished() const noexcept { return finished_; }

@@ -1,8 +1,7 @@
 // Unit tests for the endpoint progress engine's task queue, independent of
 // the fiber-based simulation: a ProgressEngine is just a handler plus a
 // FIFO queue with a synchronous drain, so it can be driven from a plain
-// test thread. These are the tests the TSan CI job runs (fiber/ucontext
-// tests are invisible to TSan).
+// test thread.
 
 #include <gtest/gtest.h>
 

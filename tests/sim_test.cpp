@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,6 +18,13 @@
 
 namespace mpipred::sim {
 namespace {
+
+/// Counts its own destruction: placed on a fiber's stack, it shows whether
+/// that frame was unwound.
+struct DestructionCounter {
+  int* destroyed;
+  ~DestructionCounter() { ++*destroyed; }
+};
 
 // ---------------------------------------------------------------- fibers --
 
@@ -78,10 +89,95 @@ TEST(Fiber, ResumeAfterFinishThrows) {
   EXPECT_THROW(f.resume(), UsageError);
 }
 
-TEST(Fiber, DestroyUnfinishedFiberIsSafe) {
-  auto f = std::make_unique<Fiber>([] { Fiber::yield(); });
+TEST(Fiber, DestroyingSuspendedFiberUnwindsItsFrames) {
+  int destroyed = 0;
+  bool ran_past_yield = false;
+  auto f = std::make_unique<Fiber>([&] {
+    DestructionCounter guard{&destroyed};
+    Fiber::yield();
+    ran_past_yield = true;
+  });
   f->resume();
-  f.reset();  // fiber never finished; must not crash or leak
+  EXPECT_EQ(destroyed, 0);
+  f.reset();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_FALSE(ran_past_yield);
+}
+
+TEST(Fiber, InterleavedFibersKeepTheirLocals) {
+  // Locals (an integer hash, a small array and a double accumulator) live
+  // across every switch; round-robin interleaving must leave each fiber's
+  // result equal to the same computation run without any switch.
+  constexpr int kFibers = 8;
+  constexpr int kYields = 10'000;
+  struct Result {
+    std::uint64_t hash = 0;
+    double acc = 0.0;
+    std::int64_t cells = 0;
+  };
+  auto compute = [](int id, bool yield) {
+    std::uint64_t hash = 1469598103934665603ULL ^ static_cast<std::uint64_t>(id);
+    double acc = 0.25 * id;
+    std::int64_t cells[4] = {id, 2 * id, 3 * id, 4 * id};
+    for (int i = 0; i < kYields; ++i) {
+      hash = (hash ^ static_cast<std::uint64_t>(i)) * 1099511628211ULL;
+      acc += static_cast<double>(i % 7 + id) / 3.0;
+      cells[i % 4] += i ^ id;
+      if (yield) {
+        Fiber::yield();
+      }
+    }
+    return Result{hash, acc, cells[0] - cells[1] + cells[2] * 3 - cells[3]};
+  };
+  std::vector<Result> got(kFibers);
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  for (int id = 0; id < kFibers; ++id) {
+    Result& out = got[static_cast<std::size_t>(id)];
+    fibers.push_back(std::make_unique<Fiber>([&out, &compute, id] { out = compute(id, true); }));
+  }
+  int resumes = 0;
+  for (bool any_left = true; any_left;) {
+    any_left = false;
+    for (auto& f : fibers) {
+      if (!f->finished()) {
+        f->resume();
+        ++resumes;
+        any_left = true;
+      }
+    }
+  }
+  EXPECT_EQ(resumes, kFibers * (kYields + 1));
+  for (int id = 0; id < kFibers; ++id) {
+    const Result want = compute(id, /*yield=*/false);
+    const Result& have = got[static_cast<std::size_t>(id)];
+    EXPECT_EQ(have.hash, want.hash) << "fiber " << id;
+    EXPECT_EQ(have.acc, want.acc) << "fiber " << id;
+    EXPECT_EQ(have.cells, want.cells) << "fiber " << id;
+  }
+}
+
+TEST(Fiber, ExceptionAfterManyYieldsPropagates) {
+  int steps = 0;
+  Fiber f([&] {
+    for (int i = 0; i < 1000; ++i) {
+      ++steps;
+      Fiber::yield();
+    }
+    throw std::runtime_error("late boom");
+  });
+  for (int i = 0; i < 1000; ++i) {
+    f.resume();
+  }
+  EXPECT_EQ(steps, 1000);
+  EXPECT_FALSE(f.finished());
+  try {
+    f.resume();
+    FAIL() << "expected the body's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "late boom");
+  }
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
 }
 
 TEST(Fiber, NestedFibersResumeEachOther) {
@@ -335,28 +431,47 @@ TEST(Engine, SpuriousUnblockDoesNotBreakCompute) {
 }
 
 TEST(Engine, DeadlockIsDetectedAndDescribed) {
-  Engine eng(2);
+  // The error text is built while the ranks are still blocked; then every
+  // rank frame is destroyed and no rank is left blocked before run()
+  // returns.
+  Engine eng(3);
+  int destroyed = 0;
   try {
     eng.run([&](Rank& r) {
+      DestructionCounter guard{&destroyed};
       if (r.id() == 0) {
         r.block("recv that never matches");
+      } else if (r.id() == 1) {
+        r.block("wait for rank 2");
       }
     });
     FAIL() << "expected DeadlockError";
   } catch (const DeadlockError& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 0"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("recv that never matches"), std::string::npos);
+    EXPECT_STREQ(e.what(),
+                 "simulation ran out of events with unfinished ranks:"
+                 "\n  rank 0: recv that never matches"
+                 "\n  rank 1: wait for rank 2");
+    EXPECT_EQ(destroyed, 3);
+    for (int r = 0; r < eng.nranks(); ++r) {
+      EXPECT_FALSE(eng.rank(r).blocked()) << "rank " << r;
+    }
   }
 }
 
 TEST(Engine, RankExceptionPropagates) {
+  // The blocked peer's frames are unwound before the exception leaves run().
   Engine eng(2);
+  int destroyed = 0;
   EXPECT_THROW(eng.run([&](Rank& r) {
-                 if (r.id() == 1) {
+                 DestructionCounter guard{&destroyed};
+                 if (r.id() == 0) {
+                   r.block("waits for a rank that fails");
+                 } else {
                    throw std::logic_error("rank failure");
                  }
                }),
                std::logic_error);
+  EXPECT_EQ(destroyed, 2);
 }
 
 TEST(Engine, ComputeJitterChangesDurations) {
