@@ -7,17 +7,25 @@
 // line to stderr and exits 1.
 //
 //   $ ./bench_engine_scaling [--predictor <name>] [--events <n>]
-//                            [--streams <n>] [--shards <n>]
+//                            [--streams <n>] [--shards <n>] [--json <file>]
 //
-// Defaults: 1M events over 100k per-receiver streams; sweep shards
-// {1, 2, 4, 8, hw}. `--shards <n>` measures that count against 1 shard.
+// Defaults: 1M events over 100k per-receiver streams, 10 per stream;
+// sweep shards {1, 2, 4, 8, hw}, each timed five times on a fresh engine
+// and reported as the median with the fastest and slowest run (Hunold &
+// Carpen-Amarie: repetitions and spread, never one run). `--shards <n>`
+// measures that count against 1 shard.
+// `--json <file>` also writes the table and the predictor state with the
+// host block (BENCH_engine_scaling.json is that file, committed).
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/json_writer.hpp"
 #include "engine/engine.hpp"
 
 namespace {
@@ -27,7 +35,18 @@ using engine::Event;
 
 constexpr const char* kUsage =
     "usage: bench_engine_scaling [--predictor <name>] [--events <n>] [--streams <n>]\n"
-    "                            [--shards <n>]\n";
+    "                            [--shards <n>] [--json <file>]\n";
+
+constexpr std::size_t kRepeats = 5;  // timed runs per shard count
+static_assert(kRepeats % 2 == 1, "the median is the middle run");
+
+/// One shard count's timings over the repeats, in seconds.
+struct Row {
+  std::size_t shards = 0;
+  double median_s = 0.0;
+  double min_s = 0.0;
+  double max_s = 0.0;
+};
 
 /// Periodic traffic over `streams` receivers: stream s sees sender
 /// (s + round) % 1024 and sizes cycling over five powers of two — signal
@@ -51,6 +70,7 @@ int run(int argc, char** argv) {
   const std::size_t events_n = bench::size_flag(arg.rest, "--events", 1'000'000);
   const std::size_t streams_n = bench::size_flag(arg.rest, "--streams", 100'000);
   const std::size_t fixed_shards = bench::shards_flag(arg.rest, 0);
+  const std::string json_path = bench::string_flag(arg.rest, "--json");
   if (!arg.rest.empty()) {
     std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
     return 1;
@@ -70,36 +90,76 @@ int run(int argc, char** argv) {
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
 
-  std::printf("engine scaling: %zu events, %zu streams, predictor %s, %zu hardware threads\n\n",
-              events_n, streams_n, arg.name.c_str(), hw);
+  std::printf("engine scaling: %zu events, %zu streams, predictor %s, %zu hardware threads, "
+              "median of %zu runs\n\n",
+              events_n, streams_n, arg.name.c_str(), hw, kRepeats);
   const auto events = synthetic_trace(events_n, streams_n);
 
-  std::printf("%8s %10s %12s %9s\n", "shards", "seconds", "events/s", "speedup");
+  std::printf("%8s %10s %12s %9s %21s\n", "shards", "seconds", "events/s", "speedup",
+              "fastest..slowest s");
   engine::EngineReport report;
-  double baseline_seconds = 0.0;
+  std::vector<Row> rows;
   for (const std::size_t shards : counts) {
-    engine::PredictionEngine eng(
-        engine::EngineConfig{.predictor = arg.name, .shards = shards});
-    // mpipred-lint: allow(wall-clock) -- this bench times the real feed path on the host
-    const auto start = std::chrono::steady_clock::now();
-    eng.observe_all(events);
-    // mpipred-lint: allow(wall-clock) -- same measurement, closing timestamp
-    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-
-    const double seconds = elapsed.count();
-    if (shards == 1) {
-      report = eng.report();
-      baseline_seconds = seconds;
+    std::vector<double> seconds;
+    for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+      engine::PredictionEngine eng(
+          engine::EngineConfig{.predictor = arg.name, .shards = shards});
+      // mpipred-lint: allow(wall-clock) -- this bench times the real feed path on the host
+      const auto start = std::chrono::steady_clock::now();
+      eng.observe_all(events);
+      // mpipred-lint: allow(wall-clock) -- same measurement, closing timestamp
+      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+      seconds.push_back(elapsed.count());
+      if (shards == 1 && rep == 0) {
+        report = eng.report();
+      }
     }
-    std::printf("%8zu %10.3f %12.0f %8.2fx\n", shards, seconds,
-                static_cast<double>(events_n) / seconds, baseline_seconds / seconds);
+    std::sort(seconds.begin(), seconds.end());
+    const double median = seconds[kRepeats / 2];
+    rows.push_back({shards, median, seconds.front(), seconds.back()});
+    std::printf("%8zu %10.3f %12.0f %8.2fx %10.3f..%-10.3f\n", shards, median,
+                static_cast<double>(events_n) / median, rows.front().median_s / median,
+                seconds.front(), seconds.back());
   }
 
-  std::printf("\n%zu streams, %.1f MiB predictor state\n", report.streams.size(),
-              static_cast<double>(report.total_footprint_bytes) / (1024.0 * 1024.0));
+  const double state_mib =
+      static_cast<double>(report.total_footprint_bytes) / (1024.0 * 1024.0);
+  std::printf("\n%zu streams, %.1f MiB predictor state\n", report.streams.size(), state_mib);
   if (hw == 1) {
     std::printf("(single hardware thread: speedups need a multi-core host)\n");
   }
+  if (json_path.empty()) {
+    return 0;
+  }
+
+  bench::JsonWriter json;
+  json.begin_object();
+  json.key("bench").value("engine_scaling");
+  bench::write_host_block(json, {});  // the synthetic trace draws no seed
+  json.key("config").begin_object();
+  json.key("predictor").value(arg.name);
+  json.key("events").value(static_cast<std::uint64_t>(events_n));
+  json.key("streams").value(static_cast<std::uint64_t>(streams_n));
+  json.key("repeats").value(static_cast<std::uint64_t>(kRepeats));
+  json.key("hardware_threads").value(static_cast<std::uint64_t>(hw));
+  json.end_object();
+  json.key("shards").begin_array();
+  for (const Row& row : rows) {
+    json.begin_object();
+    json.key("shards").value(static_cast<std::uint64_t>(row.shards));
+    json.key("median_s").value(row.median_s);
+    json.key("min_s").value(row.min_s);
+    json.key("max_s").value(row.max_s);
+    json.key("events_per_s").value(static_cast<double>(events_n) / row.median_s);
+    json.key("speedup").value(rows.front().median_s / row.median_s);
+    json.end_object();
+  }
+  json.end_array();
+  json.key("predictor_state_bytes").value(static_cast<std::uint64_t>(report.total_footprint_bytes));
+  json.key("predictor_state_mib").value(state_mib);
+  json.end_object();
+  bench::write_file_or_exit(json_path, json.str() + "\n");
+  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }
 

@@ -10,8 +10,12 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 namespace mpipred::bench {
@@ -142,5 +146,64 @@ class JsonWriter {
   std::vector<bool> first_;
   bool pending_value_ = false;
 };
+
+namespace detail {
+
+/// First line of `command`'s stdout, or "" when it cannot run.
+inline std::string first_output_line(const std::string& command) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> pipe(::popen(command.c_str(), "r"),
+                                                               ::pclose);
+  if (pipe == nullptr) {
+    return "";
+  }
+  std::string line;
+  for (int c = std::fgetc(pipe.get()); c != EOF && c != '\n'; c = std::fgetc(pipe.get())) {
+    line += static_cast<char>(c);
+  }
+  return line;
+}
+
+/// The "model name" of the first CPU in /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.starts_with("model name")) {
+      const auto colon = line.find(':');
+      const auto start = line.find_first_not_of(' ', colon + 1);
+      return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
+}  // namespace detail
+
+/// Writes the "host" member every committed bench artifact carries, with
+/// the fields of the benchmark suite's results block: logical CPUs, CPU
+/// model, compiler and build type (MPIPRED_BENCH_COMPILER and
+/// MPIPRED_BENCH_BUILD_TYPE, set by CMake for every bench), the git commit
+/// of the source tree and whether its tracked files differed from it, and
+/// the seeds of the measured workload (empty when it draws none).
+inline void write_host_block(JsonWriter& json, std::span<const std::uint64_t> seeds) {
+  const std::string git = std::string("git -C '") + MPIPRED_SOURCE_DIR + "' ";
+  std::string sha = detail::first_output_line(git + "rev-parse HEAD 2>/dev/null");
+  const bool dirty =
+      !sha.empty() &&
+      !detail::first_output_line(git + "status --porcelain --untracked-files=no 2>/dev/null")
+           .empty();
+  json.key("host").begin_object();
+  json.key("nproc").value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.key("cpu").value(detail::cpu_model());
+  json.key("compiler").value(MPIPRED_BENCH_COMPILER);
+  json.key("build_type").value(MPIPRED_BENCH_BUILD_TYPE);
+  json.key("git_sha").value(sha.empty() ? "unknown (not a git checkout)" : sha);
+  json.key("git_dirty").value(dirty);
+  json.key("seeds").begin_array();
+  for (const std::uint64_t seed : seeds) {
+    json.value(seed);
+  }
+  json.end_array();
+  json.end_object();
+}
 
 }  // namespace mpipred::bench

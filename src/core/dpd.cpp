@@ -13,17 +13,19 @@ PeriodicityDetector::PeriodicityDetector(DpdConfig cfg) : cfg_(cfg) {
                   "window must fit two full periods (max_period*2 <= window)");
   MPIPRED_REQUIRE(cfg_.confirm_periods >= 1, "confirm_periods must be at least 1");
   MPIPRED_REQUIRE(cfg_.mismatch_penalty >= 1, "mismatch penalty must be at least 1");
-  ring_.assign(cfg_.window, Value{0});
-  run_.assign(cfg_.max_period, 0);
-  score_.assign(cfg_.max_period, 0);
 }
 
 void PeriodicityDetector::reset() {
-  std::fill(ring_.begin(), ring_.end(), Value{0});
-  std::fill(run_.begin(), run_.end(), std::size_t{0});
-  std::fill(score_.begin(), score_.end(), std::size_t{0});
+  ring_.clear();
+  run_.clear();
+  score_.clear();
   total_ = 0;
   lag_ = 0;
+}
+
+std::size_t PeriodicityDetector::heap_bytes() const noexcept {
+  return ring_.capacity() * sizeof(Value) +
+         (run_.capacity() + score_.capacity()) * sizeof(std::size_t);
 }
 
 std::size_t PeriodicityDetector::buffered() const noexcept {
@@ -45,13 +47,18 @@ void PeriodicityDetector::observe(Value v) {
   // through isolated glitches but drains quickly on real pattern changes.
   //
   // Only the live lags m <= min(buffered, M) are visited: a lag beyond the
-  // buffered history has never had an x[t-m] to compare with, so its run
-  // and score are still zero. The ring is walked by index (x[t-m] sits m
+  // buffered history has never had an x[t-m] to compare with, so it has
+  // no run or score yet. Live grows by at most one lag per sample, and the
+  // new lag starts from zero. The ring is walked by index (x[t-m] sits m
   // slots behind the write slot of x[t]), in two contiguous segments split
   // where the walk wraps, and the best confirmed run and score are tracked
   // on the way so the prediction lag resolves right after the pass.
   const std::size_t window = cfg_.window;
   const std::size_t live = std::min(buffered(), cfg_.max_period);
+  if (run_.size() < live) {
+    detail::append_bounded(run_, std::size_t{0}, cfg_.max_period);
+    detail::append_bounded(score_, std::size_t{0}, cfg_.max_period);
+  }
   const auto head = static_cast<std::size_t>(total_ % static_cast<std::int64_t>(window));
   const Value* const ring = ring_.data();
   std::size_t* const runs = run_.data();
@@ -77,7 +84,11 @@ void PeriodicityDetector::observe(Value v) {
   const std::size_t unwrapped = std::min(live, head);
   update(1, unwrapped, head);
   update(unwrapped + 1, live, head + window);
-  ring_[head] = v;
+  if (ring_.size() < window) {
+    detail::append_bounded(ring_, v, window);  // head == ring_.size() until the ring fills
+  } else {
+    ring_[head] = v;
+  }
   ++total_;
   lag_ = resolve_lag(live, best_run, best_score);
 }
@@ -118,7 +129,8 @@ std::size_t PeriodicityDetector::threshold(std::size_t m) const noexcept {
 }
 
 std::optional<std::size_t> PeriodicityDetector::period() const {
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
+  // Lags past run_.size() were never compared, so none is confirmed.
+  for (std::size_t m = 1; m <= run_.size(); ++m) {
     if (run_[m - 1] < threshold(m)) {
       continue;
     }

@@ -1,10 +1,25 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 namespace mpipred::core {
+
+namespace detail {
+/// Appends `value` to `v`, growing the capacity by doubling (from 16) but
+/// never past `bound`: a vector filled to `bound` ends at exactly that
+/// capacity, whatever `bound` is. The history arrays of both DPD families
+/// grow through this.
+template <typename T>
+void append_bounded(std::vector<T>& v, T value, std::size_t bound) {
+  if (v.size() == v.capacity()) {
+    v.reserve(std::min(std::max<std::size_t>(2 * v.capacity(), 16), bound));
+  }
+  v.push_back(value);
+}
+}  // namespace detail
 
 /// Configuration of the dynamic periodicity detector.
 struct DpdConfig {
@@ -50,6 +65,14 @@ struct DpdConfig {
 /// same "has matched for long enough" signal in O(N + M) space — small
 /// enough to run inside an MPI library (the §4.2 overhead requirement; see
 /// bench_predictor_overhead).
+///
+/// That space is an upper bound, reached only by long streams: the state
+/// grows with the history seen. The ring holds min(samples, N) values and
+/// the run and score counters cover the min(samples, M) lags that have
+/// been compared at all, each array growing by doubling up to exactly N
+/// (or M). A 32-sample stream holds 32 values and 32 counters of each
+/// kind, not 512 and 256. reset() empties the arrays but keeps their
+/// capacity, so a restarted stream does not allocate again.
 ///
 /// Costs: observe(), the only mutator, is O(min(samples, M)) — one pass
 /// over the live lags that updates the runs and scores and also resolves
@@ -105,8 +128,11 @@ class PeriodicityDetector {
 
   [[nodiscard]] const DpdConfig& config() const noexcept { return cfg_; }
 
-  /// Forgets everything (stream restart).
+  /// Forgets everything (stream restart); keeps the arrays' capacity.
   void reset();
+
+  /// Heap bytes held by the ring and the per-lag counters (by capacity).
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
 
  private:
   [[nodiscard]] std::size_t threshold(std::size_t m) const noexcept;
@@ -116,7 +142,10 @@ class PeriodicityDetector {
                                         std::size_t best_score) const noexcept;
 
   DpdConfig cfg_;
-  std::vector<Value> ring_;         // circular buffer of the last `window` samples
+  // The last min(samples, window) samples: appended until full, then
+  // written circularly at samples % window (the same slot either way).
+  std::vector<Value> ring_;
+  // Per compared lag m, 1 <= m <= run_.size() == min(buffered, max_period):
   std::vector<std::size_t> run_;    // run_[m-1]: strict consecutive matches at lag m
   std::vector<std::size_t> score_;  // score_[m-1]: hysteretic match score at lag m
   std::int64_t total_ = 0;

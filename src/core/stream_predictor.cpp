@@ -49,9 +49,10 @@ std::unique_ptr<Predictor> StreamPredictor::clone_fresh() const {
 }
 
 std::size_t StreamPredictor::footprint_bytes() const {
-  // Detector state: the sample ring plus per-lag run and score counters.
-  return sizeof(*this) + cfg_.dpd.window * sizeof(Value) +
-         2 * cfg_.dpd.max_period * sizeof(std::size_t);
+  // Detector state: the sample ring plus per-lag run and score counters,
+  // as allocated so far (full size, window + 2 * max_period words, once
+  // the stream has filled the window).
+  return sizeof(*this) + detector_.heap_bytes();
 }
 
 }  // namespace mpipred::core

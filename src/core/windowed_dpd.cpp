@@ -13,13 +13,11 @@ WindowedDpdPredictor::WindowedDpdPredictor(DpdConfig cfg, std::size_t horizon)
                   "window must fit two full periods");
   MPIPRED_REQUIRE(horizon >= 1 && horizon <= cfg_.window - cfg_.max_period,
                   "horizon must leave a full period of lookback");
-  ring_.assign(cfg_.window, Value{0});
-  last_bad_.assign(cfg_.max_period, -1);
 }
 
 void WindowedDpdPredictor::reset() {
-  std::fill(ring_.begin(), ring_.end(), Value{0});
-  std::fill(last_bad_.begin(), last_bad_.end(), std::int64_t{-1});
+  ring_.clear();
+  last_bad_.clear();
   total_ = 0;
   period_ = 0;
 }
@@ -37,9 +35,13 @@ Predictor::Value WindowedDpdPredictor::value_at_lag(std::size_t lag) const {
 void WindowedDpdPredictor::observe(Value v) {
   // Only lags with an x[t-m] in history compare; x[t-m] sits m slots
   // behind the write slot of x[t], walked in two segments split where the
-  // ring wraps.
+  // ring wraps. Live grows by at most one lag per sample, and the new lag
+  // starts with no mismatch.
   const std::size_t window = cfg_.window;
   const std::size_t live = std::min(buffered(), cfg_.max_period);
+  if (last_bad_.size() < live) {
+    detail::append_bounded(last_bad_, std::int64_t{-1}, cfg_.max_period);
+  }
   const auto head = static_cast<std::size_t>(total_ % static_cast<std::int64_t>(window));
   const Value* const ring = ring_.data();
   std::int64_t* const last_bad = last_bad_.data();
@@ -51,14 +53,20 @@ void WindowedDpdPredictor::observe(Value v) {
   const std::size_t unwrapped = std::min(live, head);
   update(1, unwrapped, head);
   update(unwrapped + 1, live, head + window);
-  ring_[head] = v;
+  if (ring_.size() < window) {
+    detail::append_bounded(ring_, v, window);  // head == ring_.size() until the ring fills
+  } else {
+    ring_[head] = v;
+  }
   ++total_;
   period_ = resolve_period();
 }
 
 std::size_t WindowedDpdPredictor::resolve_period() const noexcept {
+  // A lag past last_bad_.size() has had no comparison yet, so it has no
+  // clean samples to count.
   const auto window_start = total_ - static_cast<std::int64_t>(buffered());
-  for (std::size_t m = 1; m <= cfg_.max_period; ++m) {
+  for (std::size_t m = 1; m <= last_bad_.size(); ++m) {
     // d(m) == 0 over the window: the latest mismatch predates the window.
     if (last_bad_[m - 1] >= window_start) {
       continue;

@@ -25,6 +25,11 @@ namespace mpipred::core {
 /// the position of the most recent mismatch: d(m)==0 over the window iff
 /// that position has scrolled out) and resolves the period once, so
 /// period() and predict() are O(1).
+///
+/// Its state grows with the history seen, as PeriodicityDetector's does:
+/// the ring holds min(samples, N) values and last_bad_ covers the
+/// min(samples, M) lags compared so far, each up to exactly N (or M).
+/// reset() empties both but keeps their capacity.
 class WindowedDpdPredictor final : public Predictor {
  public:
   explicit WindowedDpdPredictor(DpdConfig cfg = {}, std::size_t horizon = 5);
@@ -65,9 +70,12 @@ class WindowedDpdPredictor final : public Predictor {
 
   DpdConfig cfg_;
   std::size_t horizon_;
+  // The last min(samples, window) samples: appended until full, then
+  // written circularly at samples % window.
   std::vector<Value> ring_;
-  // last_bad_[m-1]: stream index of the latest t with x[t] != x[t-m]
-  // (-1 if never). d(m)==0 over the window iff last_bad_ scrolled out.
+  // last_bad_[m-1], per compared lag m <= min(buffered, max_period): stream
+  // index of the latest t with x[t] != x[t-m] (-1 if never). d(m)==0 over
+  // the window iff last_bad_ scrolled out.
   std::vector<std::int64_t> last_bad_;
   std::int64_t total_ = 0;
   std::size_t period_ = 0;  // period() as of the last observe(); 0 = none

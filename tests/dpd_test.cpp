@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -544,12 +545,28 @@ std::vector<std::int64_t> oracle_stream(TestRng& rng, std::size_t max_period, st
   return out;
 }
 
+// d(m) by its definition over the reference's eager window.
+int reference_distance(const ReferenceDetector& ref, std::size_t m) {
+  const std::size_t n = ref.buffered();
+  if (n <= m) {
+    return 1;
+  }
+  for (std::size_t i = 0; i + m < n; ++i) {
+    if (ref.value_at_lag(i) != ref.value_at_lag(i + m)) {
+      return 1;
+    }
+  }
+  return 0;
+}
+
 // Feeds `stream` to the production detector, StreamPredictor, dpd-window,
-// and their references side by side — resetting all of them before sample
-// `reset_at` — and requires identical lag, period, and predictions at
-// every horizon after every sample and right after the reset.
+// and their references side by side — resetting all of them before each
+// sample index in `resets` — and requires identical lag, period, and
+// predictions at every horizon after every sample and right after each
+// reset. While the ring is still filling, d(m) must match too, on a
+// spread of lags that includes the first and the last.
 void expect_matches_reference(const DpdConfig& cfg, std::span<const std::int64_t> stream,
-                              std::size_t reset_at) {
+                              std::initializer_list<std::size_t> resets) {
   const std::size_t horizon = std::min<std::size_t>(5, cfg.window - cfg.max_period);
   PeriodicityDetector fast(cfg);
   StreamPredictor predictor({.dpd = cfg, .horizon = horizon});
@@ -565,10 +582,17 @@ void expect_matches_reference(const DpdConfig& cfg, std::span<const std::int64_t
       ASSERT_EQ(predictor.predict(h), ref.predict(h)) << "dpd horizon +" << h;
       ASSERT_EQ(windowed.predict(h), ref_windowed.predict(h)) << "dpd-window horizon +" << h;
     }
+    if (ref.buffered() < cfg.window) {
+      const std::size_t stride = std::max<std::size_t>(1, cfg.max_period / 16);
+      for (std::size_t m = 1; m <= cfg.max_period; m += stride) {
+        ASSERT_EQ(fast.distance(m), reference_distance(ref, m)) << "d(" << m << ")";
+      }
+      ASSERT_EQ(fast.distance(cfg.max_period), reference_distance(ref, cfg.max_period));
+    }
   };
   for (std::size_t i = 0; i < stream.size(); ++i) {
     SCOPED_TRACE("sample " + std::to_string(i));
-    if (i == reset_at) {
+    if (std::find(resets.begin(), resets.end(), i) != resets.end()) {
       fast.reset();
       predictor.reset();
       windowed.reset();
@@ -613,7 +637,7 @@ TEST(DpdOracle, FusedPassMatchesReferenceAcrossConfigs) {
                        std::to_string(shape.max_period) + " min_confirm " +
                        std::to_string(min_confirm) + " confirm " + std::to_string(confirm) +
                        " penalty " + std::to_string(penalty));
-          expect_matches_reference(cfg, stream, reset_at);
+          expect_matches_reference(cfg, stream, {reset_at});
           if (HasFatalFailure()) {
             return;
           }
@@ -631,7 +655,41 @@ TEST(DpdOracle, FusedPassMatchesReferenceAtDefaultConfig) {
     const DpdConfig cfg{};
     const auto stream = oracle_stream(rng, cfg.max_period, 3000);
     SCOPED_TRACE("seed " + std::to_string(seed));
-    expect_matches_reference(cfg, stream, 1700);
+    expect_matches_reference(cfg, stream, {1700});
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(DpdOracle, LazyHistoryMatchesReferenceAcrossResets) {
+  // The history arrays grow with the stream and reset() keeps their
+  // capacity. At the production shape: a reset while only some lags have
+  // been compared (sample 130), a second one after all lags but before the
+  // ring fills (400), so the kept capacity is refilled, and a third after
+  // the ring has filled and wrapped (1000).
+  for (std::uint64_t seed = 200; seed < 203; ++seed) {
+    TestRng rng(seed);
+    const DpdConfig cfg{};
+    const auto stream = oracle_stream(rng, cfg.max_period, 1600);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_matches_reference(cfg, stream, {130, 400, 1000});
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(DpdOracle, LazyHistoryMatchesReferenceOnShortStreams) {
+  // 32-sample streams, far shorter than max_period (the serve workload's
+  // shape), with periods short enough to confirm inside 32 samples; each
+  // stream is fed twice through one predictor with a reset in between.
+  for (std::uint64_t seed = 300; seed < 340; ++seed) {
+    TestRng rng(seed);
+    const DpdConfig cfg{};
+    const auto stream = oracle_stream(rng, 12, 64);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_matches_reference(cfg, stream, {32});
     if (HasFatalFailure()) {
       return;
     }

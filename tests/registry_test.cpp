@@ -6,10 +6,12 @@
 
 #include <memory>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/baselines/last_value.hpp"
 #include "core/stream_predictor.hpp"
+#include "core/windowed_dpd.hpp"
 #include "engine/registry.hpp"
 
 namespace mpipred::engine {
@@ -186,16 +188,63 @@ TEST(PredictorRegistry, FootprintIsNonZeroForEveryFamily) {
   }
 }
 
+/// Feeds `n` samples of a period-3 stream.
+void feed(core::Predictor& predictor, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    predictor.observe(static_cast<core::Predictor::Value>(i % 3));
+  }
+}
+
 TEST(PredictorRegistry, DpdFootprintIsObjectPlusRingPlusLagCounters) {
   // The exact layout bill of the paper's predictor: the object itself, an
-  // 8-byte sample ring of `window` entries, and two 8-byte counters (run
-  // and score) per candidate lag.
-  const auto predictor = make_predictor("dpd");
-  const auto* dpd = dynamic_cast<const core::StreamPredictor*>(predictor.get());
+  // 8-byte sample ring, and two 8-byte counters (run and score) per
+  // compared lag. The arrays grow with the stream (doubling from 16) and
+  // stop at exactly `window` and `max_period` entries, also for a shape
+  // that is not a power of two; reset() keeps what was allocated.
+  const auto registered = make_predictor("dpd");
+  const auto* dpd = dynamic_cast<const core::StreamPredictor*>(registered.get());
   ASSERT_NE(dpd, nullptr);
-  const core::DpdConfig& cfg = dpd->config().dpd;
-  EXPECT_EQ(predictor->footprint_bytes(),
-            sizeof(core::StreamPredictor) + cfg.window * 8 + 2 * cfg.max_period * 8);
+  const core::DpdConfig shapes[] = {dpd->config().dpd, {.window = 300, .max_period = 150}};
+  for (const core::DpdConfig& cfg : shapes) {
+    SCOPED_TRACE("window " + std::to_string(cfg.window));
+    core::StreamPredictor predictor({.dpd = cfg});
+    EXPECT_EQ(predictor.footprint_bytes(), sizeof(core::StreamPredictor));
+    feed(predictor, 32);  // 32 samples ring, 31 lags compared
+    EXPECT_EQ(predictor.footprint_bytes(), sizeof(core::StreamPredictor) + 32 * 8 + 2 * 32 * 8);
+    feed(predictor, cfg.window - 32);
+    const std::size_t full =
+        sizeof(core::StreamPredictor) + cfg.window * 8 + 2 * cfg.max_period * 8;
+    EXPECT_EQ(predictor.footprint_bytes(), full);
+    feed(predictor, 3 * cfg.window);
+    EXPECT_EQ(predictor.footprint_bytes(), full);
+    predictor.reset();
+    EXPECT_EQ(predictor.footprint_bytes(), full);
+  }
+  EXPECT_EQ(registered->footprint_bytes(), sizeof(core::StreamPredictor));
+}
+
+TEST(PredictorRegistry, WindowedDpdFootprintIsObjectPlusRingPlusLastMismatch) {
+  // dpd-window's bill: the object, an 8-byte sample ring and one 8-byte
+  // last-mismatch index per compared lag, grown the same way.
+  const auto registered = make_predictor("dpd-window");
+  ASSERT_NE(dynamic_cast<const core::WindowedDpdPredictor*>(registered.get()), nullptr);
+  EXPECT_EQ(registered->footprint_bytes(), sizeof(core::WindowedDpdPredictor));
+  const core::DpdConfig shapes[] = {{}, {.window = 300, .max_period = 150}};
+  for (const core::DpdConfig& cfg : shapes) {
+    SCOPED_TRACE("window " + std::to_string(cfg.window));
+    core::WindowedDpdPredictor predictor(cfg);
+    EXPECT_EQ(predictor.footprint_bytes(), sizeof(core::WindowedDpdPredictor));
+    feed(predictor, 32);
+    EXPECT_EQ(predictor.footprint_bytes(), sizeof(core::WindowedDpdPredictor) + 32 * 8 + 32 * 8);
+    feed(predictor, cfg.window - 32);
+    const std::size_t full =
+        sizeof(core::WindowedDpdPredictor) + cfg.window * 8 + cfg.max_period * 8;
+    EXPECT_EQ(predictor.footprint_bytes(), full);
+    feed(predictor, 3 * cfg.window);
+    EXPECT_EQ(predictor.footprint_bytes(), full);
+    predictor.reset();
+    EXPECT_EQ(predictor.footprint_bytes(), full);
+  }
 }
 
 }  // namespace

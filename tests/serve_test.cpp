@@ -205,6 +205,22 @@ TEST(Serve, SessionReportMatchesStandaloneEngineByteForByte) {
   }
 }
 
+TEST(Serve, ShortDpdStreamsHoldOnlyTheirHistory) {
+  // A DPD stream's ring and lag counters grow with the samples it has
+  // seen. 1024 streams of 32 events each must stay far below the full
+  // 512-sample, 256-lag bill (about 16.6 KiB per stream with both
+  // predictors and the bookkeeping), so allocating that bill up front
+  // fails here, not only in the benchmark.
+  constexpr std::int32_t kStreams = 1024;
+  const auto events = periodic_trace(32 * kStreams, kStreams, /*phase=*/0);
+  PredictionServer server({.engine = {.predictor = "dpd", .shards = 4}});
+  const auto session = server.open_session();
+  session->observe_all(events);
+  const ServerStats stats = server.stats();
+  ASSERT_EQ(stats.streams, static_cast<std::size_t>(kStreams));
+  EXPECT_LT(stats.resident_bytes / stats.streams, std::size_t{3} * 1024);
+}
+
 /// Two-level trace for the streamed-ingest case: each of 8 ranks receives
 /// a periodic sender/size pattern; the physical level permutes senders
 /// against the logical one, so the levels build different predictor state.
