@@ -19,7 +19,8 @@
 // counts, and its ConfidenceGate holds min_confidence = 1.0 behaviorally
 // identical to the static library.
 //
-// Writes BENCH_adaptive_speedup.json (deterministic, diffable).
+// Writes BENCH_adaptive_speedup.json: the host block, then results in
+// simulated time that depend only on the seeds (diffable across hosts).
 //
 // `--help` prints the usage below and exits 0; a bad argument or an
 // unknown application prints one line to stderr and exits 1 before any
@@ -166,15 +167,20 @@ int run(int argc, char** argv) {
 
   bench::JsonWriter json;
   json.begin_object();
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t s = 0; s < nseeds; ++s) {
+    seeds.push_back(kBaseSeed + s);
+  }
   json.key("bench").value("adaptive_speedup");
+  bench::write_host_block(json, seeds);
   json.key("config").begin_object();
   json.key("procs").value(std::int64_t{kProcs});
   json.key("problem_class").value("A");
   json.key("fallback_cost_ns").value(fallback_ns);
   json.key("per_stream_credits").value(true);
   json.key("seeds").begin_array();
-  for (std::size_t s = 0; s < nseeds; ++s) {
-    json.value(static_cast<std::uint64_t>(kBaseSeed + s));
+  for (const std::uint64_t seed : seeds) {
+    json.value(seed);
   }
   json.end_array();
   json.key("confidence_thresholds").begin_array();

@@ -19,8 +19,8 @@
 //   $ ./bench/bench_engine_latency [--predictor <name>] [--shards <n>]
 //       [--events <n>] [--tenants <n>] [--out <file>]
 //
-// Writes BENCH_engine_latency.json (no timestamps — diffable modulo the
-// measured nanosecond values themselves).
+// Writes BENCH_engine_latency.json with the host block (no timestamps —
+// diffable modulo the host and the measured nanosecond values themselves).
 
 #include <algorithm>
 #include <chrono>
@@ -199,6 +199,7 @@ int run(int argc, char** argv) {
   bench::JsonWriter json;
   json.begin_object();
   json.key("bench").value("engine_latency");
+  bench::write_host_block(json, {});  // the synthetic trace draws no seed
   json.key("config").begin_object();
   json.key("predictor").value(arg.name);
   json.key("shards").value(eff_shards);

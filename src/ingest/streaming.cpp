@@ -1,13 +1,20 @@
 #include "ingest/streaming.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <deque>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <queue>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "ingest/csv_line.hpp"
 #include "ingest/source.hpp"
@@ -26,6 +33,126 @@ using trace::csv_util::strip_cr;
                     .tag = static_cast<std::int32_t>(row.rec.kind),
                     .bytes = row.rec.bytes}};
 }
+
+/// The trace file, opened once for the reader's lifetime and read only
+/// positionally (pread), so any number of cursors share it without a
+/// shared file position.
+class FileHandle {
+ public:
+  explicit FileHandle(const std::string& path)
+      : path_(path), fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0) {
+      throw IngestError(
+          {.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
+    }
+  }
+  FileHandle(const FileHandle&) = delete;
+  FileHandle& operator=(const FileHandle&) = delete;
+  ~FileHandle() { ::close(fd_); }
+
+  /// Reads exactly `n` bytes at `offset` into `dst`. The open() scan
+  /// already measured the file, so an early end or a read error means it
+  /// changed under the reader: IngestError naming `line`, never a silently
+  /// shorter trace.
+  void read_exact(char* dst, std::size_t n, std::uint64_t offset, std::size_t line) const {
+    while (n > 0) {
+      const ssize_t got = ::pread(fd_, dst, n, static_cast<off_t>(offset));
+      if (got > 0) {
+        dst += got;
+        n -= static_cast<std::size_t>(got);
+        offset += static_cast<std::uint64_t>(got);
+        continue;
+      }
+      if (got < 0 && errno == EINTR) {
+        continue;
+      }
+      throw IngestError(
+          {.file = path_,
+           .line = line,
+           .field = {},
+           .reason = got == 0 ? "file ended at byte " + std::to_string(offset) +
+                                    ", short of the size open() measured: it changed while read"
+                              : std::string("read failed: ") + std::strerror(errno)});
+    }
+  }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+};
+
+/// Forward line reader over the byte range [offset, end) of the file: one
+/// per native section, one for the flat dialect's data. It refills a
+/// window of kWindowBytes (at most the bytes left in its range) by pread
+/// at its own offset, carries a partial line over into the next refill,
+/// grows only for a single line longer than the window, and frees the
+/// window once the range is exhausted.
+class LineWindow {
+ public:
+  static constexpr std::size_t kWindowBytes = 4096;
+
+  /// `line` is the number of the line just before `offset`.
+  LineWindow(std::uint64_t offset, std::uint64_t end, std::size_t line)
+      : next_read_(offset), end_(end), line_(line) {}
+
+  /// The next line, without its '\n' (a '\r' is the caller's to strip),
+  /// valid until the next call; false once the range is exhausted.
+  bool next(const FileHandle& file, std::string_view& line) {
+    while (true) {
+      const std::string_view unread(buf_.data() + head_, tail_ - head_);
+      const std::size_t newline = unread.find('\n');
+      if (newline != std::string_view::npos) {
+        line = unread.substr(0, newline);
+        head_ += newline + 1;
+        ++line_;
+        return true;
+      }
+      if (next_read_ == end_) {
+        if (unread.empty()) {
+          std::vector<char>().swap(buf_);
+          head_ = tail_ = 0;
+          return false;
+        }
+        line = unread;  // the file's last line, without a trailing newline
+        head_ = tail_;
+        ++line_;
+        return true;
+      }
+      refill(file);
+    }
+  }
+
+  /// Number of the line next() returned last.
+  [[nodiscard]] std::size_t line() const noexcept { return line_; }
+
+ private:
+  void refill(const FileHandle& file) {
+    if (head_ != 0) {  // carry the partial line to the front
+      std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(head_),
+                buf_.begin() + static_cast<std::ptrdiff_t>(tail_), buf_.begin());
+      tail_ -= head_;
+      head_ = 0;
+    }
+    const std::uint64_t left = end_ - next_read_;
+    if (buf_.empty()) {
+      buf_.resize(static_cast<std::size_t>(std::min<std::uint64_t>(kWindowBytes, left)));
+    } else if (tail_ == buf_.size()) {
+      // One line longer than the window: double it, but never past the range.
+      buf_.resize(tail_ + static_cast<std::size_t>(std::min<std::uint64_t>(tail_, left)));
+    }
+    const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(buf_.size() - tail_, left));
+    file.read_exact(buf_.data() + tail_, want, next_read_, line_ + 1);
+    tail_ += want;
+    next_read_ += want;
+  }
+
+  std::vector<char> buf_;
+  std::size_t head_ = 0;  // buf_[head_, tail_) holds read, unconsumed bytes
+  std::size_t tail_ = 0;
+  std::uint64_t next_read_ = 0;  // file offset of the byte after buf_[tail_ - 1]
+  std::uint64_t end_ = 0;
+  std::size_t line_ = 0;
+};
 
 }  // namespace
 
@@ -72,8 +199,7 @@ struct CsvStreamReader::Impl {
   };
 
   struct SectionCursor {
-    std::uint64_t next_offset = 0;
-    std::size_t line = 0;  // last line number handed to getline
+    LineWindow window;
     TimedEvent lookahead{};
   };
 
@@ -98,9 +224,8 @@ struct CsvStreamReader::Impl {
   int nranks = 1;
   Mode mode = Mode::Empty;
 
-  std::ifstream is;
-  std::uint64_t pos = 0;  // byte offset the stream is positioned at
-  std::string raw;
+  // Both streaming modes read their lines through LineWindows over this.
+  std::optional<FileHandle> file;
 
   // NativeMerge: one cursor + one parsed lookahead per requested-level section.
   std::vector<Section> sections;
@@ -108,8 +233,7 @@ struct CsvStreamReader::Impl {
   std::priority_queue<HeapItem, std::vector<HeapItem>, HeapGreater> heap;
 
   // FlatSequential: a single forward pass plus one timestamp-tie group.
-  std::uint64_t data_start = 0;
-  std::size_t data_start_line = 0;
+  std::optional<LineWindow> flat;
   bool file_done = false;
   std::int64_t tie_time = 0;
   std::vector<TimedEvent> tie_group;
@@ -122,48 +246,33 @@ struct CsvStreamReader::Impl {
 
   void note_buffered(std::size_t resident) { buffered_peak = std::max(buffered_peak, resident); }
 
-  /// Positions the underlying stream at `offset` (clearing any EOF state)
-  /// and reads the next raw line; returns false at end of stream. Advances
-  /// `offset` past the consumed bytes.
-  bool read_line_at(std::uint64_t& offset) {
-    is.clear();
-    if (pos != offset) {
-      is.seekg(static_cast<std::streamoff>(offset));
-      pos = offset;
-    }
-    if (!std::getline(is, raw)) {
-      return false;
-    }
-    const std::uint64_t consumed = raw.size() + (is.eof() ? 0 : 1);
-    offset += consumed;
-    pos += consumed;
-    return true;
-  }
-
-  /// Advances the cursor of section `idx` to its next emittable record
-  /// (skipping comments, blanks, and unresolved senders — the default
-  /// stream filter); false once the section is exhausted.
-  bool refill(std::uint32_t idx) {
-    const Section& section = sections[idx];
-    SectionCursor& cursor = cursors[idx];
-    while (cursor.next_offset < section.end) {
-      if (!read_line_at(cursor.next_offset)) {
-        return false;
-      }
-      ++cursor.line;
+  /// Reads `window` up to its next emittable record (skipping comments,
+  /// blanks, and unresolved senders — the default stream filter) into
+  /// `out`; false once the window's range is exhausted. The one line path
+  /// of both streaming modes.
+  bool next_record(LineWindow& window, TimedEvent& out) {
+    std::string_view raw;
+    while (window.next(*file, raw)) {
       const std::string_view line = strip_cr(raw);
       if (line.empty() || line.front() == '#') {
         continue;
       }
-      const csv_line::Cursor at{.file = path, .line = cursor.line};
+      const csv_line::Cursor at{.file = path, .line = window.line()};
       const csv_line::Row row = csv_line::parse_row(line, header, declared_nranks, at);
       if (row.rec.sender == trace::kUnresolvedSender) {
         continue;
       }
-      cursor.lookahead = to_timed(row);
+      out = to_timed(row);
       return true;
     }
     return false;
+  }
+
+  /// Advances the cursor of section `idx` to its next emittable record;
+  /// false once the section is exhausted.
+  bool refill(std::uint32_t idx) {
+    SectionCursor& cursor = cursors[idx];
+    return next_record(cursor.window, cursor.lookahead);
   }
 
   std::size_t next_batch_native(std::size_t max_events, std::vector<TimedEvent>& out) {
@@ -195,7 +304,7 @@ struct CsvStreamReader::Impl {
 
   std::size_t next_batch_flat(std::size_t max_events, std::vector<TimedEvent>& out) {
     std::size_t appended = 0;
-    std::size_t line_no = data_start_line;
+    TimedEvent ev;
     while (appended < max_events) {
       if (!pending.empty()) {
         out.push_back(pending.front());
@@ -210,22 +319,10 @@ struct CsvStreamReader::Impl {
         flush_tie_group();
         continue;
       }
-      if (!read_line_at(data_start)) {
+      if (!next_record(*flat, ev)) {
         file_done = true;
         continue;
       }
-      ++data_start_line;
-      line_no = data_start_line;
-      const std::string_view line = strip_cr(raw);
-      if (line.empty() || line.front() == '#') {
-        continue;
-      }
-      const csv_line::Cursor at{.file = path, .line = line_no};
-      const csv_line::Row row = csv_line::parse_row(line, header, declared_nranks, at);
-      if (row.rec.sender == trace::kUnresolvedSender) {
-        continue;
-      }
-      const TimedEvent ev = to_timed(row);
       if (!tie_group.empty() && ev.time.count() != tie_time) {
         flush_tie_group();
       }
@@ -281,8 +378,6 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
   im->header = layout.header;
   im->declared_nranks = layout.declared_nranks;
   im->nranks = layout.nranks;
-  im->data_start = layout.data_start;
-  im->data_start_line = layout.header_line;
   for (std::size_t i = 0; i < all_sections.size(); ++i) {
     all_sections[i].end = i + 1 < all_sections.size() ? all_sections[i + 1].start : layout.end;
   }
@@ -312,16 +407,18 @@ std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
   }
 
   if (im->mode == Impl::Mode::NativeMerge || im->mode == Impl::Mode::FlatSequential) {
-    im->is = csv_line::open_file(path);
+    im->file.emplace(path);
   }
-  if (im->mode == Impl::Mode::NativeMerge) {
-    im->cursors.resize(im->sections.size());
+  if (im->mode == Impl::Mode::FlatSequential) {
+    im->flat.emplace(layout.data_start, layout.end, layout.header_line);
+  } else if (im->mode == Impl::Mode::NativeMerge) {
+    im->cursors.reserve(im->sections.size());
     for (std::uint32_t i = 0; i < im->sections.size(); ++i) {
-      im->cursors[i].next_offset = im->sections[i].start;
-      im->cursors[i].line = im->sections[i].start_line;
+      const Impl::Section& section = im->sections[i];
+      im->cursors.push_back({.window = LineWindow(section.start, section.end, section.start_line)});
       if (im->refill(i)) {
         im->heap.push({.time = im->cursors[i].lookahead.time.count(),
-                       .rank = im->sections[i].rank,
+                       .rank = section.rank,
                        .idx = i});
       }
     }

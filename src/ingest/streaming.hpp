@@ -89,6 +89,14 @@ class VectorEventStream final : public EventStream {
 /// `events_from_trace` over the parsed store: stable by time, ties in
 /// rank-major record order, unresolved senders dropped.
 ///
+/// Lines are read through one line cursor per native section (one over
+/// the data for the flat dialect), each with its own 4 KiB window that it
+/// refills by pread at its own offset, never past its section's end: the
+/// merge moving between sections costs no seek. A window grows only for a
+/// single line longer than itself and is freed when its section ends. A
+/// read that ends early or fails before a section's end — the file changed
+/// after open() — throws IngestError with the file and line.
+///
 /// Layouts the merge cannot stream — a flat file whose timestamps
 /// decrease, a native section with non-monotone times, or more sections
 /// than kMaxStreamSections — fall back to materializing (still correct,
@@ -99,7 +107,8 @@ class VectorEventStream final : public EventStream {
 class CsvStreamReader final : public EventStream {
  public:
   /// Section-count ceiling for the native K-way merge (each section costs
-  /// one cursor + one lookahead record). write_csv emits nranks*2; a file
+  /// one cursor, its read window of at most 4 KiB, and one lookahead
+  /// record). write_csv emits nranks*2; a file
   /// interleaving ranks per line would degenerate to one section per line
   /// and is materialized instead.
   static constexpr std::size_t kMaxStreamSections = 1 << 16;

@@ -5,8 +5,9 @@
 // (ingest/csv_line.hpp), so writer and reader of the native schema cannot
 // drift on the header or on how a line is split.
 
+#include <array>
+#include <cstddef>
 #include <string_view>
-#include <vector>
 
 namespace mpipred::trace::csv_util {
 
@@ -23,20 +24,36 @@ inline constexpr std::string_view kNativeHeader = "rank,level,time_ns,sender,byt
   return line;
 }
 
+/// The fields of one line: views of the first kMaxFields, plus the true
+/// field count (which may exceed kMaxFields, so a "has N fields" diagnostic
+/// still names N). Indexing past min(size(), kMaxFields) is not allowed.
+struct Fields {
+  static constexpr std::size_t kMaxFields = 8;
+
+  std::array<std::string_view, kMaxFields> views{};
+  std::size_t count = 0;
+
+  [[nodiscard]] std::size_t size() const noexcept { return count; }
+  [[nodiscard]] std::string_view operator[](std::size_t i) const noexcept { return views[i]; }
+};
+
 /// Splits on ',' without collapsing empty fields ("a,,b" -> {"a","","b"}).
-[[nodiscard]] inline std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> fields;
+/// Allocation-free: it runs on every data line of every scan and parse.
+[[nodiscard]] inline Fields split(std::string_view line) {
+  Fields fields;
   std::size_t start = 0;
   while (true) {
     const std::size_t comma = line.find(',', start);
-    if (comma == std::string_view::npos) {
-      fields.push_back(line.substr(start));
-      break;
+    if (fields.count < Fields::kMaxFields) {
+      fields.views[fields.count] =
+          line.substr(start, comma == std::string_view::npos ? comma : comma - start);
     }
-    fields.push_back(line.substr(start, comma - start));
+    ++fields.count;
+    if (comma == std::string_view::npos) {
+      return fields;
+    }
     start = comma + 1;
   }
-  return fields;
 }
 
 }  // namespace mpipred::trace::csv_util

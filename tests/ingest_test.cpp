@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <random>
@@ -113,6 +114,19 @@ TEST(CsvSource, DiagnosticsNameFileLineFieldAndReason) {
   const auto last_op = parse(std::string(kNative) + "0,0,1,2,3,0," +
                              std::to_string(trace::kNumOps - 1) + "\n");
   EXPECT_EQ(last_op.store().records(0, trace::Level::Logical)[0].op, trace::Op::Scan);
+}
+
+// The split keeps views of at most eight fields but always counts them
+// all, so the count diagnostic names the true number on long lines too.
+TEST(CsvSource, FieldCountDiagnosticNamesTheTrueCount) {
+  EXPECT_EQ(reject(std::string(kNative) + "0,0,1,2\n").reason, "has 4 fields, expected 7");
+  EXPECT_EQ(reject(std::string(kNative) + "0,0,1,2,3,0,0,0\n").reason, "has 8 fields, expected 7");
+  EXPECT_EQ(reject(std::string(kNative) + "0,0,1,2,3,0,0,0,0\n").reason,
+            "has 9 fields, expected 7");
+  EXPECT_EQ(reject(std::string(kNative) + std::string(19, ',') + "\n").reason,
+            "has 20 fields, expected 7");
+  EXPECT_EQ(reject(std::string(kFlat) + "1,2,3\n").reason, "has 3 fields, expected 4");
+  EXPECT_EQ(reject(std::string(kFlat) + "1,2,3,4,5\n").reason, "has 5 fields, expected 4");
 }
 
 TEST(CsvSource, ToStringFormatsEditorFriendlyLocation) {
@@ -714,6 +728,106 @@ TEST(Streaming, StreamedReplayMatchesObserveAllReport) {
       [&path] { return open_event_stream(path, trace::Level::Physical); }, events,
       engine::EngineConfig{}, shard_counts, kGateBatchEvents);
   EXPECT_TRUE(gate.ok) << gate.detail;
+}
+
+// The reader pulls each section's lines through its own read window: a
+// line longer than the window, CRLF endings, a missing final newline and
+// thousands of tiny sections must all stream exactly as the materializing
+// parser reads them, within the usual buffering bounds.
+void expect_streams_like_materialized(const std::string& path, const std::string& text,
+                                      trace::Level level, std::size_t max_buffered) {
+  const auto expect = drain(*parse(text).stream_events(level));
+  ASSERT_FALSE(expect.empty());
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{8192}}) {
+    auto reader = CsvStreamReader::open(path, level);
+    EXPECT_TRUE(reader->streaming());
+    EXPECT_EQ(pull_all(*reader, batch), expect) << path << ", batch = " << batch;
+    EXPECT_LE(reader->peak_buffered_events(), max_buffered) << path << ", batch = " << batch;
+  }
+}
+
+TEST(Streaming, CommentLongerThanTheWindowInsideASection) {
+  std::string text = std::string(kNative);
+  for (int t = 0; t < 40; ++t) {
+    text += "0,1," + std::to_string(t) + ",1,64,0,0\n";
+    if (t == 20) {
+      text += "# " + std::string(12 * 1024, 'x') + "\n";  // three windows' worth
+    }
+  }
+  for (int t = 0; t < 40; ++t) {
+    text += "1,1," + std::to_string(t) + ",0,32,0,0\n";
+  }
+  const std::string path = write_temp_file("stream_long_comment.csv", text);
+  expect_streams_like_materialized(path, text, trace::Level::Physical, 2);
+}
+
+TEST(Streaming, CrlfLineEndingsInBothDialects) {
+  std::string native = "# nranks: 2\r\nrank,level,time_ns,sender,bytes,kind,op\r\n";
+  std::string flat = "time_ns,sender,receiver,bytes,kind\r\n";
+  for (int t = 0; t < 600; ++t) {
+    native += std::to_string(t % 2) + ",1," + std::to_string(t / 2) + ",1,64,0,0\r\n";
+    flat += std::to_string(t) + ",0," + std::to_string(t % 2) + ",64,1\r\n";
+  }
+  expect_streams_like_materialized(write_temp_file("stream_crlf_native.csv", native), native,
+                                   trace::Level::Physical, 600);  // one section per line
+  expect_streams_like_materialized(write_temp_file("stream_crlf_flat.csv", flat), flat,
+                                   trace::Level::Physical, 2);
+}
+
+TEST(Streaming, LastDataLineWithoutTrailingNewline) {
+  const std::string native = std::string(kNative) +
+                             "0,1,1,1,64,0,0\n0,1,4,1,64,0,0\n1,1,2,0,32,0,0\n1,1,3,0,16,0,0";
+  const std::string flat = std::string(kFlat) + "1,0,1,64\n2,1,0,32\n3,0,1,16";
+  const std::string flat_path = write_temp_file("stream_no_eol_flat.csv", flat);
+  expect_streams_like_materialized(write_temp_file("stream_no_eol_native.csv", native), native,
+                                   trace::Level::Physical, 2);
+  expect_streams_like_materialized(flat_path, flat, trace::Level::Physical, 2);
+  const auto got = pull_all(*CsvStreamReader::open(flat_path, trace::Level::Physical), 8192);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got.back().event.bytes, 16);  // the unterminated line
+}
+
+TEST(Streaming, ThousandsOfInterleavedSmallSections) {
+  // 2,000 sections of one to three records, alternating between two
+  // ranks: every section gets a window of at most its own length.
+  std::string text = std::string(kNative);
+  std::int64_t t = 0;
+  for (int section = 0; section < 2000; ++section) {
+    for (int i = 0; i <= section % 3; ++i) {
+      text += std::to_string(section % 2) + ",1," + std::to_string(t++ / 3) + "," +
+              std::to_string(1 - section % 2) + "," + std::to_string(8 << (i % 4)) + ",0,0\n";
+    }
+  }
+  const std::string path = write_temp_file("stream_many_sections.csv", text);
+  expect_streams_like_materialized(path, text, trace::Level::Physical, 2000);
+}
+
+// open() measures the file; a file cut short afterwards must fail the
+// drain with a diagnostic, never end the stream early as if complete.
+TEST(Streaming, FileTruncatedAfterOpenFailsClosed) {
+  const auto store = random_store(/*seed=*/9, /*nranks=*/4, /*records_per_rank=*/2000);
+  const std::string native_path = ::testing::TempDir() + "stream_truncated_native.csv";
+  trace::write_csv_file(native_path, store);
+  std::string flat = std::string(kFlat);
+  for (int i = 0; i < 10000; ++i) {
+    flat += std::to_string(i) + "," + std::to_string(i % 3) + "," + std::to_string(i % 4) +
+            ",64\n";
+  }
+  const std::string flat_path = write_temp_file("stream_truncated_flat.csv", flat);
+  for (const std::string& path : {native_path, flat_path}) {
+    auto reader = CsvStreamReader::open(path, trace::Level::Physical);
+    ASSERT_TRUE(reader->streaming());
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+    try {
+      (void)pull_all(*reader, 64);
+      ADD_FAILURE() << path << ": expected IngestError";
+    } catch (const IngestError& e) {
+      EXPECT_EQ(e.where().file, path);
+      EXPECT_GT(e.where().line, 1u);
+      EXPECT_NE(e.where().reason.find("short of the size open() measured"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
