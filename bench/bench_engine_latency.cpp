@@ -10,8 +10,12 @@
 // the threshold, and the multi-tenant phase interleaves sessions over one
 // shared pool.
 //
-// That every batch size produces the single-event run's report is pinned
-// in the tier-1 suite (engine_parallel_test), not re-checked here.
+// Every row is timed five times, each on a fresh engine (fresh sessions
+// for the multi-tenant row), and each figure is the median of the five
+// runs, with the fastest and slowest run of the row's headline figure
+// beside it (Hunold & Carpen-Amarie: repetitions and spread, never one
+// run). That every batch size produces the single-event run's report is
+// pinned in the tier-1 suite (engine_parallel_test), not re-checked here.
 //
 // `--help` prints the usage below and exits 0; a bad argument prints one
 // line to stderr and exits 1.
@@ -44,6 +48,9 @@ using Clock = std::chrono::steady_clock;
 constexpr const char* kUsage =
     "usage: bench_engine_latency [--predictor <name>] [--shards <n>] [--events <n>]\n"
     "                            [--tenants <n>] [--out <file>]\n";
+
+constexpr std::size_t kRepeats = 5;  // timed runs per row, each on a fresh engine
+static_assert(kRepeats % 2 == 1, "the median is the middle run");
 
 std::vector<engine::Event> synthetic_trace(std::size_t nevents, std::int32_t ndestinations) {
   std::vector<engine::Event> events;
@@ -85,6 +92,38 @@ Percentiles percentiles(std::vector<double>& samples) {
   return out;
 }
 
+/// One figure of a row over its kRepeats runs.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  return {.median = runs[runs.size() / 2], .min = runs.front(), .max = runs.back()};
+}
+
+/// A percentile row over the runs: each figure's median, and the spread of
+/// p50 (its headline figure).
+struct RepeatedPercentiles {
+  Spread p50_ns;
+  double p99_ns = 0.0;
+  double mean_ns = 0.0;
+};
+
+RepeatedPercentiles over_runs(const std::vector<Percentiles>& runs) {
+  std::vector<double> p50;
+  std::vector<double> p99;
+  std::vector<double> mean;
+  for (const Percentiles& run : runs) {
+    p50.push_back(run.p50_ns);
+    p99.push_back(run.p99_ns);
+    mean.push_back(run.mean_ns);
+  }
+  return {.p50_ns = spread(p50), .p99_ns = spread(p99).median, .mean_ns = spread(mean).median};
+}
+
 double elapsed_ns(Clock::time_point from, Clock::time_point to) {
   return static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
@@ -107,10 +146,12 @@ std::vector<double> timed_feed(Target& target, std::span<const engine::Event> ev
   return samples;
 }
 
-void write_percentiles(bench::JsonWriter& json, const char* name, const Percentiles& p,
+void write_percentiles(bench::JsonWriter& json, const char* name, const RepeatedPercentiles& p,
                        std::size_t samples) {
   json.key(name).begin_object();
-  json.key("p50_ns").value(p.p50_ns);
+  json.key("p50_ns").value(p.p50_ns.median);
+  json.key("p50_ns_min").value(p.p50_ns.min);
+  json.key("p50_ns_max").value(p.p50_ns.max);
   json.key("p99_ns").value(p.p99_ns);
   json.key("mean_ns").value(p.mean_ns);
   json.key("samples").value(samples);
@@ -135,65 +176,90 @@ int run(int argc, char** argv) {
 
   const engine::EngineConfig cfg{.predictor = arg.name, .shards = eff_shards};
 
-  std::printf("engine latency — predictor=%s shards=%zu events=%zu tenants=%zu\n\n", //
-              arg.name.c_str(), eff_shards, nevents, tenants);
+  std::printf("engine latency — predictor=%s shards=%zu events=%zu tenants=%zu, "
+              "median of %zu runs\n\n",
+              arg.name.c_str(), eff_shards, nevents, tenants, kRepeats);
 
   // --- Single-event observe: one observe_all() per arriving message. -----
-  engine::PredictionEngine single_engine(cfg);
-  auto single_samples = timed_feed(single_engine, events, 1);
-  const Percentiles single = percentiles(single_samples);
-  std::printf("single-event  p50 %9.0f ns   p99 %9.0f ns   mean %9.0f ns\n\n", single.p50_ns,
-              single.p99_ns, single.mean_ns);
+  std::vector<Percentiles> single_runs;
+  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+    engine::PredictionEngine single_engine(cfg);
+    auto samples = timed_feed(single_engine, events, 1);
+    single_runs.push_back(percentiles(samples));
+  }
+  const RepeatedPercentiles single = over_runs(single_runs);
+  std::printf("single-event  p50 %9.0f ns (%.0f..%.0f)   p99 %9.0f ns   mean %9.0f ns\n\n",
+              single.p50_ns.median, single.p50_ns.min, single.p50_ns.max, single.p99_ns,
+              single.mean_ns);
 
   // --- Batch sweep: per-event cost vs batch size. ------------------------
   const std::size_t batch_sizes[] = {1, 64, 512, 4096, 32768, 0};
   struct BatchRow {
     std::size_t batch = 0;
-    Percentiles per_feed;
-    double mean_ns_per_event = 0.0;
+    double p50_ns_per_feed = 0.0;
+    double p99_ns_per_feed = 0.0;
+    Spread mean_ns_per_event;  // the headline figure
     std::size_t feeds = 0;
   };
   std::vector<BatchRow> sweep;
   for (const std::size_t batch : batch_sizes) {
-    engine::PredictionEngine eng(cfg);
-    auto samples = timed_feed(eng, events, batch);
     BatchRow row;
     row.batch = batch;
-    row.feeds = samples.size();
-    row.per_feed = percentiles(samples);
-    // Total time over total events — correct even when the last feed is a
-    // partial batch or the batch size exceeds the event count.
-    row.mean_ns_per_event =
-        row.per_feed.mean_ns * static_cast<double>(row.feeds) / static_cast<double>(events.size());
+    std::vector<double> p50;
+    std::vector<double> p99;
+    std::vector<double> per_event;
+    for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+      engine::PredictionEngine eng(cfg);
+      auto samples = timed_feed(eng, events, batch);
+      row.feeds = samples.size();
+      const Percentiles per_feed = percentiles(samples);
+      p50.push_back(per_feed.p50_ns);
+      p99.push_back(per_feed.p99_ns);
+      // Total time over total events — correct even when the last feed is
+      // a partial batch or the batch size exceeds the event count.
+      per_event.push_back(per_feed.mean_ns * static_cast<double>(row.feeds) /
+                          static_cast<double>(events.size()));
+    }
+    row.p50_ns_per_feed = spread(p50).median;
+    row.p99_ns_per_feed = spread(p99).median;
+    row.mean_ns_per_event = spread(per_event);
     sweep.push_back(row);
-    std::printf("batch %9s  feeds %6zu  p99/feed %12.0f ns   mean/event %8.1f ns\n",
+    std::printf("batch %9s  feeds %6zu  p99/feed %12.0f ns   mean/event %8.1f ns (%.1f..%.1f)\n",
                 batch == 0 ? "unbounded" : std::to_string(batch).c_str(), row.feeds,
-                row.per_feed.p99_ns, row.mean_ns_per_event);
+                row.p99_ns_per_feed, row.mean_ns_per_event.median, row.mean_ns_per_event.min,
+                row.mean_ns_per_event.max);
   }
 
   // --- Multi-tenant: interleaved sessions through one server. ------------
-  serve::PredictionServer server({.engine = cfg});
-  std::vector<std::shared_ptr<serve::Session>> sessions;
-  for (std::size_t t = 0; t < tenants; ++t) {
-    sessions.push_back(server.open_session());
-  }
-  std::vector<double> tenant_samples;
   constexpr std::size_t kTenantBatch = 512;
   const std::span<const engine::Event> all(events);
-  for (std::size_t off = 0; off < all.size(); off += kTenantBatch) {
-    const auto slice = all.subspan(off, std::min(kTenantBatch, all.size() - off));
-    // Round-robin: every tenant feeds the same slice before the next
-    // slice, so feeds of different namespaces genuinely interleave.
-    for (const auto& session : sessions) {
-      const auto start = Clock::now();
-      session->observe_all(slice);
-      tenant_samples.push_back(elapsed_ns(start, Clock::now()));
+  std::vector<Percentiles> tenant_runs;
+  std::size_t tenant_feeds = 0;
+  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+    serve::PredictionServer server({.engine = cfg});
+    std::vector<std::shared_ptr<serve::Session>> sessions;
+    for (std::size_t t = 0; t < tenants; ++t) {
+      sessions.push_back(server.open_session());
     }
+    std::vector<double> tenant_samples;
+    for (std::size_t off = 0; off < all.size(); off += kTenantBatch) {
+      const auto slice = all.subspan(off, std::min(kTenantBatch, all.size() - off));
+      // Round-robin: every tenant feeds the same slice before the next
+      // slice, so feeds of different namespaces genuinely interleave.
+      for (const auto& session : sessions) {
+        const auto start = Clock::now();
+        session->observe_all(slice);
+        tenant_samples.push_back(elapsed_ns(start, Clock::now()));
+      }
+    }
+    tenant_feeds = tenant_samples.size();
+    tenant_runs.push_back(percentiles(tenant_samples));
   }
-  const std::size_t tenant_feeds = tenant_samples.size();
-  const Percentiles tenant = percentiles(tenant_samples);
-  std::printf("\nmulti-tenant (%zu sessions, %zu-event feeds): p50 %9.0f ns   p99 %9.0f ns\n",
-              tenants, kTenantBatch, tenant.p50_ns, tenant.p99_ns);
+  const RepeatedPercentiles tenant = over_runs(tenant_runs);
+  std::printf("\nmulti-tenant (%zu sessions, %zu-event feeds): p50 %9.0f ns (%.0f..%.0f)   "
+              "p99 %9.0f ns\n",
+              tenants, kTenantBatch, tenant.p50_ns.median, tenant.p50_ns.min, tenant.p50_ns.max,
+              tenant.p99_ns);
 
   // --- Artifact. ---------------------------------------------------------
   bench::JsonWriter json;
@@ -205,6 +271,7 @@ int run(int argc, char** argv) {
   json.key("shards").value(eff_shards);
   json.key("events").value(nevents);
   json.key("tenants").value(tenants);
+  json.key("repeats").value(kRepeats);
   json.end_object();
   write_percentiles(json, "single_event", single, nevents);
   json.key("batch_sweep").begin_array();
@@ -212,9 +279,11 @@ int run(int argc, char** argv) {
     json.begin_object();
     json.key("batch_events").value(row.batch);
     json.key("feeds").value(row.feeds);
-    json.key("p50_ns_per_feed").value(row.per_feed.p50_ns);
-    json.key("p99_ns_per_feed").value(row.per_feed.p99_ns);
-    json.key("mean_ns_per_event").value(row.mean_ns_per_event);
+    json.key("p50_ns_per_feed").value(row.p50_ns_per_feed);
+    json.key("p99_ns_per_feed").value(row.p99_ns_per_feed);
+    json.key("mean_ns_per_event").value(row.mean_ns_per_event.median);
+    json.key("mean_ns_per_event_min").value(row.mean_ns_per_event.min);
+    json.key("mean_ns_per_event_max").value(row.mean_ns_per_event.max);
     json.end_object();
   }
   json.end_array();

@@ -4,18 +4,24 @@
 // that applies it: the materializing parser (source.cpp) and the
 // incremental streaming reader (streaming.cpp) both validate a file
 // through csv_line::scan, so the two paths can never drift on what a valid
-// preamble directive, header, or data line is. Internal to src/ingest/;
-// consumers outside the ingest boundary go through CsvTraceSource or
-// EventStream instead.
+// preamble directive, header, or data line is. A data line has one
+// decoder, parse_row: one forward pass over the bytes that decodes each
+// field while walking to the next comma, then the field-count check, then
+// each column's checks in order. scan reads its stream in 64 KiB blocks
+// and cuts lines with memchr. Internal to src/ingest/; consumers outside
+// the ingest boundary go through CsvTraceSource or EventStream instead.
 
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ingest/source.hpp"
 #include "trace/csv_util.hpp"
@@ -60,47 +66,14 @@ struct Cursor {
   }
 };
 
-template <typename T>
-[[nodiscard]] T parse_int(std::string_view text, const char* field, const Cursor& at) {
-  T value{};
-  const auto* begin = text.data();
-  const auto* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    at.reject(field, "malformed integer '" + std::string(text) + "'");
-  }
-  return value;
-}
-
-template <typename T>
-[[nodiscard]] T parse_in_range(std::string_view text, const char* field, T lo, T hi_exclusive,
-                               const Cursor& at) {
-  const T value = parse_int<T>(text, field, at);
-  if (value < lo || value >= hi_exclusive) {
-    at.reject(field, "value " + std::to_string(value) + " outside [" + std::to_string(lo) + ", " +
-                         std::to_string(hi_exclusive) + ")");
-  }
-  return value;
-}
-
-/// Rank-valued field: non-negative, and under the declared rank count when
-/// the file carries a `# nranks` directive (otherwise bounds are inferred
-/// after the parse). `min` is -1 for sender fields (kUnresolvedSender).
-[[nodiscard]] inline std::int32_t parse_rank(std::string_view text, const char* field,
-                                             std::int32_t min,
-                                             const std::optional<int>& declared_nranks,
+/// A directive's integer value (data lines go through parse_row instead).
+[[nodiscard]] inline int parse_directive_int(std::string_view text, const char* key,
                                              const Cursor& at) {
-  const auto value = parse_int<std::int32_t>(text, field, at);
-  if (value < min) {
-    at.reject(field, "rank " + std::to_string(value) + " below " + std::to_string(min));
-  }
-  if (value >= kMaxRanks) {
-    at.reject(field, "rank " + std::to_string(value) + " above the supported maximum " +
-                         std::to_string(kMaxRanks - 1));
-  }
-  if (declared_nranks && value >= *declared_nranks) {
-    at.reject(field, "rank " + std::to_string(value) + " outside declared nranks " +
-                         std::to_string(*declared_nranks));
+  int value = 0;
+  const auto* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    at.reject(key, "malformed integer '" + std::string(text) + "'");
   }
   return value;
 }
@@ -121,7 +94,7 @@ inline void handle_directive(std::string_view body, std::optional<int>& declared
                                      "' (supported: " + std::string(kSupportedVersion) + ")");
     }
   } else if (key == "nranks") {
-    const int n = parse_int<int>(value, "nranks", at);
+    const int n = parse_directive_int(value, "nranks", at);
     if (n < 1) {
       at.reject("nranks", "declared rank count " + std::to_string(n) + " must be at least 1");
     }
@@ -163,6 +136,159 @@ struct HeaderInfo {
   return header.dialect == Dialect::Native ? 7 : (header.flat_has_kind ? 5 : 4);
 }
 
+/// One field of a data line as FieldReader decoded it: its text, kept for
+/// a diagnostic, and its value when `ok`.
+struct Field {
+  std::string_view text;
+  std::int64_t value = 0;
+  bool ok = false;
+};
+
+/// Decodes a data line field by field in one forward pass: next()
+/// accumulates a field's digits while walking to its comma, and count()
+/// counts the fields left after the last one taken. It rejects nothing, so
+/// parse_row can check the field count before any field.
+class FieldReader {
+ public:
+  explicit FieldReader(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The next field, decoded as an integer of its column's width (int64
+  /// when `wide`, else int32). `ok` holds exactly when std::from_chars
+  /// would accept the whole field as that type: an optional '-', at least
+  /// one digit, nothing else, and no overflow. Past the last field of the
+  /// line: an empty field that is not ok.
+  [[nodiscard]] Field next(bool wide) {
+    constexpr std::uint64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+    constexpr std::uint64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+    // Any run of up to 19 digits fits the accumulator: 10^19 - 1 < 2^64.
+    constexpr std::ptrdiff_t kExactDigits = 19;
+    if (done_) {
+      return {};
+    }
+    ++taken_;
+    const char* const begin = p_;
+    const bool negative = p_ != end_ && *p_ == '-';
+    p_ += negative ? 1 : 0;
+    const char* const digits = p_;
+    std::uint64_t magnitude = 0;
+    bool ok = p_ != end_ && *p_ != ',';
+    for (; p_ != end_ && *p_ != ','; ++p_) {
+      const unsigned digit = static_cast<unsigned char>(*p_) - unsigned{'0'};
+      ok &= digit <= 9;
+      magnitude = magnitude * 10 + digit;
+    }
+    if (p_ - digits > kExactDigits) {
+      // A longer run wrapped the accumulator unless its leading zeros
+      // leave at most 19 digits; those zeros added nothing to it.
+      const char* first = digits;
+      while (first != p_ && *first == '0') {
+        ++first;
+      }
+      ok &= p_ - first <= kExactDigits;
+    }
+    const Field field{.text = {begin, static_cast<std::size_t>(p_ - begin)},
+                      .value = static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude),
+                      .ok = ok && magnitude <= (wide ? kInt64Max : kInt32Max) + (negative ? 1 : 0)};
+    if (p_ == end_) {
+      done_ = true;
+    } else {
+      ++p_;  // past the comma
+    }
+    return field;
+  }
+
+  /// The line's true field count: the fields taken, plus every field after
+  /// them.
+  [[nodiscard]] std::size_t count() const {
+    return taken_ + (done_ ? 0 : 1 + static_cast<std::size_t>(std::count(p_, end_, ',')));
+  }
+
+ private:
+  const char* p_;
+  const char* end_;
+  std::size_t taken_ = 0;
+  bool done_ = false;
+};
+
+// The rejections of a failing field. Out of line and marked cold, so the
+// accepting path of parse_row stays a few compares and builds no text.
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void reject_malformed(const Field& f,
+                                                                   const char* name,
+                                                                   const Cursor& at) {
+  at.reject(name, "malformed integer '" + std::string(f.text) + "'");
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void reject_outside(std::int64_t value,
+                                                                 const char* name, int lo,
+                                                                 int hi_exclusive,
+                                                                 const Cursor& at) {
+  at.reject(name, "value " + std::to_string(value) + " outside [" + std::to_string(lo) + ", " +
+                      std::to_string(hi_exclusive) + ")");
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void reject_rank(
+    std::int64_t value, const char* name, std::int32_t min,
+    const std::optional<int>& declared_nranks, const Cursor& at) {
+  if (value < min) {
+    at.reject(name, "rank " + std::to_string(value) + " below " + std::to_string(min));
+  }
+  if (value >= kMaxRanks) {
+    at.reject(name, "rank " + std::to_string(value) + " above the supported maximum " +
+                        std::to_string(kMaxRanks - 1));
+  }
+  // Here min <= value < kMaxRanks: the bound that failed is the declared count.
+  at.reject(name, "rank " + std::to_string(value) + " outside declared nranks " +
+                      std::to_string(*declared_nranks));
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void reject_negative_bytes(std::int64_t value,
+                                                                        const Cursor& at) {
+  at.reject("bytes", "negative byte count " + std::to_string(value));
+}
+
+/// The value of a decoded field; rejects it as a malformed integer, quoting
+/// its text, when it is not ok.
+[[nodiscard]] inline std::int64_t field_value(const Field& f, const char* name,
+                                              const Cursor& at) {
+  if (!f.ok) {
+    reject_malformed(f, name, at);
+  }
+  return f.value;
+}
+
+[[nodiscard]] inline int field_in_range(const Field& f, const char* name, int lo,
+                                        int hi_exclusive, const Cursor& at) {
+  const std::int64_t value = field_value(f, name, at);
+  if (value < lo || value >= hi_exclusive) {
+    reject_outside(value, name, lo, hi_exclusive, at);
+  }
+  return static_cast<int>(value);
+}
+
+/// Rank-valued field: at least `min` (-1 for sender fields, which may be
+/// kUnresolvedSender, else 0), below kMaxRanks, and under the declared rank
+/// count when the file carries a `# nranks` directive (otherwise bounds are
+/// inferred after the parse).
+[[nodiscard]] inline std::int32_t field_rank(const Field& f, const char* name, std::int32_t min,
+                                             const std::optional<int>& declared_nranks,
+                                             const Cursor& at) {
+  const std::int64_t value = field_value(f, name, at);
+  if (value < min || value >= declared_nranks.value_or(kMaxRanks)) {
+    reject_rank(value, name, min, declared_nranks, at);
+  }
+  return static_cast<std::int32_t>(value);
+}
+
+[[nodiscard]] inline std::int64_t field_bytes(const Field& f, const Cursor& at) {
+  const std::int64_t value = field_value(f, "bytes", at);
+  if (value < 0) {
+    reject_negative_bytes(value, at);
+  }
+  return value;
+}
+
 /// One fully validated data line, in either dialect's terms: the receiving
 /// rank, the instrumentation level, and the record itself.
 struct Row {
@@ -173,40 +299,53 @@ struct Row {
 
 /// Parses and validates one data line (CR already stripped, not a comment
 /// or blank); throws IngestError with the exact field and reason on any
-/// malformed content.
+/// malformed content. Every field of the dialect is decoded first, in one
+/// pass (FieldReader); then the field count is checked, with the true
+/// count, and then each column in order, so the first failing column is
+/// the one named. Diagnostic text is built only on the failing path.
 [[nodiscard]] inline Row parse_row(std::string_view line, const HeaderInfo& header,
                                    const std::optional<int>& declared_nranks, const Cursor& at) {
-  const auto fields = trace::csv_util::split(line);
-  if (fields.size() != expected_fields(header)) {
-    at.reject("", "has " + std::to_string(fields.size()) + " fields, expected " +
-                      std::to_string(expected_fields(header)));
-  }
+  constexpr bool kInt64 = true;
+  constexpr bool kInt32 = false;
+  FieldReader fields(line);
+  const auto check_count = [&] {
+    const std::size_t expected = expected_fields(header);
+    if (fields.count() != expected) {
+      at.reject("", "has " + std::to_string(fields.count()) + " fields, expected " +
+                        std::to_string(expected));
+    }
+  };
   Row row;
   if (header.dialect == Dialect::Native) {
-    row.rank = parse_rank(fields[0], "rank", 0, declared_nranks, at);
-    row.level = static_cast<trace::Level>(
-        parse_in_range<int>(fields[1], "level", 0, trace::kNumLevels, at));
-    row.rec.time = sim::SimTime{parse_int<std::int64_t>(fields[2], "time_ns", at)};
-    row.rec.sender =
-        parse_rank(fields[3], "sender", trace::kUnresolvedSender, declared_nranks, at);
-    row.rec.bytes = parse_int<std::int64_t>(fields[4], "bytes", at);
-    if (row.rec.bytes < 0) {
-      at.reject("bytes", "negative byte count " + std::to_string(row.rec.bytes));
-    }
-    row.rec.kind = static_cast<trace::OpKind>(parse_in_range<int>(fields[5], "kind", 0, 2, at));
-    row.rec.op =
-        static_cast<trace::Op>(parse_in_range<int>(fields[6], "op", 0, trace::kNumOps, at));
+    const Field rank = fields.next(kInt32);
+    const Field level = fields.next(kInt32);
+    const Field time = fields.next(kInt64);
+    const Field sender = fields.next(kInt32);
+    const Field bytes = fields.next(kInt64);
+    const Field kind = fields.next(kInt32);
+    const Field op = fields.next(kInt32);
+    check_count();
+    row.rank = field_rank(rank, "rank", 0, declared_nranks, at);
+    row.level = static_cast<trace::Level>(field_in_range(level, "level", 0, trace::kNumLevels, at));
+    row.rec.time = sim::SimTime{field_value(time, "time_ns", at)};
+    row.rec.sender = field_rank(sender, "sender", trace::kUnresolvedSender, declared_nranks, at);
+    row.rec.bytes = field_bytes(bytes, at);
+    row.rec.kind = static_cast<trace::OpKind>(field_in_range(kind, "kind", 0, 2, at));
+    row.rec.op = static_cast<trace::Op>(field_in_range(op, "op", 0, trace::kNumOps, at));
   } else {
-    row.rec.time = sim::SimTime{parse_int<std::int64_t>(fields[0], "time_ns", at)};
-    row.rec.sender = parse_rank(fields[1], "sender", 0, declared_nranks, at);
-    row.rank = parse_rank(fields[2], "receiver", 0, declared_nranks, at);
+    const Field time = fields.next(kInt64);
+    const Field sender = fields.next(kInt32);
+    const Field receiver = fields.next(kInt32);
+    const Field bytes = fields.next(kInt64);
+    const Field kind = header.flat_has_kind ? fields.next(kInt32) : Field{};
+    check_count();
+    row.rec.time = sim::SimTime{field_value(time, "time_ns", at)};
+    row.rec.sender = field_rank(sender, "sender", 0, declared_nranks, at);
+    row.rank = field_rank(receiver, "receiver", 0, declared_nranks, at);
     row.level = trace::Level::Physical;
-    row.rec.bytes = parse_int<std::int64_t>(fields[3], "bytes", at);
-    if (row.rec.bytes < 0) {
-      at.reject("bytes", "negative byte count " + std::to_string(row.rec.bytes));
-    }
+    row.rec.bytes = field_bytes(bytes, at);
     if (header.flat_has_kind) {
-      row.rec.kind = static_cast<trace::OpKind>(parse_in_range<int>(fields[4], "kind", 0, 2, at));
+      row.rec.kind = static_cast<trace::OpKind>(field_in_range(kind, "kind", 0, 2, at));
     }
     row.rec.op = trace::Op::Recv;
   }
@@ -221,6 +360,75 @@ struct Row {
   }
   return is;
 }
+
+/// Cuts an istream into lines for scan: reads it kBlockBytes at a time,
+/// finds each '\n' with memchr and hands out lines as views into the
+/// block, never copied. A line cut by a block's end is carried to the
+/// front of the next read; the buffer grows only for one line longer than
+/// itself.
+class BlockLines {
+ public:
+  static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+
+  explicit BlockLines(std::istream& is) : is_(is), buf_(kBlockBytes) {}
+
+  /// The next line without its '\n' (a '\r' is the caller's to strip),
+  /// valid until the next call; false once the stream is exhausted. A last
+  /// line without a '\n' is still a line.
+  bool next(std::string_view& line) {
+    while (true) {
+      const char* const base = buf_.data();
+      const void* newline = std::memchr(base + searched_, '\n', tail_ - searched_);
+      if (newline != nullptr) {
+        line = {base + head_, static_cast<std::size_t>(static_cast<const char*>(newline) -
+                                                       (base + head_))};
+        head_ = searched_ = head_ + line.size() + 1;
+        offset_ += line.size() + 1;
+        return true;
+      }
+      searched_ = tail_;
+      if (!ended_) {
+        read_block();
+        continue;
+      }
+      if (head_ == tail_) {
+        return false;
+      }
+      line = {base + head_, tail_ - head_};
+      offset_ += line.size();
+      head_ = searched_ = tail_;
+      return true;
+    }
+  }
+
+  /// Byte offset just past the last line next() returned, its '\n'
+  /// included.
+  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
+
+ private:
+  void read_block() {
+    if (head_ != 0) {  // carry the partial line to the front
+      std::memmove(buf_.data(), buf_.data() + head_, tail_ - head_);
+      tail_ -= head_;
+      searched_ -= head_;
+      head_ = 0;
+    }
+    if (tail_ == buf_.size()) {
+      buf_.resize(2 * buf_.size());
+    }
+    is_.read(buf_.data() + tail_, static_cast<std::streamsize>(buf_.size() - tail_));
+    tail_ += static_cast<std::size_t>(is_.gcount());
+    ended_ = !is_;  // a short read: end of stream (or a read error)
+  }
+
+  std::istream& is_;
+  std::vector<char> buf_;
+  std::size_t head_ = 0;      // buf_[head_, tail_) holds read, unconsumed bytes
+  std::size_t searched_ = 0;  // buf_[head_, searched_) holds no '\n'
+  std::size_t tail_ = 0;
+  std::uint64_t offset_ = 0;  // stream offset of buf_[head_]
+  bool ended_ = false;
+};
 
 /// What a scan learned about a file besides its data rows.
 struct Layout {
@@ -239,22 +447,21 @@ struct Layout {
 /// (directives and comments before the header, the header itself, then
 /// comments, blanks, and data rows; CRLF accepted) and calls
 /// `on_row(header, row, line, offset)` for each data row with its 1-based
-/// line number and the byte offset of its first character. Throws
-/// IngestError, labeled with `file`, on the first malformed line. A
-/// template parameter rather than std::function: the call sits in the
-/// per-line loop of every file open.
+/// line number and the byte offset of its first character. Lines are cut
+/// from 64 KiB blocks (BlockLines). Throws IngestError, labeled with
+/// `file`, on the first malformed line. A template parameter rather than
+/// std::function: the call sits in the per-line loop of every file open.
 template <typename OnRow>
 Layout scan(std::istream& is, const std::string& file, OnRow&& on_row) {
   Cursor at{.file = file};
   Layout out;
   bool have_header = false;
   std::int32_t max_rank = -1;
-  std::uint64_t offset = 0;
-  std::string raw;
-  while (std::getline(is, raw)) {
+  BlockLines lines(is);
+  std::string_view raw;
+  std::uint64_t line_start = 0;  // offset of raw's first byte
+  for (; lines.next(raw); line_start = lines.offset()) {
     ++at.line;
-    const std::uint64_t line_start = offset;
-    offset += raw.size() + (is.eof() ? 0 : 1);
     const std::string_view line = trace::csv_util::strip_cr(raw);
     if (line.empty()) {
       continue;
@@ -272,7 +479,7 @@ Layout scan(std::istream& is, const std::string& file, OnRow&& on_row) {
       }
       out.header = *header;
       out.header_line = at.line;
-      out.data_start = offset;
+      out.data_start = lines.offset();
       have_header = true;
       continue;
     }
@@ -284,7 +491,7 @@ Layout scan(std::istream& is, const std::string& file, OnRow&& on_row) {
     throw IngestError({.file = file, .line = 0, .field = {}, .reason = "no header line found"});
   }
   out.nranks = out.declared_nranks.value_or(std::max(max_rank + 1, 1));
-  out.end = offset;
+  out.end = lines.offset();
   return out;
 }
 

@@ -101,9 +101,10 @@ class VectorEventStream final : public EventStream {
 /// decrease, a native section with non-monotone times, or more sections
 /// than kMaxStreamSections — fall back to materializing (still correct,
 /// reported by streaming() == false). open() fully validates every line
-/// (the same csv_line scan open_trace runs) without retaining events, so
-/// a malformed file is rejected up front with the usual file:line
-/// diagnostic.
+/// (the same csv_line scan open_trace runs, reading the file in 64 KiB
+/// blocks) without retaining events, so a malformed file is rejected up
+/// front with the usual file:line diagnostic. The scan and every pull
+/// decode a data line through the one row decoder, csv_line::parse_row.
 class CsvStreamReader final : public EventStream {
  public:
   /// Section-count ceiling for the native K-way merge (each section costs

@@ -8,18 +8,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "apps/app.hpp"
 #include "common/error.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
+#include "ingest/csv_line.hpp"
 #include "ingest/replay.hpp"
 #include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
@@ -116,7 +124,7 @@ TEST(CsvSource, DiagnosticsNameFileLineFieldAndReason) {
   EXPECT_EQ(last_op.store().records(0, trace::Level::Logical)[0].op, trace::Op::Scan);
 }
 
-// The split keeps views of at most eight fields but always counts them
+// The decoder keeps values of at most seven fields but always counts them
 // all, so the count diagnostic names the true number on long lines too.
 TEST(CsvSource, FieldCountDiagnosticNamesTheTrueCount) {
   EXPECT_EQ(reject(std::string(kNative) + "0,0,1,2\n").reason, "has 4 fields, expected 7");
@@ -341,6 +349,334 @@ TEST(CsvSource, EmptyFileNeedsHeader) {
   const Diagnostic d = reject("# just a comment\n");
   EXPECT_EQ(d.line, 0u);
   EXPECT_NE(d.reason.find("header"), std::string::npos);
+}
+
+// scan reads in 64 KiB blocks: lines cut by a block's end, comments longer
+// than several blocks, CRLF endings and an unterminated last line must
+// keep the line numbers and byte offsets of a plain split on '\n'.
+TEST(CsvSource, ScanKeepsLineNumbersAndOffsetsAcrossBlocks) {
+  const std::size_t block = csv_line::BlockLines::kBlockBytes;
+  std::string text = "# mpipred-trace: v1\r\n# " + std::string(2 * block + 7, 'c') + "\n" +
+                     std::string(kNative);
+  for (int i = 0; text.size() < 4 * block; ++i) {
+    if (i == 100) {
+      text += "# " + std::string(block + 3, 'd') + "\n";
+    }
+    text += std::to_string(i % 4) + ",1," + std::to_string(i) + "," + std::to_string(i % 3) +
+            ",64,0,0" + (i % 5 == 0 ? "\r\n" : "\n");
+  }
+  text += "3,1,999999,2,16,0,0";  // no trailing newline
+  // The reference: every data line's number and offset by a plain split.
+  std::vector<std::pair<std::size_t, std::uint64_t>> want;
+  std::size_t number = 0;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', at), text.size());
+    ++number;
+    if (number > 3 && text[at] != '#') {
+      want.emplace_back(number, at);
+    }
+    at = eol + 1;
+  }
+  std::vector<std::pair<std::size_t, std::uint64_t>> got;
+  std::stringstream ss(text);
+  const csv_line::Layout layout =
+      csv_line::scan(ss, "<test>", [&](const auto&, const csv_line::Row&, std::size_t line,
+                                       std::uint64_t offset) { got.emplace_back(line, offset); });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(layout.header_line, 3u);
+  EXPECT_EQ(layout.data_start, text.find(kNative) + std::string_view(kNative).size());
+  EXPECT_EQ(layout.end, text.size());
+  EXPECT_EQ(parse(text).store().records(3, trace::Level::Physical).back().bytes, 16);
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle for the row decoder. csv_line::parse_row decodes a
+// data line in one forward pass; the parser it replaced (split on ',',
+// then std::from_chars per field) is kept below verbatim as the
+// specification. Over a fixed-seed mutation corpus in every dialect, the
+// decoder must return the same Row or throw the same diagnostic.
+
+namespace reference {
+
+using csv_line::Cursor;
+using csv_line::Dialect;
+using csv_line::expected_fields;
+using csv_line::HeaderInfo;
+using csv_line::kMaxRanks;
+using csv_line::Row;
+
+struct Fields {
+  static constexpr std::size_t kMaxFields = 8;
+
+  std::array<std::string_view, kMaxFields> views{};
+  std::size_t count = 0;
+
+  [[nodiscard]] std::size_t size() const noexcept { return count; }
+  [[nodiscard]] std::string_view operator[](std::size_t i) const noexcept { return views[i]; }
+};
+
+[[nodiscard]] Fields split(std::string_view line) {
+  Fields fields;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = line.find(',', start);
+    if (fields.count < Fields::kMaxFields) {
+      fields.views[fields.count] =
+          line.substr(start, comma == std::string_view::npos ? comma : comma - start);
+    }
+    ++fields.count;
+    if (comma == std::string_view::npos) {
+      return fields;
+    }
+    start = comma + 1;
+  }
+}
+
+template <typename T>
+[[nodiscard]] T parse_int(std::string_view text, const char* field, const Cursor& at) {
+  T value{};
+  const auto* begin = text.data();
+  const auto* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc{} || ptr != end) {
+    at.reject(field, "malformed integer '" + std::string(text) + "'");
+  }
+  return value;
+}
+
+template <typename T>
+[[nodiscard]] T parse_in_range(std::string_view text, const char* field, T lo, T hi_exclusive,
+                               const Cursor& at) {
+  const T value = parse_int<T>(text, field, at);
+  if (value < lo || value >= hi_exclusive) {
+    at.reject(field, "value " + std::to_string(value) + " outside [" + std::to_string(lo) + ", " +
+                         std::to_string(hi_exclusive) + ")");
+  }
+  return value;
+}
+
+[[nodiscard]] std::int32_t parse_rank(std::string_view text, const char* field, std::int32_t min,
+                                      const std::optional<int>& declared_nranks,
+                                      const Cursor& at) {
+  const auto value = parse_int<std::int32_t>(text, field, at);
+  if (value < min) {
+    at.reject(field, "rank " + std::to_string(value) + " below " + std::to_string(min));
+  }
+  if (value >= kMaxRanks) {
+    at.reject(field, "rank " + std::to_string(value) + " above the supported maximum " +
+                         std::to_string(kMaxRanks - 1));
+  }
+  if (declared_nranks && value >= *declared_nranks) {
+    at.reject(field, "rank " + std::to_string(value) + " outside declared nranks " +
+                         std::to_string(*declared_nranks));
+  }
+  return value;
+}
+
+[[nodiscard]] Row parse_row(std::string_view line, const HeaderInfo& header,
+                            const std::optional<int>& declared_nranks, const Cursor& at) {
+  const auto fields = split(line);
+  if (fields.size() != expected_fields(header)) {
+    at.reject("", "has " + std::to_string(fields.size()) + " fields, expected " +
+                      std::to_string(expected_fields(header)));
+  }
+  Row row;
+  if (header.dialect == Dialect::Native) {
+    row.rank = parse_rank(fields[0], "rank", 0, declared_nranks, at);
+    row.level = static_cast<trace::Level>(
+        parse_in_range<int>(fields[1], "level", 0, trace::kNumLevels, at));
+    row.rec.time = sim::SimTime{parse_int<std::int64_t>(fields[2], "time_ns", at)};
+    row.rec.sender =
+        parse_rank(fields[3], "sender", trace::kUnresolvedSender, declared_nranks, at);
+    row.rec.bytes = parse_int<std::int64_t>(fields[4], "bytes", at);
+    if (row.rec.bytes < 0) {
+      at.reject("bytes", "negative byte count " + std::to_string(row.rec.bytes));
+    }
+    row.rec.kind = static_cast<trace::OpKind>(parse_in_range<int>(fields[5], "kind", 0, 2, at));
+    row.rec.op =
+        static_cast<trace::Op>(parse_in_range<int>(fields[6], "op", 0, trace::kNumOps, at));
+  } else {
+    row.rec.time = sim::SimTime{parse_int<std::int64_t>(fields[0], "time_ns", at)};
+    row.rec.sender = parse_rank(fields[1], "sender", 0, declared_nranks, at);
+    row.rank = parse_rank(fields[2], "receiver", 0, declared_nranks, at);
+    row.level = trace::Level::Physical;
+    row.rec.bytes = parse_int<std::int64_t>(fields[3], "bytes", at);
+    if (row.rec.bytes < 0) {
+      at.reject("bytes", "negative byte count " + std::to_string(row.rec.bytes));
+    }
+    if (header.flat_has_kind) {
+      row.rec.kind = static_cast<trace::OpKind>(parse_in_range<int>(fields[4], "kind", 0, 2, at));
+    }
+    row.rec.op = trace::Op::Recv;
+  }
+  return row;
+}
+
+}  // namespace reference
+
+// What a parser made of one line: the row's fields, or the full diagnostic
+// (file:line: field: reason) it threw.
+template <typename Parse>
+std::string outcome_of(Parse&& parse) {
+  try {
+    const csv_line::Row row = parse();
+    return "row " + std::to_string(row.rank) + "," + std::to_string(static_cast<int>(row.level)) +
+           "," + std::to_string(row.rec.time.count()) + "," + std::to_string(row.rec.sender) +
+           "," + std::to_string(row.rec.bytes) + "," +
+           std::to_string(static_cast<int>(row.rec.kind)) + "," +
+           std::to_string(static_cast<int>(row.rec.op));
+  } catch (const IngestError& e) {
+    return "error " + to_string(e.where());
+  }
+}
+
+// Values each column is tried with: the int32 and int64 limits and one
+// past them, 19- and 20-digit runs, leading zeros, rank bounds, and the
+// signs, spaces and stray bytes from_chars refuses.
+const std::vector<std::string> kEdgeTokens = {
+    "0", "1", "-0", "-", "+1", " 1", "1 ", "", "-1", "-2", "15", "16", "17", "4194303", "4194304",
+    "2147483647", "2147483648", "-2147483648", "-2147483649", "4294967296",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "1234567890123456789", "12345678901234567890",
+    "-1234567890123456789", "99999999999999999999", "18446744073709551615",
+    "18446744073709551616", "000000000000000000000000000042", "-0000000000000000000002147483648",
+    "-0000000000000000000002147483649", "00000000000000000009223372036854775807",
+    "00000000000000000009223372036854775808", "000000000000000000000", "0x10", "1e3", "1.5",
+    "--1", "-+1", "12a", "a12", "1\r", "\t1", std::string("1\0", 2)};
+
+struct OracleDialect {
+  csv_line::HeaderInfo header;
+  std::optional<int> declared_nranks;
+};
+
+std::vector<OracleDialect> oracle_dialects() {
+  std::vector<OracleDialect> out;
+  for (const std::optional<int> nranks : {std::optional<int>{}, std::optional<int>{16}}) {
+    out.push_back({{.dialect = csv_line::Dialect::Native}, nranks});
+    out.push_back({{.dialect = csv_line::Dialect::Flat}, nranks});
+    out.push_back({{.dialect = csv_line::Dialect::Flat, .flat_has_kind = true}, nranks});
+  }
+  return out;
+}
+
+std::string join_fields(const std::vector<std::string>& fields) {
+  std::string line;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    line += (i == 0 ? "" : ",") + fields[i];
+  }
+  return line;
+}
+
+// A line of the dialect with plausible values, some of them just outside a
+// column's range (rank 16 against `# nranks: 16`, level 2, sender -2, ...).
+std::vector<std::string> random_fields(std::mt19937_64& rng, const csv_line::HeaderInfo& header) {
+  const auto below = [&rng](std::uint64_t n) { return static_cast<std::int64_t>(rng() % n); };
+  // 1 to 19 digits, leading zeros included: some overflow int64.
+  std::string time(1 + static_cast<std::size_t>(below(19)), '0');
+  for (char& digit : time) {
+    digit = static_cast<char>('0' + below(10));
+  }
+  const std::string bytes = std::to_string(below(64) == 0 ? -below(1000) : below(1 << 20));
+  const std::string kind = std::to_string(below(3));
+  if (header.dialect == csv_line::Dialect::Native) {
+    return {std::to_string(below(18)), std::to_string(below(3)), time,
+            std::to_string(below(19) - 2), bytes, kind, std::to_string(below(trace::kNumOps + 1))};
+  }
+  std::vector<std::string> fields = {time, std::to_string(below(18) - 1),
+                                     std::to_string(below(18) - 1), bytes};
+  if (header.flat_has_kind) {
+    fields.push_back(kind);
+  }
+  return fields;
+}
+
+// One random corruption of `line`: a byte flip, a truncation, a dropped or
+// doubled comma, an edge token in place of a field, a trailing '\r', or a
+// field count of 8, 9 or 20.
+void mutate(std::mt19937_64& rng, std::string& line) {
+  static constexpr char kFlipBytes[] = {'0', '9', ',', '-', '+', ' ', '\r', '\t', 'x',
+                                        '.', '\0', '\x7f', '\x80', '\xff'};
+  const auto below = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const std::size_t comma = line.empty() ? std::string::npos : line.find(',', below(line.size()));
+  switch (below(7)) {
+    case 0:
+      if (!line.empty()) {
+        line[below(line.size())] = kFlipBytes[below(sizeof kFlipBytes)];
+      }
+      break;
+    case 1:
+      line.resize(below(line.size() + 1));
+      break;
+    case 2:
+      if (comma != std::string::npos) {
+        line.erase(comma, 1);
+      }
+      break;
+    case 3:
+      if (comma != std::string::npos) {
+        line.insert(comma, 1, ',');
+      }
+      break;
+    case 4: {
+      // Replace the field after that comma (the first field if none).
+      const std::size_t begin = comma == std::string::npos ? 0 : comma + 1;
+      const std::size_t end = std::min(line.find(',', begin), line.size());
+      line.replace(begin, end - begin, kEdgeTokens[below(kEdgeTokens.size())]);
+      break;
+    }
+    case 5:
+      line += '\r';
+      break;
+    default: {
+      const auto fields = static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) + 1;
+      const std::size_t want = std::vector<std::size_t>{8, 9, 20}[below(3)];
+      for (std::size_t f = fields; f < want; ++f) {
+        line += ",0";
+      }
+      break;
+    }
+  }
+}
+
+TEST(CsvOracle, RowDecoderMatchesReferenceParser) {
+  const std::string file = "<oracle>";
+  std::size_t line_no = 0;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const std::string& line, const OracleDialect& d) {
+    const csv_line::Cursor at{.file = file, .line = ++line_no};
+    const std::string want = outcome_of(
+        [&] { return reference::parse_row(line, d.header, d.declared_nranks, at); });
+    const std::string got = outcome_of(
+        [&] { return csv_line::parse_row(line, d.header, d.declared_nranks, at); });
+    (want.rfind("row", 0) == 0 ? accepted : rejected) += 1;
+    return want == got ? testing::AssertionSuccess()
+                       : testing::AssertionFailure() << "line '" << line << "'\n  reference: "
+                                                      << want << "\n  decoder:   " << got;
+  };
+  std::mt19937_64 rng(2003);
+  for (const OracleDialect& d : oracle_dialects()) {
+    // Every edge token in every column, the rest of the line valid.
+    const std::size_t columns = csv_line::expected_fields(d.header);
+    for (std::size_t column = 0; column < columns; ++column) {
+      for (const std::string& token : kEdgeTokens) {
+        std::vector<std::string> fields = random_fields(rng, d.header);
+        fields[column] = token;
+        ASSERT_TRUE(check(join_fields(fields), d));
+      }
+    }
+    // Random lines under zero to three random corruptions.
+    for (int i = 0; i < 3000; ++i) {
+      std::string line = join_fields(random_fields(rng, d.header));
+      for (std::uint64_t m = rng() % 4; m > 0; --m) {
+        mutate(rng, line);
+      }
+      ASSERT_TRUE(check(line, d));
+    }
+  }
+  // The corpus exercises both outcomes in earnest.
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_GT(rejected, 10000u);
 }
 
 // The acceptance gate: a simulated run exported with write_csv and
