@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <vector>
@@ -126,24 +127,38 @@ AppOutcome run_cg(mpi::World& world, const AppConfig& cfg) {
     // w = A * v  (v is the column chunk), returned as the next column
     // chunk via row summation + transpose exchange.
     std::vector<double> qv(static_cast<std::size_t>(cs));
+    // Local block: rows R_i x cols C_j of the banded matrix, one diagonal
+    // at a time. Local row r of the diagonal at offset d reads
+    // v[r + shift], shift = row_base + d - col_base, for the rows whose
+    // column falls in C_j. The list order is the order each row's sum
+    // adds its terms (main, then -1, +1, -7, +7, ...); the checksums
+    // depend on it.
+    struct Diagonal {
+      double coef;
+      int shift;
+      int begin;  // local rows [begin, end)
+      int end;
+    };
+    std::vector<Diagonal> diagonals;
+    const auto add_diagonal = [&](double coef, int offset) {
+      const int shift = row_base + offset - col_base;
+      diagonals.push_back({.coef = coef,
+                           .shift = shift,
+                           .begin = std::max(0, -shift),
+                           .end = std::min(rs, cs - shift)});
+    };
+    add_diagonal(kDiag, 0);
+    for (const int off : kOffsets) {
+      add_diagonal(kOff, -off);
+      add_diagonal(kOff, off);
+    }
     const auto matvec = [&](std::span<const double> v, std::span<double> result) {
-      // Local block: rows R_i x cols C_j of the banded matrix.
-      for (int r = 0; r < rs; ++r) {
-        const int gr = row_base + r;
-        double acc = 0.0;
-        const int gc0 = gr - col_base;
-        if (gc0 >= 0 && gc0 < cs) {
-          acc += kDiag * v[static_cast<std::size_t>(gc0)];
+      std::fill(wbuf.begin(), wbuf.end(), 0.0);
+      for (const Diagonal& diag : diagonals) {
+        for (int r = diag.begin; r < diag.end; ++r) {
+          wbuf[static_cast<std::size_t>(r)] +=
+              diag.coef * v[static_cast<std::size_t>(r + diag.shift)];
         }
-        for (const int off : kOffsets) {
-          for (const int sgn : {-1, 1}) {
-            const int gc = gr + sgn * off - col_base;
-            if (gc >= 0 && gc < cs && gr + sgn * off >= 0 && gr + sgn * off < params.na) {
-              acc += kOff * v[static_cast<std::size_t>(gc)];
-            }
-          }
-        }
-        wbuf[static_cast<std::size_t>(r)] = acc;
       }
       comm.compute(sim::SimTime{static_cast<std::int64_t>(rs) * 100});
 

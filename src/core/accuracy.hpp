@@ -59,18 +59,23 @@ class AccuracyEvaluator {
   [[nodiscard]] const AccuracyReport& report() const noexcept { return report_; }
   [[nodiscard]] std::int64_t samples() const noexcept { return position_; }
 
+  /// Heap bytes held by the pending buffer and the report's horizon rows
+  /// (by capacity).
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
+
  private:
-  struct Pending {
-    bool has = false;
-    Predictor::Value value = 0;
-  };
+  /// Has-bit words at the start of each pending row: ceil(H/64).
+  [[nodiscard]] std::size_t has_words() const noexcept { return (horizon_ + 63) / 64; }
 
   Predictor* predictor_;
   std::size_t horizon_;
   AccuracyReport report_;
-  // pending_[(t) % (H+1)][h-1]: prediction targeted at stream position t
-  // made h steps earlier. Positions t, t+1, ..., t+H use distinct slots.
-  std::vector<std::vector<Pending>> pending_;
+  // H+1 rows of has_words() + H words. Row t % (H+1) holds the
+  // predictions targeted at stream position t: bit h-1 of its has-bit
+  // words says whether the prediction made h steps earlier existed, and
+  // value word h-1 holds it (the bits of a Predictor::Value). Positions
+  // t, t+1, ..., t+H use distinct rows.
+  std::vector<std::uint64_t> pending_;
   std::int64_t position_ = 0;
 };
 

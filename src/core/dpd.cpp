@@ -1,6 +1,7 @@
 #include "core/dpd.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/assert.hpp"
 
@@ -13,10 +14,16 @@ PeriodicityDetector::PeriodicityDetector(DpdConfig cfg) : cfg_(cfg) {
                   "window must fit two full periods (max_period*2 <= window)");
   MPIPRED_REQUIRE(cfg_.confirm_periods >= 1, "confirm_periods must be at least 1");
   MPIPRED_REQUIRE(cfg_.mismatch_penalty >= 1, "mismatch penalty must be at least 1");
+  // Scores are capped at twice the largest threshold and held in 32 bits.
+  constexpr std::size_t kMaxThreshold = std::numeric_limits<std::uint32_t>::max() / 2;
+  MPIPRED_REQUIRE(cfg_.confirm_periods <= kMaxThreshold / cfg_.max_period &&
+                      cfg_.min_confirm_samples <= kMaxThreshold,
+                  "twice the confirmation threshold must fit in 32 bits");
 }
 
 void PeriodicityDetector::reset() {
-  ring_.clear();
+  ring_lo_.clear();
+  ring_hi_.clear();
   run_.clear();
   score_.clear();
   total_ = 0;
@@ -24,8 +31,8 @@ void PeriodicityDetector::reset() {
 }
 
 std::size_t PeriodicityDetector::heap_bytes() const noexcept {
-  return ring_.capacity() * sizeof(Value) +
-         (run_.capacity() + score_.capacity()) * sizeof(std::size_t);
+  return (ring_lo_.capacity() + ring_hi_.capacity() + run_.capacity() + score_.capacity()) *
+         sizeof(std::uint32_t);
 }
 
 std::size_t PeriodicityDetector::buffered() const noexcept {
@@ -37,7 +44,7 @@ PeriodicityDetector::Value PeriodicityDetector::value_at_lag(std::size_t lag) co
   const std::size_t pos =
       static_cast<std::size_t>((total_ - 1 - static_cast<std::int64_t>(lag)) %
                                static_cast<std::int64_t>(cfg_.window));
-  return ring_[pos];
+  return static_cast<Value>(std::uint64_t{ring_hi_[pos]} << 32 | ring_lo_[pos]);
 }
 
 void PeriodicityDetector::observe(Value v) {
@@ -56,51 +63,81 @@ void PeriodicityDetector::observe(Value v) {
   const std::size_t window = cfg_.window;
   const std::size_t live = std::min(buffered(), cfg_.max_period);
   if (run_.size() < live) {
-    detail::append_bounded(run_, std::size_t{0}, cfg_.max_period);
-    detail::append_bounded(score_, std::size_t{0}, cfg_.max_period);
+    detail::append_bounded(run_, std::uint32_t{0}, cfg_.max_period);
+    detail::append_bounded(score_, std::uint32_t{0}, cfg_.max_period);
   }
   const auto head = static_cast<std::size_t>(total_ % static_cast<std::int64_t>(window));
-  const Value* const ring = ring_.data();
-  std::size_t* const runs = run_.data();
-  std::size_t* const scores = score_.data();
-  const std::size_t penalty = cfg_.mismatch_penalty;
-  std::size_t best_run = 0;
-  std::size_t best_score = 0;
-  // Lags [from, to] whose x[t-m] is ring[base - m].
+  const auto vlo = static_cast<std::uint32_t>(static_cast<std::uint64_t>(v));
+  const auto vhi = static_cast<std::uint32_t>(static_cast<std::uint64_t>(v) >> 32);
+  const std::uint32_t* const ring_lo = ring_lo_.data();
+  const std::uint32_t* const ring_hi = ring_hi_.data();
+  std::uint32_t* const runs = run_.data();
+  std::uint32_t* const scores = score_.data();
+  // A score never exceeds 2 * threshold <= UINT32_MAX - 1 (constructor),
+  // so clamping the penalty to 32 bits lowers it exactly as the full
+  // penalty would.
+  const auto penalty = static_cast<std::uint32_t>(
+      std::min<std::size_t>(cfg_.mismatch_penalty, std::numeric_limits<std::uint32_t>::max()));
+  std::uint32_t best_run = 0;
+  std::uint32_t best_score = 0;
+  // Lags [from, to] whose x[t-m] is ring[base - m]. Every lane is 32 bits
+  // wide, selects by mask instead of by branch, and the maxima reduce in
+  // locals: that is the form GCC vectorizes at the baseline x86-64 ISA,
+  // which has no unsigned 32-bit min/max, so the pass avoids them where an
+  // invariant allows. threshold(m) carries confirm_periods * m as an
+  // induction; a score never exceeds 2 * threshold, so a match raises it
+  // unless it sits at that cap; a mismatch floors it at 0.
+  const auto all_ones_if = [](bool b) { return 0U - static_cast<std::uint32_t>(b); };
+  const auto confirm = static_cast<std::uint32_t>(cfg_.confirm_periods);
+  const auto min_samples = static_cast<std::uint32_t>(cfg_.min_confirm_samples);
   const auto update = [&](std::size_t from, std::size_t to, std::size_t base) {
-    for (std::size_t m = from; m <= to; ++m) {
-      const bool match = ring[base - m] == v;
-      const std::size_t thr = threshold(m);
-      std::size_t& run = runs[m - 1];
-      std::size_t& score = scores[m - 1];
-      const std::size_t raised = std::min(score + 1, 2 * thr);
-      const std::size_t lowered = score - std::min(score, penalty);
-      run = match ? run + 1 : 0;
-      score = match ? raised : lowered;
-      best_run = std::max(best_run, run >= thr ? run : 0);
-      best_score = std::max(best_score, score >= thr ? score : 0);
+    std::uint32_t top_run = best_run;
+    std::uint32_t top_score = best_score;
+    std::uint32_t scaled = confirm * static_cast<std::uint32_t>(from);
+    for (std::size_t m = from; m <= to; ++m, scaled += confirm) {
+      const std::uint32_t match =
+          all_ones_if((ring_lo[base - m] == vlo) & (ring_hi[base - m] == vhi));
+      const std::uint32_t thr = std::max(scaled, min_samples);
+      const std::uint32_t run = runs[m - 1];
+      const std::uint32_t score = scores[m - 1];
+      const std::uint32_t extended = run + (run != std::numeric_limits<std::uint32_t>::max());
+      const std::uint32_t raised = score + (score != 2 * thr);
+      const std::uint32_t lowered = (score - penalty) & all_ones_if(score >= penalty);
+      const std::uint32_t new_run = extended & match;
+      const std::uint32_t new_score = (raised & match) | (lowered & ~match);
+      runs[m - 1] = new_run;
+      scores[m - 1] = new_score;
+      top_run = std::max(top_run, new_run & all_ones_if(new_run >= thr));
+      top_score = std::max(top_score, new_score & all_ones_if(new_score >= thr));
     }
+    best_run = top_run;
+    best_score = top_score;
   };
   const std::size_t unwrapped = std::min(live, head);
   update(1, unwrapped, head);
   update(unwrapped + 1, live, head + window);
-  if (ring_.size() < window) {
-    detail::append_bounded(ring_, v, window);  // head == ring_.size() until the ring fills
+  if (ring_lo_.size() < window) {
+    // head == ring size until the ring fills
+    detail::append_bounded(ring_lo_, vlo, window);
+    detail::append_bounded(ring_hi_, vhi, window);
   } else {
-    ring_[head] = v;
+    ring_lo_[head] = vlo;
+    ring_hi_[head] = vhi;
   }
   ++total_;
   lag_ = resolve_lag(live, best_run, best_score);
 }
 
-std::size_t PeriodicityDetector::resolve_lag(std::size_t live, std::size_t best_run,
-                                             std::size_t best_score) const noexcept {
+std::size_t PeriodicityDetector::resolve_lag(std::size_t live, std::uint32_t best_run,
+                                             std::uint32_t best_score) const noexcept {
   // The smallest confirmed lag whose evidence is within half of the best;
-  // the best lag itself always qualifies.
-  const auto smallest_within_half = [&](const std::vector<std::size_t>& evidence,
-                                        std::size_t best) -> std::size_t {
+  // the best lag itself always qualifies. Doubled in 64 bits: a saturated
+  // run would overflow 32.
+  const auto smallest_within_half = [&](const std::vector<std::uint32_t>& evidence,
+                                        std::uint32_t best) -> std::size_t {
     for (std::size_t m = 1; m <= live; ++m) {
-      if (evidence[m - 1] >= threshold(m) && 2 * evidence[m - 1] >= best) {
+      const std::uint64_t e = evidence[m - 1];
+      if (e >= threshold(static_cast<std::uint32_t>(m)) && 2 * e >= best) {
         return m;
       }
     }
@@ -124,14 +161,16 @@ std::size_t PeriodicityDetector::resolve_lag(std::size_t live, std::size_t best_
   return 0;
 }
 
-std::size_t PeriodicityDetector::threshold(std::size_t m) const noexcept {
-  return std::max(cfg_.confirm_periods * m, cfg_.min_confirm_samples);
+std::uint32_t PeriodicityDetector::threshold(std::uint32_t m) const noexcept {
+  // Fits: the constructor bounds both terms for every m <= max_period.
+  return std::max(static_cast<std::uint32_t>(cfg_.confirm_periods) * m,
+                  static_cast<std::uint32_t>(cfg_.min_confirm_samples));
 }
 
 std::optional<std::size_t> PeriodicityDetector::period() const {
   // Lags past run_.size() were never compared, so none is confirmed.
   for (std::size_t m = 1; m <= run_.size(); ++m) {
-    if (run_[m - 1] < threshold(m)) {
+    if (run_[m - 1] < threshold(static_cast<std::uint32_t>(m))) {
       continue;
     }
     // Exact verification over a recent window of ~3 periods (at least the

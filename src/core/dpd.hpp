@@ -40,7 +40,9 @@ struct DpdConfig {
   /// six equal-sized face exchanges in a row must not read as period 1).
   std::size_t min_confirm_samples = 8;
   /// Each mismatch subtracts this many points from the lag's match score
-  /// (a match adds one, capped at twice the confirmation threshold).
+  /// (a match adds one, capped at twice the confirmation threshold; that
+  /// cap, 2 * max(confirm_periods * max_period, min_confirm_samples), must
+  /// fit in 32 bits).
   /// Values > 1 give hysteresis: an isolated reordering costs a few
   /// mispredictions — the paper's "each random change of the message
   /// pattern leads to a failure" — without silencing the predictor for a
@@ -73,6 +75,13 @@ struct DpdConfig {
 /// (or M). A 32-sample stream holds 32 values and 32 counters of each
 /// kind, not 512 and 256. reset() empties the arrays but keeps their
 /// capacity, so a restarted stream does not allocate again.
+///
+/// Every array holds 32-bit words: 8 bytes per buffered sample and 8 per
+/// compared lag. The int64 ring is split into a low-half and a high-half
+/// array, and the run and score counters are uint32 (a run saturates at
+/// UINT32_MAX; a score never exceeds twice its lag's threshold, which the
+/// constructor checks fits). With only 32-bit lanes, the per-lag pass
+/// vectorizes at the baseline x86-64 ISA.
 ///
 /// Costs: observe(), the only mutator, is O(min(samples, M)) — one pass
 /// over the live lags that updates the runs and scores and also resolves
@@ -135,19 +144,21 @@ class PeriodicityDetector {
   [[nodiscard]] std::size_t heap_bytes() const noexcept;
 
  private:
-  [[nodiscard]] std::size_t threshold(std::size_t m) const noexcept;
+  [[nodiscard]] std::uint32_t threshold(std::uint32_t m) const noexcept;
   /// The prediction-lag rule over lags 1..live, given the best confirmed
   /// run and score (0 if none); 0 means no lag.
-  [[nodiscard]] std::size_t resolve_lag(std::size_t live, std::size_t best_run,
-                                        std::size_t best_score) const noexcept;
+  [[nodiscard]] std::size_t resolve_lag(std::size_t live, std::uint32_t best_run,
+                                        std::uint32_t best_score) const noexcept;
 
   DpdConfig cfg_;
-  // The last min(samples, window) samples: appended until full, then
-  // written circularly at samples % window (the same slot either way).
-  std::vector<Value> ring_;
+  // The last min(samples, window) samples, split into their low and high
+  // 32 bits: appended until full, then written circularly at
+  // samples % window (the same slot either way).
+  std::vector<std::uint32_t> ring_lo_;
+  std::vector<std::uint32_t> ring_hi_;
   // Per compared lag m, 1 <= m <= run_.size() == min(buffered, max_period):
-  std::vector<std::size_t> run_;    // run_[m-1]: strict consecutive matches at lag m
-  std::vector<std::size_t> score_;  // score_[m-1]: hysteretic match score at lag m
+  std::vector<std::uint32_t> run_;    // run_[m-1]: consecutive matches at lag m, saturating
+  std::vector<std::uint32_t> score_;  // score_[m-1]: hysteretic match score at lag m
   std::int64_t total_ = 0;
   std::size_t lag_ = 0;  // prediction_lag() as of the last observe(); 0 = none
 };

@@ -49,9 +49,10 @@ std::unique_ptr<Predictor> StreamPredictor::clone_fresh() const {
 }
 
 std::size_t StreamPredictor::footprint_bytes() const {
-  // Detector state: the sample ring plus per-lag run and score counters,
-  // as allocated so far (full size, window + 2 * max_period words, once
-  // the stream has filled the window).
+  // Detector state: the split sample ring plus per-lag run and score
+  // counters, all 32-bit words, as allocated so far (full size,
+  // 8 * (window + max_period) bytes, once the stream has filled the
+  // window).
   return sizeof(*this) + detector_.heap_bytes();
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -36,6 +37,20 @@ TEST(Dpd, RejectsBadConfig) {
   EXPECT_THROW(PeriodicityDetector({.window = 8, .max_period = 5}), UsageError);
   EXPECT_THROW(PeriodicityDetector({.window = 8, .max_period = 4, .confirm_periods = 0}),
                UsageError);
+  // Scores are 32-bit and capped at 2 * max(confirm_periods * max_period,
+  // min_confirm_samples): a cap of 2^32 does not fit, 2^32 - 2 does.
+  constexpr std::size_t kHalf = std::size_t{1} << 31;
+  EXPECT_THROW(PeriodicityDetector({.window = 8, .max_period = 4, .min_confirm_samples = kHalf}),
+               UsageError);
+  EXPECT_THROW(PeriodicityDetector({.window = 8, .max_period = 4, .confirm_periods = kHalf / 4}),
+               UsageError);
+  EXPECT_THROW(PeriodicityDetector(
+                   {.window = 8, .max_period = 4, .confirm_periods = std::size_t{1} << 62}),
+               UsageError);
+  EXPECT_NO_THROW(
+      PeriodicityDetector({.window = 8, .max_period = 4, .min_confirm_samples = kHalf - 1}));
+  EXPECT_NO_THROW(
+      PeriodicityDetector({.window = 8, .max_period = 4, .confirm_periods = (kHalf - 1) / 4}));
 }
 
 TEST(Dpd, NoPeriodOnEmptyOrShortStream) {
@@ -510,30 +525,56 @@ class TestRng {
   std::uint64_t state_;
 };
 
+// How a segment spells its symbols s in 0..64. Besides the plain symbols:
+// values that share their low 32 bits and differ only in the high half
+// (the detector compares both halves of its split ring), negatives, and
+// the int64 limits among values that share a half with them.
+enum class Spelling { kPlain, kHighHalf, kNegative, kExtreme };
+
+std::int64_t spell(std::size_t s, Spelling spelling) {
+  const auto k = static_cast<std::int64_t>(s);
+  switch (spelling) {
+    case Spelling::kPlain: return k;
+    case Spelling::kHighHalf: return (k << 32) | 5;
+    case Spelling::kNegative: return -1 - (k << 32) - k % 3;
+    case Spelling::kExtreme:
+      switch (s % 4) {
+        case 0: return std::numeric_limits<std::int64_t>::min();
+        case 1: return std::numeric_limits<std::int64_t>::max();
+        case 2: return (k << 32) | 0xffffffff;  // INT64_MAX's low half
+        default: return std::numeric_limits<std::int64_t>::min() | (k << 32);  // INT64_MIN's
+      }
+  }
+  return k;
+}
+
 // A stream of periodic segments: each segment draws a period in
-// 1..max_period and an alphabet in 1..64, then repeats its pattern with
-// occasional glitches (one foreign symbol) and phase shifts (a jump inside
-// the pattern). One segment in six is aperiodic noise.
+// 1..max_period, an alphabet in 1..64 and a spelling (plain half the
+// time), then repeats its pattern with occasional glitches (one foreign
+// symbol) and phase shifts (a jump inside the pattern). One segment in
+// six is aperiodic noise.
 std::vector<std::int64_t> oracle_stream(TestRng& rng, std::size_t max_period, std::size_t n) {
   std::vector<std::int64_t> out;
   out.reserve(n);
   while (out.size() < n) {
     const std::size_t alphabet = rng.between(1, 64);
     const std::size_t length = rng.between(1, 6 * max_period + 16);
+    const auto spelling =
+        rng.chance(50) ? Spelling::kPlain : static_cast<Spelling>(rng.between(1, 3));
     if (rng.chance(16)) {
       for (std::size_t i = 0; i < length && out.size() < n; ++i) {
-        out.push_back(static_cast<std::int64_t>(rng.between(0, alphabet - 1)));
+        out.push_back(spell(rng.between(0, alphabet - 1), spelling));
       }
       continue;
     }
     std::vector<std::int64_t> pattern(rng.between(1, max_period));
     for (auto& symbol : pattern) {
-      symbol = static_cast<std::int64_t>(rng.between(0, alphabet - 1));
+      symbol = spell(rng.between(0, alphabet - 1), spelling);
     }
     std::size_t phase = 0;
     for (std::size_t i = 0; i < length && out.size() < n; ++i) {
       if (rng.chance(2)) {
-        out.push_back(static_cast<std::int64_t>(rng.between(0, 64)));  // glitch
+        out.push_back(spell(rng.between(0, 64), spelling));  // glitch
         continue;
       }
       if (rng.chance(1)) {

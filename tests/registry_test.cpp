@@ -196,11 +196,12 @@ void feed(core::Predictor& predictor, std::size_t n) {
 }
 
 TEST(PredictorRegistry, DpdFootprintIsObjectPlusRingPlusLagCounters) {
-  // The exact layout bill of the paper's predictor: the object itself, an
-  // 8-byte sample ring, and two 8-byte counters (run and score) per
-  // compared lag. The arrays grow with the stream (doubling from 16) and
-  // stop at exactly `window` and `max_period` entries, also for a shape
-  // that is not a power of two; reset() keeps what was allocated.
+  // The exact layout bill of the paper's predictor: the object itself, a
+  // sample ring split into two 4-byte halves (8 bytes a sample), and two
+  // 4-byte counters (run and score) per compared lag. The arrays grow
+  // with the stream (doubling from 16) and stop at exactly `window` and
+  // `max_period` entries, also for a shape that is not a power of two;
+  // reset() keeps what was allocated.
   const auto registered = make_predictor("dpd");
   const auto* dpd = dynamic_cast<const core::StreamPredictor*>(registered.get());
   ASSERT_NE(dpd, nullptr);
@@ -210,10 +211,10 @@ TEST(PredictorRegistry, DpdFootprintIsObjectPlusRingPlusLagCounters) {
     core::StreamPredictor predictor({.dpd = cfg});
     EXPECT_EQ(predictor.footprint_bytes(), sizeof(core::StreamPredictor));
     feed(predictor, 32);  // 32 samples ring, 31 lags compared
-    EXPECT_EQ(predictor.footprint_bytes(), sizeof(core::StreamPredictor) + 32 * 8 + 2 * 32 * 8);
+    EXPECT_EQ(predictor.footprint_bytes(), sizeof(core::StreamPredictor) + 32 * 8 + 2 * 32 * 4);
     feed(predictor, cfg.window - 32);
     const std::size_t full =
-        sizeof(core::StreamPredictor) + cfg.window * 8 + 2 * cfg.max_period * 8;
+        sizeof(core::StreamPredictor) + cfg.window * 8 + 2 * cfg.max_period * 4;
     EXPECT_EQ(predictor.footprint_bytes(), full);
     feed(predictor, 3 * cfg.window);
     EXPECT_EQ(predictor.footprint_bytes(), full);

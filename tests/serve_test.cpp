@@ -208,9 +208,9 @@ TEST(Serve, SessionReportMatchesStandaloneEngineByteForByte) {
 TEST(Serve, ShortDpdStreamsHoldOnlyTheirHistory) {
   // A DPD stream's ring and lag counters grow with the samples it has
   // seen. 1024 streams of 32 events each must stay far below the full
-  // 512-sample, 256-lag bill (about 16.6 KiB per stream with both
-  // predictors and the bookkeeping), so allocating that bill up front
-  // fails here, not only in the benchmark.
+  // 512-sample, 256-lag bill (about 13.4 KiB per stream with both
+  // predictors, both evaluators and the bookkeeping), so allocating that
+  // bill up front fails here, not only in the benchmark.
   constexpr std::int32_t kStreams = 1024;
   const auto events = periodic_trace(32 * kStreams, kStreams, /*phase=*/0);
   PredictionServer server({.engine = {.predictor = "dpd", .shards = 4}});
@@ -219,6 +219,20 @@ TEST(Serve, ShortDpdStreamsHoldOnlyTheirHistory) {
   const ServerStats stats = server.stats();
   ASSERT_EQ(stats.streams, static_cast<std::size_t>(kStreams));
   EXPECT_LT(stats.resident_bytes / stats.streams, std::size_t{3} * 1024);
+
+  // The bill is exact: every stream saw 32 events, and each is billed
+  // for both predictors, both evaluators' heaps, its StreamState block
+  // and 64 bytes of table entry.
+  const auto prototype = engine::make_predictor("dpd", {});
+  engine::StreamState one(*prototype, engine::PredictorOptions{}.horizon);
+  for (std::int64_t v = 0; v < 32; ++v) {
+    one.sender_eval.observe(v % 7);
+    one.size_eval.observe(v % 4);
+  }
+  const std::size_t per_stream =
+      one.sender_predictor->footprint_bytes() + one.size_predictor->footprint_bytes() +
+      one.sender_eval.heap_bytes() + one.size_eval.heap_bytes() + sizeof(engine::StreamState) + 64;
+  EXPECT_EQ(stats.resident_bytes, per_stream * kStreams);
 }
 
 /// Two-level trace for the streamed-ingest case: each of 8 ranks receives
