@@ -42,7 +42,6 @@
 
 #include "bench/bench_util.hpp"
 #include "ingest/replay.hpp"
-#include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
 #include "ingest/transform.hpp"
 
@@ -84,15 +83,16 @@ AdaptiveRun run_adaptive(const std::string& app, int procs, const std::string& p
 /// arrival stream — the identical decision code the live endpoint drives.
 int run_trace_mode(const std::string& path, const std::string& predictor, std::size_t shards,
                    const bench::TraceFlags& flags, const bench::TelemetryFlags& telem_flags) {
-  const ingest::CsvTraceSource source = ingest::open_trace(path);
+  const ingest::CsvTraceFile file = ingest::CsvTraceFile::open(path);
   // Physical (arrival order) when the format records it — the level the
   // live adaptive loop feeds on. The arrival sequence comes through the
   // streamed default path: incremental reader, then the window/remap
   // transform chain, drained (the policy needs the whole sequence).
-  const trace::Level level = source.levels().back();
-  int nranks = source.nranks();
+  const trace::Level level = file.levels().back();
+  int nranks = file.nranks();
   std::string transform_lines;
-  auto chain = ingest::apply_transforms(ingest::open_event_stream(path, level), flags.transforms);
+  auto chain =
+      ingest::apply_transforms(ingest::CsvStreamReader::open(file, level), flags.transforms);
   const std::vector<engine::Event> events =
       ingest::strip_times(ingest::drain(*chain.stream, flags.batch_events));
   if (chain.window != nullptr) {
@@ -108,7 +108,7 @@ int run_trace_mode(const std::string& path, const std::string& predictor, std::s
   std::printf("§2 closed loop — static per-peer library vs adaptive replay of %s\n",
               path.c_str());
   std::printf("(format %s, %d ranks, %zu %s-level arrivals, predictor %s)\n",
-              std::string(source.format()).c_str(), nranks, events.size(),
+              std::string(file.format()).c_str(), nranks, events.size(),
               std::string(to_string(level)).c_str(), predictor.c_str());
   std::printf("%s\n", transform_lines.c_str());
 

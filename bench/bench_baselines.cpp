@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "core/evaluate.hpp"
 
 namespace {
 

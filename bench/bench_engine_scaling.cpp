@@ -14,7 +14,7 @@
 // and reported as the median with the fastest and slowest run (Hunold &
 // Carpen-Amarie: repetitions and spread, never one run). `--shards <n>`
 // measures that count against 1 shard.
-// `--json <file>` also writes the table and the predictor state with the
+// `--json <file>` also writes the table and the stream state with the
 // host block (BENCH_engine_scaling.json is that file, committed).
 
 #include <algorithm>
@@ -124,7 +124,7 @@ int run(int argc, char** argv) {
 
   const double state_mib =
       static_cast<double>(report.total_footprint_bytes) / (1024.0 * 1024.0);
-  std::printf("\n%zu streams, %.1f MiB predictor state\n", report.streams.size(), state_mib);
+  std::printf("\n%zu streams, %.1f MiB stream state\n", report.streams.size(), state_mib);
   if (hw == 1) {
     std::printf("(single hardware thread: speedups need a multi-core host)\n");
   }
@@ -155,8 +155,8 @@ int run(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
-  json.key("predictor_state_bytes").value(static_cast<std::uint64_t>(report.total_footprint_bytes));
-  json.key("predictor_state_mib").value(state_mib);
+  json.key("stream_state_bytes").value(static_cast<std::uint64_t>(report.total_footprint_bytes));
+  json.key("stream_state_mib").value(state_mib);
   json.end_object();
   bench::write_file_or_exit(json_path, json.str() + "\n");
   std::printf("wrote %s\n", json_path.c_str());

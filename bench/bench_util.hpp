@@ -22,7 +22,6 @@
 #include "apps/app.hpp"
 #include "apps/registry.hpp"
 #include "common/error.hpp"
-#include "core/evaluate.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "ingest/streaming.hpp"
@@ -126,7 +125,7 @@ int cli_main(int argc, char** argv, const char* usage, Run run) {
 /// scored by an engine pass (identical to a hand-wired per-rank
 /// evaluation; feeding only that receiver's events keeps the cost at the
 /// old single-rank level).
-inline core::StreamEvaluation evaluate_level(mpi::World& world, trace::Level level,
+inline engine::StreamReport evaluate_level(mpi::World& world, trace::Level level,
                                              const std::string& predictor = "dpd",
                                              const engine::PredictorOptions& options = {}) {
   const int rep = trace::representative_rank(world.traces(), level);
@@ -134,12 +133,12 @@ inline core::StreamEvaluation evaluate_level(mpi::World& world, trace::Level lev
   eng.observe_all(engine::events_from_rank(world.traces(), rep, level));
   for (const auto& stream : eng.report().streams) {
     if (stream.key.destination == rep) {
-      return {.senders = stream.senders, .sizes = stream.sizes};
+      return stream;
     }
   }
   // Empty stream (nothing received at this level): zeroed rows, printable
   // like any other report.
-  core::StreamEvaluation zero;
+  engine::StreamReport zero;
   zero.senders.horizons.resize(options.horizon);
   zero.sizes.horizons.resize(options.horizon);
   return zero;

@@ -43,7 +43,6 @@
 #include "apps/registry.hpp"
 #include "bench/bench_util.hpp"
 #include "engine/engine.hpp"
-#include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
 #include "ingest/transform.hpp"
 #include "mpi/world.hpp"
@@ -114,9 +113,9 @@ int busiest_destination(const engine::EngineReport& report) {
 
 int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
                  const bench::TraceFlags& flags, const bench::TelemetryFlags& telem_flags) {
-  const ingest::CsvTraceSource source = ingest::open_trace(path);
+  const ingest::CsvTraceFile file = ingest::CsvTraceFile::open(path);
   std::printf("replaying %s (format %s, %d ranks), predictor %s...\n", path.c_str(),
-              std::string(source.format()).c_str(), source.nranks(), cfg.predictor.c_str());
+              std::string(file.format()).c_str(), file.nranks(), cfg.predictor.c_str());
 
   // The server's sessions report into this registry when `--emit-metrics`
   // is given.
@@ -140,14 +139,14 @@ int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
   };
   serve::PredictionServer server({.engine = server_cfg});
   std::vector<LevelRun> runs;
-  for (const trace::Level level : source.levels()) {
+  for (const trace::Level level : file.levels()) {
     auto chain =
-        ingest::apply_transforms(ingest::open_event_stream(path, level), flags.transforms);
+        ingest::apply_transforms(ingest::CsvStreamReader::open(file, level), flags.transforms);
     LevelRun lr;
     lr.level = level;
     const auto session = server.open_session();
     lr.run = ingest::run_into(*chain.stream, *session, flags.batch_events);
-    lr.nranks = source.nranks();
+    lr.nranks = file.nranks();
     if (chain.window != nullptr) {
       lr.window_summary = chain.window->summary();
     }
@@ -160,7 +159,7 @@ int replay_trace(const std::string& path, const engine::EngineConfig& cfg,
   }
 
   const int rep = !flags.transforms.active()
-                      ? trace::representative_rank(source.store(), source.levels().front())
+                      ? trace::representative_rank(file.records_per_rank(file.levels().front()))
                       : busiest_destination(runs.front().run.report);
   std::printf("  representative process: %d\n\n", rep);
 

@@ -35,7 +35,6 @@
 #include "bench/bench_util.hpp"
 #include "engine/engine.hpp"
 #include "ingest/replay.hpp"
-#include "ingest/source.hpp"
 #include "ingest/streaming.hpp"
 #include "ingest/transform.hpp"
 #include "serve/server.hpp"
@@ -49,27 +48,6 @@ constexpr const char* kUsage =
     "                    [--batch-events <n>] [--window <t0>:<t1>]\n"
     "                    [--remap-ranks <spec>] [--emit-metrics <file>]\n"
     "                    [--emit-trace-events <file>]\n";
-
-/// Tees every pulled batch into a sink, so the adaptive replay below
-/// reuses the last level's transformed events instead of re-parsing the
-/// whole file a second time.
-class TeeStream final : public ingest::EventStream {
- public:
-  TeeStream(std::unique_ptr<ingest::EventStream> inner, std::vector<ingest::TimedEvent>& sink)
-      : inner_(std::move(inner)), sink_(&sink) {}
-
-  std::size_t next_batch(std::size_t max_events, std::vector<ingest::TimedEvent>& out) override {
-    const std::size_t before = out.size();
-    const std::size_t got = inner_->next_batch(max_events, out);
-    sink_->insert(sink_->end(), out.begin() + static_cast<std::ptrdiff_t>(before), out.end());
-    return got;
-  }
-  [[nodiscard]] bool time_ordered() const noexcept override { return inner_->time_ordered(); }
-
- private:
-  std::unique_ptr<ingest::EventStream> inner_;
-  std::vector<ingest::TimedEvent>* sink_;
-};
 
 /// +1 accuracy as a percentage; 0 when the stream was empty (an empty
 /// window or keep set must degrade to a zero report, not an abort).
@@ -91,7 +69,7 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  const ingest::CsvTraceSource source = ingest::open_trace(flags.path);
+  const ingest::CsvTraceFile file = ingest::CsvTraceFile::open(flags.path);
   const engine::EngineConfig cfg{.predictor = arg.name, .shards = shards};
 
   // Registry + (ordinal-clocked) trace sink behind the `--emit-*` flags;
@@ -105,26 +83,19 @@ int run(int argc, char** argv) {
     server_cfg.metrics = &telem.metrics();
   }
   std::printf("%s: format %s, %d ranks, predictor %s, batch %zu events\n", flags.path.c_str(),
-              std::string(source.format()).c_str(), source.nranks(), arg.name.c_str(),
+              std::string(file.format()).c_str(), file.nranks(), arg.name.c_str(),
               flags.batch_events);
 
   // The paper's accuracy question, answered from the file alone through
   // the resident service: one PredictionServer, one isolated session per
   // trace level, each fed by the incremental reader in batches (parse of
-  // batch N+1 overlapped with the drain of batch N). The last level's
-  // transformed arrivals double as the adaptive replay's input below
-  // (physical, when the format records it).
+  // batch N+1 overlapped with the drain of batch N).
   serve::PredictionServer server({.engine = server_cfg});
-  std::vector<ingest::TimedEvent> last_level_events;
-  for (const trace::Level level : source.levels()) {
+  for (const trace::Level level : file.levels()) {
     auto chain =
-        ingest::apply_transforms(ingest::open_event_stream(flags.path, level), flags.transforms);
-    std::unique_ptr<ingest::EventStream> stream = std::move(chain.stream);
-    if (level == source.levels().back()) {
-      stream = std::make_unique<TeeStream>(std::move(stream), last_level_events);
-    }
+        ingest::apply_transforms(ingest::CsvStreamReader::open(file, level), flags.transforms);
     const auto session = server.open_session();
-    const ingest::StreamedRun run = ingest::run_into(*stream, *session, flags.batch_events);
+    const ingest::StreamedRun run = ingest::run_into(*chain.stream, *session, flags.batch_events);
     std::printf("%s level: %lld messages over %zu streams in %zu batches, +1 accuracy "
                 "senders %.1f%% / sizes %.1f%%\n",
                 std::string(to_string(level)).c_str(), static_cast<long long>(run.events),
@@ -138,7 +109,13 @@ int run(int argc, char** argv) {
                   chain.remap->report().summary().c_str());
     }
   }
-  const std::vector<engine::Event> arrivals = ingest::strip_times(last_level_events);
+  // The last level's transformed arrivals (physical, when the format
+  // records it), read again from the indexed file: no second scan.
+  const std::vector<engine::Event> arrivals = ingest::strip_times(ingest::drain(
+      *ingest::apply_transforms(ingest::CsvStreamReader::open(file, file.levels().back()),
+                                flags.transforms)
+           .stream,
+      flags.batch_events));
 
   // The §2 runtime question — what would the adaptive library have done?
   adaptive::RuntimeConfig rt;

@@ -36,7 +36,8 @@ struct StreamReport {
   std::int64_t events = 0;
   core::AccuracyReport senders;
   core::AccuracyReport sizes;
-  /// Bytes held by this stream's two predictors.
+  /// Bytes held by this stream's two predictors and their two accuracy
+  /// evaluators (StreamState::footprint_bytes).
   std::size_t footprint_bytes = 0;
 
   [[nodiscard]] bool operator==(const StreamReport&) const = default;

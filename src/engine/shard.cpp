@@ -225,8 +225,7 @@ EngineReport report_of(const ShardSet& shards) {
     row.events = state.events;
     row.senders = state.sender_eval.report();
     row.sizes = state.size_eval.report();
-    row.footprint_bytes =
-        state.sender_predictor->footprint_bytes() + state.size_predictor->footprint_bytes();
+    row.footprint_bytes = state.footprint_bytes();
     out.streams.push_back(std::move(row));
   });
   // Canonical key order, then aggregate over the sorted rows: integer sums

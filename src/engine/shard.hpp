@@ -7,6 +7,7 @@
 // engine — the serve layer builds one ShardSet per tenant session on top
 // of a shared WorkerPool and the same invariants.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -30,12 +31,24 @@ struct StreamState {
         sender_eval(*sender_predictor, horizon),
         size_eval(*size_predictor, horizon) {}
 
+  /// The stream's one bill: both predictors' footprints and both
+  /// evaluators' heaps (pending predictions and horizon rows). The engine
+  /// report and the serve layer's resident bytes both read it.
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    return sender_predictor->footprint_bytes() + size_predictor->footprint_bytes() +
+           sender_eval.heap_bytes() + size_eval.heap_bytes();
+  }
+
   std::unique_ptr<core::Predictor> sender_predictor;
   std::unique_ptr<core::Predictor> size_predictor;
   core::AccuracyEvaluator sender_eval;
   core::AccuracyEvaluator size_eval;
   std::int64_t events = 0;
 };
+
+/// Fixed bookkeeping a resident stream costs beyond footprint_bytes(): the
+/// StreamState block itself plus its table entry.
+inline constexpr std::size_t kStreamOverheadBytes = sizeof(StreamState) + 64;
 
 /// Deterministic 64-bit mix of all three key dimensions (splitmix64
 /// finalizer). The low bits index a StreamTable; the high bits pick the

@@ -7,29 +7,30 @@
 // preamble directive, header, or data line is. A data line has one
 // decoder, parse_row: one forward pass over the bytes that decodes each
 // field while walking to the next comma, then the field-count check, then
-// each column's checks in order. scan reads its stream in 64 KiB blocks
-// and cuts lines with memchr. Internal to src/ingest/; consumers outside
-// the ingest boundary go through CsvTraceSource or EventStream instead.
+// each column's checks in order. Lines have one cutter, LineCutter: it
+// reads a byte range of a ByteSource (the open file, or a text in memory)
+// through a window of a size its owner picks — 64 KiB for the scan, 4 KiB
+// per streamed section — and cuts lines with memchr. Internal to
+// src/ingest/; consumers outside the ingest boundary go through
+// CsvTraceSource, CsvTraceFile or EventStream instead.
 
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <istream>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ingest/source.hpp"
-#include "trace/csv_util.hpp"
+#include "trace/csv.hpp"
 #include "trace/event.hpp"
 
 namespace mpipred::ingest::csv_line {
 
-inline constexpr std::string_view kNativeHeader = trace::csv_util::kNativeHeader;
 inline constexpr std::string_view kFlatHeader = "time_ns,sender,receiver,bytes";
 inline constexpr std::string_view kFlatHeaderKind = "time_ns,sender,receiver,bytes,kind";
 
@@ -114,7 +115,7 @@ struct HeaderInfo {
 
 /// The dialect `line` announces, or nullopt for an unrecognized header.
 [[nodiscard]] inline std::optional<HeaderInfo> match_header(std::string_view line) {
-  if (line == kNativeHeader) {
+  if (line == trace::kNativeHeader) {
     return HeaderInfo{.dialect = Dialect::Native};
   }
   if (line == kFlatHeaderKind) {
@@ -128,7 +129,7 @@ struct HeaderInfo {
 
 [[noreturn]] inline void reject_header(std::string_view line, const Cursor& at) {
   at.reject("", "unrecognized header '" + std::string(line) + "' (known formats: csv '" +
-                    std::string(kNativeHeader) + "', csv-flat '" + std::string(kFlatHeader) +
+                    std::string(trace::kNativeHeader) + "', csv-flat '" + std::string(kFlatHeader) +
                     "[,kind]')");
 }
 
@@ -352,82 +353,155 @@ struct Row {
   return row;
 }
 
-/// Opens `path` for reading; throws IngestError when it cannot.
-[[nodiscard]] inline std::ifstream open_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
-  }
-  return is;
-}
-
-/// Cuts an istream into lines for scan: reads it kBlockBytes at a time,
-/// finds each '\n' with memchr and hands out lines as views into the
-/// block, never copied. A line cut by a block's end is carried to the
-/// front of the next read; the buffer grows only for one line longer than
-/// itself.
-class BlockLines {
+/// A trace's bytes, read positionally: the open file (FileSource) or an
+/// in-memory text (TextSource). LineCutter reads through this interface
+/// only, so it cannot tell the two apart.
+class ByteSource {
  public:
-  static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+  ByteSource(const ByteSource&) = delete;
+  ByteSource& operator=(const ByteSource&) = delete;
+  virtual ~ByteSource() = default;
 
-  explicit BlockLines(std::istream& is) : is_(is), buf_(kBlockBytes) {}
+  /// The path, or a "<label>": the file diagnostics name.
+  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  /// Bytes in the source, measured once when it was opened.
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
 
-  /// The next line without its '\n' (a '\r' is the caller's to strip),
-  /// valid until the next call; false once the stream is exhausted. A last
-  /// line without a '\n' is still a line.
+  /// Reads exactly `n` bytes at `offset` (within size()) into `dst`;
+  /// throws IngestError naming `line` when the bytes are no longer there.
+  virtual void read_exact(char* dst, std::size_t n, std::uint64_t offset,
+                          std::size_t line) const = 0;
+
+ protected:
+  explicit ByteSource(std::string name) : name_(std::move(name)) {}
+
+  std::uint64_t size_ = 0;  // set once, by the derived constructor
+
+ private:
+  std::string name_;
+};
+
+/// A regular file, opened once without blocking (so a FIFO cannot hang
+/// the open) and measured by fstat; anything else is rejected at line 0.
+/// Read with pread only, so any number of cutters share it. An early end
+/// or a read error means the file changed after it was measured:
+/// IngestError naming the line, never a silently shorter trace.
+class FileSource final : public ByteSource {
+ public:
+  explicit FileSource(const std::string& path);
+  ~FileSource() override;
+  void read_exact(char* dst, std::size_t n, std::uint64_t offset,
+                  std::size_t line) const override;
+
+ private:
+  int fd_;
+};
+
+class TextSource final : public ByteSource {
+ public:
+  TextSource(std::string text, std::string name)
+      : ByteSource(std::move(name)), text_(std::move(text)) {
+    size_ = text_.size();
+  }
+  void read_exact(char* dst, std::size_t n, std::uint64_t offset,
+                  std::size_t /*line*/) const override {
+    std::memcpy(dst, text_.data() + offset, n);
+  }
+
+ private:
+  std::string text_;
+};
+
+/// The validation scan's read window.
+inline constexpr std::size_t kScanWindowBytes = std::size_t{64} << 10;
+
+/// Cuts the byte range [offset, end) of a ByteSource into lines: the one
+/// line loop of src/ingest/. It reads a window of `window_bytes` (at most
+/// what is left of the range) at its own offset, finds each '\n' with
+/// memchr and hands out lines as views into the window, never copied. A
+/// line cut by the window's end is carried to the front of the next read;
+/// the window grows (doubling, never past the range) only for one line
+/// longer than itself, and is freed once the range is exhausted.
+class LineCutter {
+ public:
+  /// `line` is the number of the line just before `offset`.
+  LineCutter(const ByteSource& bytes, std::uint64_t offset, std::uint64_t end, std::size_t line,
+             std::size_t window_bytes)
+      : bytes_(&bytes), window_(window_bytes), next_read_(offset), end_(end), line_(line) {}
+
+  /// The next line without its '\n' or a '\r' before it, valid until the
+  /// next call; false once the range is exhausted. A last line without a
+  /// '\n' is still a line.
   bool next(std::string_view& line) {
     while (true) {
-      const char* const base = buf_.data();
-      const void* newline = std::memchr(base + searched_, '\n', tail_ - searched_);
-      if (newline != nullptr) {
-        line = {base + head_, static_cast<std::size_t>(static_cast<const char*>(newline) -
-                                                       (base + head_))};
-        head_ = searched_ = head_ + line.size() + 1;
-        offset_ += line.size() + 1;
-        return true;
+      if (searched_ != tail_) {
+        const char* const base = buf_.data();
+        const void* newline = std::memchr(base + searched_, '\n', tail_ - searched_);
+        if (newline != nullptr) {
+          const auto stop = static_cast<std::size_t>(static_cast<const char*>(newline) - base);
+          return take(line, stop, stop + 1);
+        }
+        searched_ = tail_;
       }
-      searched_ = tail_;
-      if (!ended_) {
-        read_block();
-        continue;
-      }
-      if (head_ == tail_) {
+      if (next_read_ != end_) {
+        refill();
+      } else if (head_ != tail_) {
+        return take(line, tail_, tail_);  // the range's last line, without a '\n'
+      } else {
+        std::vector<char>().swap(buf_);
+        head_ = searched_ = tail_ = 0;
         return false;
       }
-      line = {base + head_, tail_ - head_};
-      offset_ += line.size();
-      head_ = searched_ = tail_;
-      return true;
     }
   }
 
+  /// Number of the line next() returned last.
+  [[nodiscard]] std::size_t line() const noexcept { return line_; }
+
   /// Byte offset just past the last line next() returned, its '\n'
   /// included.
-  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
+  [[nodiscard]] std::uint64_t offset() const noexcept { return next_read_ - (tail_ - head_); }
 
  private:
-  void read_block() {
+  /// Hands out buf_[head_, stop) as the next line, CR stripped, and
+  /// resumes at `resume`.
+  bool take(std::string_view& line, std::size_t stop, std::size_t resume) {
+    line = {buf_.data() + head_, stop - head_};
+    head_ = searched_ = resume;
+    ++line_;
+    if (!line.empty() && line.back() == '\r') {
+      line.remove_suffix(1);
+    }
+    return true;
+  }
+
+  void refill() {
     if (head_ != 0) {  // carry the partial line to the front
       std::memmove(buf_.data(), buf_.data() + head_, tail_ - head_);
       tail_ -= head_;
       searched_ -= head_;
       head_ = 0;
     }
-    if (tail_ == buf_.size()) {
-      buf_.resize(2 * buf_.size());
+    const std::uint64_t left = end_ - next_read_;
+    if (tail_ == buf_.size()) {  // empty, or one line longer than the window
+      buf_.resize(tail_ + static_cast<std::size_t>(
+                              std::min<std::uint64_t>(tail_ == 0 ? window_ : tail_, left)));
     }
-    is_.read(buf_.data() + tail_, static_cast<std::streamsize>(buf_.size() - tail_));
-    tail_ += static_cast<std::size_t>(is_.gcount());
-    ended_ = !is_;  // a short read: end of stream (or a read error)
+    const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(buf_.size() - tail_, left));
+    bytes_->read_exact(buf_.data() + tail_, want, next_read_, line_ + 1);
+    tail_ += want;
+    next_read_ += want;
   }
 
-  std::istream& is_;
+  const ByteSource* bytes_;
+  std::size_t window_;
   std::vector<char> buf_;
   std::size_t head_ = 0;      // buf_[head_, tail_) holds read, unconsumed bytes
   std::size_t searched_ = 0;  // buf_[head_, searched_) holds no '\n'
   std::size_t tail_ = 0;
-  std::uint64_t offset_ = 0;  // stream offset of buf_[head_]
-  bool ended_ = false;
+  std::uint64_t next_read_;  // source offset of the byte after buf_[tail_ - 1]
+  std::uint64_t end_;
+  std::size_t line_;
 };
 
 /// What a scan learned about a file besides its data rows.
@@ -439,30 +513,28 @@ struct Layout {
   /// Line number of the header, and the byte offset just past it.
   std::size_t header_line = 0;
   std::uint64_t data_start = 0;
-  /// Byte offset at the end of the scan (the file size).
-  std::uint64_t end = 0;
 };
 
-/// The one line scanner of both dialects: validates every line of `is`
+/// The one line scanner of both dialects: validates every line of `bytes`
 /// (directives and comments before the header, the header itself, then
-/// comments, blanks, and data rows; CRLF accepted) and calls
+/// comments, blanks, and data rows; CRLF accepted by the cutter) and calls
 /// `on_row(header, row, line, offset)` for each data row with its 1-based
 /// line number and the byte offset of its first character. Lines are cut
-/// from 64 KiB blocks (BlockLines). Throws IngestError, labeled with
-/// `file`, on the first malformed line. A template parameter rather than
-/// std::function: the call sits in the per-line loop of every file open.
+/// through a kScanWindowBytes window. Throws IngestError, labeled with
+/// the source's name, on the first malformed line. A template parameter
+/// rather than std::function: the call sits in the per-line loop of every
+/// file open.
 template <typename OnRow>
-Layout scan(std::istream& is, const std::string& file, OnRow&& on_row) {
-  Cursor at{.file = file};
+Layout scan(const ByteSource& bytes, OnRow&& on_row) {
+  Cursor at{.file = bytes.name()};
   Layout out;
   bool have_header = false;
   std::int32_t max_rank = -1;
-  BlockLines lines(is);
-  std::string_view raw;
-  std::uint64_t line_start = 0;  // offset of raw's first byte
-  for (; lines.next(raw); line_start = lines.offset()) {
+  LineCutter lines(bytes, 0, bytes.size(), 0, kScanWindowBytes);
+  std::string_view line;
+  std::uint64_t line_start = 0;  // offset of line's first byte
+  for (; lines.next(line); line_start = lines.offset()) {
     ++at.line;
-    const std::string_view line = trace::csv_util::strip_cr(raw);
     if (line.empty()) {
       continue;
     }
@@ -488,10 +560,10 @@ Layout scan(std::istream& is, const std::string& file, OnRow&& on_row) {
     on_row(out.header, row, at.line, line_start);
   }
   if (!have_header) {
-    throw IngestError({.file = file, .line = 0, .field = {}, .reason = "no header line found"});
+    throw IngestError(
+        {.file = bytes.name(), .line = 0, .field = {}, .reason = "no header line found"});
   }
   out.nranks = out.declared_nranks.value_or(std::max(max_rank + 1, 1));
-  out.end = lines.offset();
   return out;
 }
 

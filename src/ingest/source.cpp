@@ -1,7 +1,13 @@
 #include "ingest/source.hpp"
 
-#include <fstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <istream>
+#include <iterator>
 #include <utility>
 
 #include "engine/engine.hpp"
@@ -27,7 +33,7 @@ std::string to_string(const Diagnostic& d) {
   return out;
 }
 
-std::vector<trace::Level> CsvTraceSource::levels() const {
+std::vector<trace::Level> TraceDialect::levels() const {
   if (flat_) {
     return {trace::Level::Physical};
   }
@@ -54,17 +60,54 @@ std::unique_ptr<EventStream> CsvTraceSource::stream_events(trace::Level level) c
   return std::make_unique<VectorEventStream>(std::move(timed), /*time_ordered=*/true);
 }
 
-CsvTraceSource open_trace(const std::string& path) {
-  std::ifstream is = csv_line::open_file(path);
-  return open_trace_stream(is, path);
+namespace csv_line {
+
+FileSource::FileSource(const std::string& path)
+    : ByteSource(path), fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK)) {
+  if (fd_ < 0) {
+    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
+  }
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd_);
+    throw IngestError({.file = path, .line = 0, .field = {}, .reason = "not a regular file"});
+  }
+  size_ = static_cast<std::uint64_t>(st.st_size);
 }
 
-CsvTraceSource open_trace_stream(std::istream& is, const std::string& label) {
+FileSource::~FileSource() { ::close(fd_); }
+
+void FileSource::read_exact(char* dst, std::size_t n, std::uint64_t offset,
+                            std::size_t line) const {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd_, dst, n, static_cast<off_t>(offset));
+    if (got > 0) {
+      dst += got;
+      n -= static_cast<std::size_t>(got);
+      offset += static_cast<std::uint64_t>(got);
+      continue;
+    }
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    throw IngestError(
+        {.file = name(),
+         .line = line,
+         .field = {},
+         .reason = got == 0 ? "file ended at byte " + std::to_string(offset) +
+                                  ", short of the size open() measured: it changed while read"
+                            : std::string("read failed: ") + std::strerror(errno)});
+  }
+}
+
+}  // namespace csv_line
+
+CsvTraceSource read_trace(const csv_line::ByteSource& bytes) {
   // Every line is validated before the store is built, so the rank count
   // can be inferred when the file does not declare it.
   std::vector<csv_line::Row> rows;
   const csv_line::Layout layout =
-      csv_line::scan(is, label, [&rows](const auto&, const csv_line::Row& row, auto...) {
+      csv_line::scan(bytes, [&rows](const auto&, const csv_line::Row& row, auto...) {
         rows.push_back(row);
       });
   trace::TraceStore store(layout.nranks);
@@ -72,6 +115,15 @@ CsvTraceSource open_trace_stream(std::istream& is, const std::string& label) {
     store.append(row.rank, row.level, row.rec);
   }
   return {layout.header.dialect == csv_line::Dialect::Flat, std::move(store)};
+}
+
+CsvTraceSource open_trace(const std::string& path) {
+  return read_trace(csv_line::FileSource(path));
+}
+
+CsvTraceSource open_trace_stream(std::istream& is, const std::string& label) {
+  return read_trace(
+      csv_line::TextSource(std::string(std::istreambuf_iterator<char>(is), {}), label));
 }
 
 }  // namespace mpipred::ingest

@@ -17,8 +17,8 @@
 // is otherwise inferred as max observed rank + 1). Lines may end in CRLF.
 // Every rejected line raises IngestError with file:line, the offending
 // field, and the reason — never an assert. The header line alone decides
-// the dialect; the bounded-memory reader over a file is
-// ingest::open_event_stream (streaming.hpp).
+// the dialect; the bounded-memory readers over a file are
+// ingest::CsvTraceFile and ingest::open_event_stream (streaming.hpp).
 
 #include <iosfwd>
 #include <memory>
@@ -34,6 +34,9 @@
 namespace mpipred::ingest {
 
 class EventStream;  // streaming.hpp: pull-based batch contract
+namespace csv_line {
+class ByteSource;  // csv_line.hpp: the open file or an in-memory text
+}  // namespace csv_line
 
 /// One parse problem, pinned to its location: unlike the simulator-side
 /// readers (which may assert — their input is our own output), ingestion
@@ -67,20 +70,31 @@ class IngestError : public Error {
   Diagnostic diag_;
 };
 
-/// One fully ingested CSV trace. All parsing and validation happen at open
-/// time — a constructed source can no longer fail, and its accessors are
-/// cheap.
-class CsvTraceSource final {
+/// What a trace's header line decided, for the materialized source and
+/// the indexed file (streaming.hpp's CsvTraceFile) alike.
+class TraceDialect {
  public:
   /// "csv" (native dialect) or "csv-flat".
   [[nodiscard]] std::string_view format() const noexcept { return flat_ ? "csv-flat" : "csv"; }
 
-  /// Ranks covered: declared by the file, or inferred as max rank + 1.
-  [[nodiscard]] int nranks() const noexcept { return store_.nranks(); }
-
   /// Instrumentation levels the dialect carries, in enum order: both for
   /// native files, just Physical for flat ones.
   [[nodiscard]] std::vector<trace::Level> levels() const;
+
+ protected:
+  explicit TraceDialect(bool flat) : flat_(flat) {}
+
+ private:
+  bool flat_;
+};
+
+/// One fully ingested CSV trace. All parsing and validation happen at open
+/// time — a constructed source can no longer fail, and its accessors are
+/// cheap.
+class CsvTraceSource final : public TraceDialect {
+ public:
+  /// Ranks covered: declared by the file, or inferred as max rank + 1.
+  [[nodiscard]] int nranks() const noexcept { return store_.nranks(); }
 
   /// The trace of `level` as a time-ordered global event stream (a stable
   /// merge of the per-rank record streams, so ties keep rank-major order —
@@ -100,22 +114,26 @@ class CsvTraceSource final {
   [[nodiscard]] const trace::TraceStore& store() const noexcept { return store_; }
 
  private:
-  friend CsvTraceSource open_trace_stream(std::istream& is, const std::string& label);
+  friend CsvTraceSource read_trace(const csv_line::ByteSource& bytes);
 
-  CsvTraceSource(bool flat, trace::TraceStore store) : flat_(flat), store_(std::move(store)) {}
+  CsvTraceSource(bool flat, trace::TraceStore store)
+      : TraceDialect(flat), store_(std::move(store)) {}
 
-  bool flat_;
   trace::TraceStore store_;
 };
 
-/// Parses the CSV trace at `path`; throws IngestError on an unreadable
-/// file, unknown header, or malformed content.
+/// Parses the CSV trace at `path`; throws IngestError on a file that
+/// cannot be opened or is not a regular file, an unknown header, or
+/// malformed content.
 [[nodiscard]] CsvTraceSource open_trace(const std::string& path);
 
 /// Parses a whole CSV stream (dialect detected from the header); throws
 /// IngestError on the first malformed line. `label` names the stream in
 /// diagnostics.
-[[nodiscard]] CsvTraceSource open_trace_stream(std::istream& is,
-                                               const std::string& label = "<stream>");
+[[nodiscard]] CsvTraceSource open_trace_stream(std::istream& is, const std::string& label);
+
+/// The one materializing parse behind open_trace, open_trace_stream and
+/// the streaming reader's fallback: scans `bytes` and builds the store.
+[[nodiscard]] CsvTraceSource read_trace(const csv_line::ByteSource& bytes);
 
 }  // namespace mpipred::ingest

@@ -1,11 +1,7 @@
 #include "ingest/streaming.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
+#include <array>
 #include <deque>
 #include <limits>
 #include <optional>
@@ -18,13 +14,10 @@
 
 #include "ingest/csv_line.hpp"
 #include "ingest/source.hpp"
-#include "trace/csv_util.hpp"
 
 namespace mpipred::ingest {
 
 namespace {
-
-using trace::csv_util::strip_cr;
 
 [[nodiscard]] TimedEvent to_timed(const csv_line::Row& row) {
   return {.time = row.rec.time,
@@ -34,124 +27,14 @@ using trace::csv_util::strip_cr;
                     .bytes = row.rec.bytes}};
 }
 
-/// The trace file, opened once for the reader's lifetime and read only
-/// positionally (pread), so any number of cursors share it without a
-/// shared file position.
-class FileHandle {
- public:
-  explicit FileHandle(const std::string& path)
-      : path_(path), fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
-    if (fd_ < 0) {
-      throw IngestError(
-          {.file = path, .line = 0, .field = {}, .reason = "cannot open for reading"});
-    }
-  }
-  FileHandle(const FileHandle&) = delete;
-  FileHandle& operator=(const FileHandle&) = delete;
-  ~FileHandle() { ::close(fd_); }
-
-  /// Reads exactly `n` bytes at `offset` into `dst`. The open() scan
-  /// already measured the file, so an early end or a read error means it
-  /// changed under the reader: IngestError naming `line`, never a silently
-  /// shorter trace.
-  void read_exact(char* dst, std::size_t n, std::uint64_t offset, std::size_t line) const {
-    while (n > 0) {
-      const ssize_t got = ::pread(fd_, dst, n, static_cast<off_t>(offset));
-      if (got > 0) {
-        dst += got;
-        n -= static_cast<std::size_t>(got);
-        offset += static_cast<std::uint64_t>(got);
-        continue;
-      }
-      if (got < 0 && errno == EINTR) {
-        continue;
-      }
-      throw IngestError(
-          {.file = path_,
-           .line = line,
-           .field = {},
-           .reason = got == 0 ? "file ended at byte " + std::to_string(offset) +
-                                    ", short of the size open() measured: it changed while read"
-                              : std::string("read failed: ") + std::strerror(errno)});
-    }
-  }
-
- private:
-  std::string path_;
-  int fd_ = -1;
-};
-
-/// Forward line reader over the byte range [offset, end) of the file: one
-/// per native section, one for the flat dialect's data. It refills a
-/// window of kWindowBytes (at most the bytes left in its range) by pread
-/// at its own offset, carries a partial line over into the next refill,
-/// grows only for a single line longer than the window, and frees the
-/// window once the range is exhausted.
-class LineWindow {
- public:
-  static constexpr std::size_t kWindowBytes = 4096;
-
-  /// `line` is the number of the line just before `offset`.
-  LineWindow(std::uint64_t offset, std::uint64_t end, std::size_t line)
-      : next_read_(offset), end_(end), line_(line) {}
-
-  /// The next line, without its '\n' (a '\r' is the caller's to strip),
-  /// valid until the next call; false once the range is exhausted.
-  bool next(const FileHandle& file, std::string_view& line) {
-    while (true) {
-      const std::string_view unread(buf_.data() + head_, tail_ - head_);
-      const std::size_t newline = unread.find('\n');
-      if (newline != std::string_view::npos) {
-        line = unread.substr(0, newline);
-        head_ += newline + 1;
-        ++line_;
-        return true;
-      }
-      if (next_read_ == end_) {
-        if (unread.empty()) {
-          std::vector<char>().swap(buf_);
-          head_ = tail_ = 0;
-          return false;
-        }
-        line = unread;  // the file's last line, without a trailing newline
-        head_ = tail_;
-        ++line_;
-        return true;
-      }
-      refill(file);
-    }
-  }
-
-  /// Number of the line next() returned last.
-  [[nodiscard]] std::size_t line() const noexcept { return line_; }
-
- private:
-  void refill(const FileHandle& file) {
-    if (head_ != 0) {  // carry the partial line to the front
-      std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(head_),
-                buf_.begin() + static_cast<std::ptrdiff_t>(tail_), buf_.begin());
-      tail_ -= head_;
-      head_ = 0;
-    }
-    const std::uint64_t left = end_ - next_read_;
-    if (buf_.empty()) {
-      buf_.resize(static_cast<std::size_t>(std::min<std::uint64_t>(kWindowBytes, left)));
-    } else if (tail_ == buf_.size()) {
-      // One line longer than the window: double it, but never past the range.
-      buf_.resize(tail_ + static_cast<std::size_t>(std::min<std::uint64_t>(tail_, left)));
-    }
-    const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(buf_.size() - tail_, left));
-    file.read_exact(buf_.data() + tail_, want, next_read_, line_ + 1);
-    tail_ += want;
-    next_read_ += want;
-  }
-
-  std::vector<char> buf_;
-  std::size_t head_ = 0;  // buf_[head_, tail_) holds read, unconsumed bytes
-  std::size_t tail_ = 0;
-  std::uint64_t next_read_ = 0;  // file offset of the byte after buf_[tail_ - 1]
-  std::uint64_t end_ = 0;
-  std::size_t line_ = 0;
+// One contiguous run of data lines with the same (rank, level). `end` is
+// the next section's first data line (or the file size), so a cursor can
+// consume trailing comments without crossing into foreign records.
+struct Section {
+  int rank = 0;
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
+  std::size_t start_line = 0;
 };
 
 }  // namespace
@@ -183,23 +66,110 @@ std::vector<engine::Event> strip_times(const std::vector<TimedEvent>& events) {
 }
 
 // ---------------------------------------------------------------------------
+// CsvTraceFile
+
+struct CsvTraceFile::Index {
+  explicit Index(const std::string& path) : bytes(path) {}
+
+  csv_line::FileSource bytes;
+  csv_line::Layout layout;
+  // Native dialect: each level's sections in file order; cleared once the
+  // file holds more than kMaxStreamSections, which no level can stream.
+  std::array<std::vector<Section>, trace::kNumLevels> sections;
+  bool too_many_sections = false;
+  std::array<bool, trace::kNumLevels> level_monotone{true, true};
+  // Flat dialect: whether the data lines' times never decrease.
+  bool flat_sorted = true;
+  // Records per receiving rank, up to the largest rank seen at the level.
+  std::array<std::vector<std::size_t>, trace::kNumLevels> records_per_rank;
+};
+
+CsvTraceFile::CsvTraceFile(std::shared_ptr<const Index> index)
+    : TraceDialect(index->layout.header.dialect == csv_line::Dialect::Flat),
+      index_(std::move(index)) {}
+
+CsvTraceFile CsvTraceFile::open(const std::string& path) {
+  auto index = std::make_shared<Index>(path);
+  Index& ix = *index;
+  // The one scan: every line is checked by the csv_line scanner, nothing
+  // is retained but the index, and the time layout is probed so a reader
+  // knows whether it can stream a level.
+  int run_rank = -1;
+  int run_level = -1;
+  std::int64_t run_last_time = 0;
+  std::size_t run_rows = 0;
+  std::size_t section_count = 0;
+  std::int64_t flat_last_time = std::numeric_limits<std::int64_t>::min();
+  const auto count_rows = [&ix](int level, int rank, std::size_t rows) {
+    std::vector<std::size_t>& counts = ix.records_per_rank[level];
+    if (static_cast<std::size_t>(rank) >= counts.size()) {
+      counts.resize(static_cast<std::size_t>(rank) + 1);
+    }
+    counts[static_cast<std::size_t>(rank)] += rows;
+  };
+  const auto index_row = [&](const csv_line::HeaderInfo& header, const csv_line::Row& row,
+                             std::size_t line, std::uint64_t offset) {
+    const int row_level = static_cast<int>(row.level);
+    const std::int64_t time = row.rec.time.count();
+    if (header.dialect == csv_line::Dialect::Flat) {
+      count_rows(row_level, row.rank, 1);
+      ix.flat_sorted = ix.flat_sorted && time >= flat_last_time;
+      flat_last_time = time;
+      return;
+    }
+    // A native section's rows are counted when it ends, not one by one.
+    ++run_rows;
+    if (row.rank != run_rank || row_level != run_level) {
+      if (run_level >= 0) {
+        count_rows(run_level, run_rank, run_rows - 1);
+      }
+      run_rows = 1;
+      if (!ix.too_many_sections) {
+        if (run_level >= 0) {
+          ix.sections[run_level].back().end = offset;
+        }
+        if (++section_count > CsvStreamReader::kMaxStreamSections) {
+          ix.too_many_sections = true;
+          ix.sections = {};
+        } else {
+          ix.sections[row_level].push_back(
+              {.rank = row.rank, .start = offset, .end = 0, .start_line = line - 1});
+        }
+      }
+      run_rank = row.rank;
+      run_level = row_level;
+    } else if (time < run_last_time) {
+      ix.level_monotone[row_level] = false;
+    }
+    run_last_time = time;
+  };
+  ix.layout = csv_line::scan(ix.bytes, index_row);
+  if (run_level >= 0) {
+    count_rows(run_level, run_rank, run_rows);
+    if (!ix.too_many_sections) {
+      ix.sections[run_level].back().end = ix.bytes.size();
+    }
+  }
+  return CsvTraceFile(std::move(index));
+}
+
+int CsvTraceFile::nranks() const noexcept { return index_->layout.nranks; }
+
+std::vector<std::size_t> CsvTraceFile::records_per_rank(trace::Level level) const {
+  std::vector<std::size_t> counts = index_->records_per_rank[static_cast<int>(level)];
+  counts.resize(static_cast<std::size_t>(nranks()));
+  return counts;
+}
+
+// ---------------------------------------------------------------------------
 // CsvStreamReader
 
 struct CsvStreamReader::Impl {
-  enum class Mode { NativeMerge, FlatSequential, Materialized, Empty };
-
-  // One contiguous run of data lines with the same (rank, level). `end` is
-  // the next section's first data line (or the file size), so a cursor can
-  // consume trailing comments without crossing into foreign records.
-  struct Section {
-    int rank = 0;
-    std::uint64_t start = 0;
-    std::uint64_t end = 0;
-    std::size_t start_line = 0;
-  };
+  enum class Mode { NativeMerge, FlatSequential, Materialized };
 
   struct SectionCursor {
-    LineWindow window;
+    csv_line::LineCutter lines;
+    int rank = 0;
     TimedEvent lookahead{};
   };
 
@@ -217,23 +187,17 @@ struct CsvStreamReader::Impl {
     }
   };
 
-  std::string path;
-  trace::Level level = trace::Level::Physical;
-  csv_line::HeaderInfo header{};
-  std::optional<int> declared_nranks;
-  int nranks = 1;
-  Mode mode = Mode::Empty;
-
-  // Both streaming modes read their lines through LineWindows over this.
-  std::optional<FileHandle> file;
+  // The indexed file: its descriptor (declared first, so it outlives every
+  // line cutter that reads it) and the header rows are decoded against.
+  std::shared_ptr<const CsvTraceFile::Index> file;
+  Mode mode = Mode::NativeMerge;
 
   // NativeMerge: one cursor + one parsed lookahead per requested-level section.
-  std::vector<Section> sections;
   std::vector<SectionCursor> cursors;
   std::priority_queue<HeapItem, std::vector<HeapItem>, HeapGreater> heap;
 
   // FlatSequential: a single forward pass plus one timestamp-tie group.
-  std::optional<LineWindow> flat;
+  std::optional<csv_line::LineCutter> flat;
   bool file_done = false;
   std::int64_t tie_time = 0;
   std::vector<TimedEvent> tie_group;
@@ -246,19 +210,19 @@ struct CsvStreamReader::Impl {
 
   void note_buffered(std::size_t resident) { buffered_peak = std::max(buffered_peak, resident); }
 
-  /// Reads `window` up to its next emittable record (skipping comments,
+  /// Reads `lines` up to its next emittable record (skipping comments,
   /// blanks, and unresolved senders — the default stream filter) into
-  /// `out`; false once the window's range is exhausted. The one line path
-  /// of both streaming modes.
-  bool next_record(LineWindow& window, TimedEvent& out) {
-    std::string_view raw;
-    while (window.next(*file, raw)) {
-      const std::string_view line = strip_cr(raw);
+  /// `out`; false once its range is exhausted. The one line path of both
+  /// streaming modes.
+  bool next_record(csv_line::LineCutter& lines, TimedEvent& out) {
+    std::string_view line;
+    while (lines.next(line)) {
       if (line.empty() || line.front() == '#') {
         continue;
       }
-      const csv_line::Cursor at{.file = path, .line = window.line()};
-      const csv_line::Row row = csv_line::parse_row(line, header, declared_nranks, at);
+      const csv_line::Cursor at{.file = file->bytes.name(), .line = lines.line()};
+      const csv_line::Row row =
+          csv_line::parse_row(line, file->layout.header, file->layout.declared_nranks, at);
       if (row.rec.sender == trace::kUnresolvedSender) {
         continue;
       }
@@ -268,11 +232,13 @@ struct CsvStreamReader::Impl {
     return false;
   }
 
-  /// Advances the cursor of section `idx` to its next emittable record;
-  /// false once the section is exhausted.
-  bool refill(std::uint32_t idx) {
+  /// Reads section `idx` up to its next emittable record and queues it
+  /// for the merge; an exhausted section leaves the merge.
+  void advance(std::uint32_t idx) {
     SectionCursor& cursor = cursors[idx];
-    return next_record(cursor.window, cursor.lookahead);
+    if (next_record(cursor.lines, cursor.lookahead)) {
+      heap.push({.time = cursor.lookahead.time.count(), .rank = cursor.rank, .idx = idx});
+    }
   }
 
   std::size_t next_batch_native(std::size_t max_events, std::vector<TimedEvent>& out) {
@@ -282,11 +248,7 @@ struct CsvStreamReader::Impl {
       heap.pop();
       out.push_back(cursors[top.idx].lookahead);
       ++appended;
-      if (refill(top.idx)) {
-        heap.push({.time = cursors[top.idx].lookahead.time.count(),
-                   .rank = sections[top.idx].rank,
-                   .idx = top.idx});
-      }
+      advance(top.idx);
     }
     return appended;
   }
@@ -339,96 +301,44 @@ CsvStreamReader::~CsvStreamReader() = default;
 
 std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const std::string& path,
                                                        trace::Level level) {
+  return open(CsvTraceFile::open(path), level);
+}
+
+std::unique_ptr<CsvStreamReader> CsvStreamReader::open(const CsvTraceFile& file,
+                                                       trace::Level level) {
   auto im = std::make_unique<Impl>();
-  im->path = path;
-  im->level = level;
-
-  // Validation scan: every line is checked by the one csv_line scanner
-  // (one pass, nothing retained), sections are indexed, and the time
-  // layout is probed so the merge knows whether it can stream this file.
-  int run_rank = -1;
-  int run_level = -1;
-  std::int64_t run_last_time = 0;
-  bool level_mono[trace::kNumLevels] = {true, true};
-  bool flat_sorted = true;
-  std::int64_t flat_last_time = std::numeric_limits<std::int64_t>::min();
-  std::vector<Impl::Section> all_sections;
-  std::vector<int> section_levels;
-  const auto index_row = [&](const csv_line::HeaderInfo& header, const csv_line::Row& row,
-                             std::size_t line, std::uint64_t offset) {
-    const std::int64_t time = row.rec.time.count();
-    if (header.dialect == csv_line::Dialect::Flat) {
-      flat_sorted = flat_sorted && time >= flat_last_time;
-      flat_last_time = time;
-      return;
-    }
-    const int row_level = static_cast<int>(row.level);
-    if (row.rank != run_rank || row_level != run_level) {
-      all_sections.push_back({.rank = row.rank, .start = offset, .end = 0, .start_line = line - 1});
-      section_levels.push_back(row_level);
-      run_rank = row.rank;
-      run_level = row_level;
-    } else if (time < run_last_time) {
-      level_mono[row_level] = false;
-    }
-    run_last_time = time;
-  };
-  std::ifstream scan = csv_line::open_file(path);
-  const csv_line::Layout layout = csv_line::scan(scan, path, index_row);
-  im->header = layout.header;
-  im->declared_nranks = layout.declared_nranks;
-  im->nranks = layout.nranks;
-  for (std::size_t i = 0; i < all_sections.size(); ++i) {
-    all_sections[i].end = i + 1 < all_sections.size() ? all_sections[i + 1].start : layout.end;
-  }
-
+  im->file = file.index_;
+  const CsvTraceFile::Index& ix = *im->file;
   const int level_int = static_cast<int>(level);
-  if (layout.header.dialect == csv_line::Dialect::Flat) {
-    if (level != trace::Level::Physical) {
-      im->mode = Impl::Mode::Empty;
-    } else if (flat_sorted) {
-      im->mode = Impl::Mode::FlatSequential;
-    } else {
-      im->mode = Impl::Mode::Materialized;
-    }
-  } else {
-    std::vector<Impl::Section> mine;
-    for (std::size_t i = 0; i < all_sections.size(); ++i) {
-      if (section_levels[i] == level_int) {
-        mine.push_back(all_sections[i]);
-      }
-    }
-    if (level_mono[level_int] && all_sections.size() <= kMaxStreamSections) {
-      im->mode = Impl::Mode::NativeMerge;
-      im->sections = std::move(mine);
-    } else {
-      im->mode = Impl::Mode::Materialized;
-    }
-  }
-
-  if (im->mode == Impl::Mode::NativeMerge || im->mode == Impl::Mode::FlatSequential) {
-    im->file.emplace(path);
-  }
-  if (im->mode == Impl::Mode::FlatSequential) {
-    im->flat.emplace(layout.data_start, layout.end, layout.header_line);
-  } else if (im->mode == Impl::Mode::NativeMerge) {
-    im->cursors.reserve(im->sections.size());
-    for (std::uint32_t i = 0; i < im->sections.size(); ++i) {
-      const Impl::Section& section = im->sections[i];
-      im->cursors.push_back({.window = LineWindow(section.start, section.end, section.start_line)});
-      if (im->refill(i)) {
-        im->heap.push({.time = im->cursors[i].lookahead.time.count(),
-                       .rank = section.rank,
-                       .idx = i});
-      }
+  const bool flat = ix.layout.header.dialect == csv_line::Dialect::Flat;
+  if (flat && level == trace::Level::Physical && ix.flat_sorted) {
+    im->mode = Impl::Mode::FlatSequential;
+    im->flat.emplace(ix.bytes, ix.layout.data_start, ix.bytes.size(), ix.layout.header_line,
+                     kSectionWindowBytes);
+  } else if (flat ? level != trace::Level::Physical
+                  : ix.level_monotone[level_int] && !ix.too_many_sections) {
+    // One cursor per section of the level (a flat file indexes none, so
+    // its Logical level merges nothing).
+    im->mode = Impl::Mode::NativeMerge;
+    const std::vector<Section>& sections = ix.sections[level_int];
+    im->cursors.reserve(sections.size());
+    for (std::uint32_t i = 0; i < sections.size(); ++i) {
+      const Section& section = sections[i];
+      im->cursors.push_back({.lines = csv_line::LineCutter(ix.bytes, section.start, section.end,
+                                                           section.start_line,
+                                                           kSectionWindowBytes),
+                             .rank = section.rank});
+      im->advance(i);
     }
     im->note_buffered(im->heap.size());
-  } else if (im->mode == Impl::Mode::Materialized) {
+  } else {
     // This layout (unsorted flat file, native section with non-monotone
     // times, or a section blow-up) cannot be merged incrementally; fall
-    // back to the materializing parser's own stream, so the emitted order
-    // is the non-streamed path's by construction.
-    std::vector<TimedEvent> events = drain(*open_trace(path).stream_events(level));
+    // back to the materializing parser's own stream over the open
+    // descriptor, so the emitted order is the non-streamed path's by
+    // construction.
+    im->mode = Impl::Mode::Materialized;
+    std::vector<TimedEvent> events = drain(*read_trace(ix.bytes).stream_events(level));
     im->note_buffered(events.size());
     im->materialized.emplace(std::move(events), /*time_ordered=*/true);
   }
@@ -443,8 +353,6 @@ std::size_t CsvStreamReader::next_batch(std::size_t max_events, std::vector<Time
       return impl_->next_batch_flat(max_events, out);
     case Impl::Mode::Materialized:
       return impl_->materialized->next_batch(max_events, out);
-    case Impl::Mode::Empty:
-      return 0;
   }
   return 0;
 }
@@ -454,8 +362,6 @@ bool CsvStreamReader::streaming() const noexcept {
 }
 
 std::size_t CsvStreamReader::peak_buffered_events() const noexcept { return impl_->buffered_peak; }
-
-int CsvStreamReader::nranks() const noexcept { return impl_->nranks; }
 
 std::unique_ptr<EventStream> open_event_stream(const std::string& path, trace::Level level) {
   return CsvStreamReader::open(path, level);

@@ -3,10 +3,12 @@
 // The streaming half of the ingest boundary: traces bigger than RAM reach
 // the prediction engine as pulled batches instead of one materialized
 // vector. An EventStream yields time-ordered TimedEvents a batch at a
-// time; CsvStreamReader implements it directly over a file (bounded
-// memory — it never holds more than one batch plus a per-section
-// lookahead); run_into drives an engine's or session's observe_batches so
-// the parse of batch N+1 overlaps the shard drain of batch N. Batch
+// time; CsvTraceFile opens, validates and indexes a file in one scan, and
+// CsvStreamReader implements the stream over it, one level at a time
+// (bounded memory — it never holds more than one batch plus a per-section
+// lookahead and read window); run_into drives an engine's or session's
+// observe_batches so the parse of batch N+1 overlaps the shard drain of
+// batch N. Batch
 // boundaries never change any stream's event order, so engine reports are
 // byte-identical across batch sizes and shard counts — the gates in
 // ingest/verify.hpp pin streamed == materialized == simulated.
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "ingest/source.hpp"
 #include "sim/time.hpp"
 #include "trace/event.hpp"
 
@@ -81,40 +84,77 @@ class VectorEventStream final : public EventStream {
 /// The engine's view of a timed batch: timestamps dropped, order kept.
 [[nodiscard]] std::vector<engine::Event> strip_times(const std::vector<TimedEvent>& events);
 
+/// One CSV trace file, opened once and validated and indexed by one scan
+/// that retains no event: the header and rank count, every section (a
+/// contiguous run of data lines with one (rank, level)) of both levels
+/// with each level's time layout, and the records per rank. It answers
+/// what the `--trace` tools report about a file, and CsvStreamReader::open
+/// streams any of its levels over the same descriptor without scanning
+/// the file again. Copies share the file.
+class CsvTraceFile : public TraceDialect {
+ public:
+  struct Index;  // streaming.cpp: what open() learned
+  /// Throws IngestError on a file that cannot be opened or is not a
+  /// regular file (checked before any read, so a FIFO never blocks), an
+  /// unknown header, or malformed content.
+  [[nodiscard]] static CsvTraceFile open(const std::string& path);
+
+  /// Ranks covered: declared by the file, or inferred as max rank + 1.
+  [[nodiscard]] int nranks() const noexcept;
+
+  /// Data lines received by each rank at `level`, nranks() entries
+  /// (unresolved senders included): the counts the materialized store
+  /// holds, and trace::representative_rank's input.
+  [[nodiscard]] std::vector<std::size_t> records_per_rank(trace::Level level) const;
+
+ private:
+  friend class CsvStreamReader;
+  explicit CsvTraceFile(std::shared_ptr<const Index> index);
+
+  std::shared_ptr<const Index> index_;
+};
+
 /// Incremental reader over a CSV trace file: parses on demand instead of
 /// materializing, holding at most one lookahead record per file section
-/// (native dialect; a section is a contiguous run of one (rank, level))
-/// or one timestamp-tie group (flat dialect) beyond the batch being
-/// filled. The emitted order is exactly the materialized order —
-/// `events_from_trace` over the parsed store: stable by time, ties in
+/// (native dialect) or one timestamp-tie group (flat dialect) beyond the
+/// batch being filled. The emitted order is exactly the materialized order
+/// — `events_from_trace` over the parsed store: stable by time, ties in
 /// rank-major record order, unresolved senders dropped.
 ///
-/// Lines are read through one line cursor per native section (one over
-/// the data for the flat dialect), each with its own 4 KiB window that it
-/// refills by pread at its own offset, never past its section's end: the
-/// merge moving between sections costs no seek. A window grows only for a
-/// single line longer than itself and is freed when its section ends. A
-/// read that ends early or fails before a section's end — the file changed
-/// after open() — throws IngestError with the file and line.
+/// Lines are read through one csv_line::LineCutter per native section
+/// (one over the data for the flat dialect), each with its own window of
+/// kSectionWindowBytes that it refills by pread at its own offset, never
+/// past its section's end: the merge moving between sections costs no
+/// seek. A window grows only for a single line longer than itself and is
+/// freed when its section ends. A read that ends early or fails before a
+/// section's end — the file changed after it was opened — throws
+/// IngestError with the file and line.
 ///
 /// Layouts the merge cannot stream — a flat file whose timestamps
 /// decrease, a native section with non-monotone times, or more sections
-/// than kMaxStreamSections — fall back to materializing (still correct,
-/// reported by streaming() == false). open() fully validates every line
-/// (the same csv_line scan open_trace runs, reading the file in 64 KiB
-/// blocks) without retaining events, so a malformed file is rejected up
-/// front with the usual file:line diagnostic. The scan and every pull
-/// decode a data line through the one row decoder, csv_line::parse_row.
+/// than kMaxStreamSections — fall back to materializing through the open
+/// descriptor (still correct, reported by streaming() == false). Every
+/// line was validated when the file was opened (CsvTraceFile::open), so a
+/// malformed file is rejected up front with the usual file:line
+/// diagnostic; each pull decodes a data line through the one row decoder,
+/// csv_line::parse_row.
 class CsvStreamReader final : public EventStream {
  public:
   /// Section-count ceiling for the native K-way merge (each section costs
-  /// one cursor, its read window of at most 4 KiB, and one lookahead
-  /// record). write_csv emits nranks*2; a file
-  /// interleaving ranks per line would degenerate to one section per line
-  /// and is materialized instead.
+  /// one cursor, its read window, and one lookahead record). write_csv
+  /// emits nranks*2; a file interleaving ranks per line would degenerate
+  /// to one section per line and is materialized instead.
   static constexpr std::size_t kMaxStreamSections = 1 << 16;
 
+  /// Read window of each section's line cutter (smaller when the section
+  /// is).
+  static constexpr std::size_t kSectionWindowBytes = 4096;
+
+  /// Opens and indexes the file at `path`, then streams `level` of it.
   [[nodiscard]] static std::unique_ptr<CsvStreamReader> open(const std::string& path,
+                                                             trace::Level level);
+  /// Streams `level` of an already indexed file, with no second scan.
+  [[nodiscard]] static std::unique_ptr<CsvStreamReader> open(const CsvTraceFile& file,
                                                              trace::Level level);
   ~CsvStreamReader() override;
 
@@ -131,9 +171,6 @@ class CsvStreamReader final : public EventStream {
   /// independent of the trace length.
   [[nodiscard]] std::size_t peak_buffered_events() const noexcept;
 
-  /// Ranks covered: declared by the file, or inferred as max rank + 1.
-  [[nodiscard]] int nranks() const noexcept;
-
  private:
   struct Impl;
   explicit CsvStreamReader(std::unique_ptr<Impl> impl);
@@ -141,8 +178,9 @@ class CsvStreamReader final : public EventStream {
 };
 
 /// Opens the CSV trace at `path` as an incremental stream of one level's
-/// events (a CsvStreamReader). Throws IngestError on an unreadable file,
-/// unknown header, or malformed content.
+/// events (a CsvStreamReader). Throws IngestError on a file that cannot
+/// be opened or is not a regular file, an unknown header, or malformed
+/// content.
 [[nodiscard]] std::unique_ptr<EventStream> open_event_stream(const std::string& path,
                                                              trace::Level level);
 

@@ -13,11 +13,6 @@ namespace mpipred::serve {
 
 namespace {
 
-/// Fixed bookkeeping charged per stream on top of its two predictors'
-/// footprints and its two evaluators' heaps: the StreamState block itself
-/// plus table/entry overhead.
-constexpr std::size_t kStreamOverheadBytes = sizeof(engine::StreamState) + 64;
-
 [[nodiscard]] telemetry::LabelSet tenant_labels(std::uint64_t session_id) {
   telemetry::LabelSet labels;
   labels.set("tenant", std::to_string(session_id));
@@ -70,10 +65,7 @@ class ServerCore {
       session->shards_.for_each_stream(
           [&](const engine::StreamKey&, const engine::StreamState& state) {
             ++out.streams;
-            out.resident_bytes += state.sender_predictor->footprint_bytes() +
-                                  state.size_predictor->footprint_bytes() +
-                                  state.sender_eval.heap_bytes() + state.size_eval.heap_bytes() +
-                                  kStreamOverheadBytes;
+            out.resident_bytes += state.footprint_bytes() + engine::kStreamOverheadBytes;
           });
     }
     resident_bytes->set(static_cast<std::int64_t>(out.resident_bytes));

@@ -39,9 +39,9 @@ struct ServeConfig {
 struct ServerStats {
   std::size_t sessions = 0;
   std::size_t streams = 0;
-  /// Per stream: both predictors' footprints, the heap of both accuracy
-  /// evaluators (pending predictions and horizon rows), and the fixed
-  /// bookkeeping overhead (the StreamState block and table entry).
+  /// Per stream: its engine report footprint (both predictors and both
+  /// accuracy evaluators' heaps) plus engine::kStreamOverheadBytes (the
+  /// StreamState block and table entry).
   std::size_t resident_bytes = 0;
   /// Always 0: the server never evicts. Kept only for readers that still
   /// check it.

@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "common/error.hpp"
-#include "trace/csv_util.hpp"
 
 namespace mpipred::trace {
 
@@ -13,7 +12,7 @@ void write_csv(std::ostream& os, const TraceStore& store) {
   // exact rank count even when the top ranks logged no records.
   os << "# mpipred-trace: v1\n";
   os << "# nranks: " << store.nranks() << '\n';
-  os << csv_util::kNativeHeader << '\n';
+  os << kNativeHeader << '\n';
   for (int rank = 0; rank < store.nranks(); ++rank) {
     for (const Level level : {Level::Logical, Level::Physical}) {
       for (const Record& rec : store.records(rank, level)) {

@@ -100,14 +100,23 @@ std::map<std::int64_t, std::int64_t> size_histogram(const TraceStore& store, int
   return h;
 }
 
-int representative_rank(const TraceStore& store, Level level) {
+int representative_rank(std::span<const std::size_t> records_per_rank) {
   std::vector<std::pair<std::size_t, int>> by_count;
-  by_count.reserve(static_cast<std::size_t>(store.nranks()));
-  for (int r = 0; r < store.nranks(); ++r) {
-    by_count.emplace_back(store.records(r, level).size(), r);
+  by_count.reserve(records_per_rank.size());
+  for (std::size_t r = 0; r < records_per_rank.size(); ++r) {
+    by_count.emplace_back(records_per_rank[r], static_cast<int>(r));
   }
   std::sort(by_count.begin(), by_count.end());
   return by_count[by_count.size() / 2].second;
+}
+
+int representative_rank(const TraceStore& store, Level level) {
+  std::vector<std::size_t> counts;
+  counts.reserve(static_cast<std::size_t>(store.nranks()));
+  for (int r = 0; r < store.nranks(); ++r) {
+    counts.push_back(store.records(r, level).size());
+  }
+  return representative_rank(counts);
 }
 
 }  // namespace mpipred::trace

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "trace/store.hpp"
@@ -45,6 +47,9 @@ struct SummaryOptions {
 
 /// The rank whose received-message count is the median across all ranks —
 /// the paper reports per-process numbers for a representative process.
+[[nodiscard]] int representative_rank(std::span<const std::size_t> records_per_rank);
+
+/// The same rule over the records `store` holds for each rank at `level`.
 [[nodiscard]] int representative_rank(const TraceStore& store, Level level);
 
 }  // namespace mpipred::trace

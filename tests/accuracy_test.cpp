@@ -17,9 +17,9 @@
 #include "common/error.hpp"
 #include "core/accuracy.hpp"
 #include "core/baselines/last_value.hpp"
-#include "core/evaluate.hpp"
 #include "core/set_prediction.hpp"
 #include "core/stream_predictor.hpp"
+#include "trace/stream.hpp"
 
 namespace mpipred::core {
 
@@ -90,9 +90,15 @@ std::vector<std::int64_t> cycle(std::initializer_list<std::int64_t> pattern, std
   return out;
 }
 
+/// A fresh paper predictor (DPD, horizon 5) scored over `stream`.
+AccuracyReport evaluate_dpd(std::span<const std::int64_t> stream) {
+  StreamPredictor predictor;
+  return evaluate_with(predictor, stream, StreamPredictorConfig{}.horizon);
+}
+
 TEST(Accuracy, PerfectStreamApproachesOne) {
   const auto stream = cycle({1, 2, 3}, 3000);
-  const auto report = evaluate_stream(stream);
+  const auto report = evaluate_dpd(stream);
   for (std::size_t h = 1; h <= 5; ++h) {
     EXPECT_GT(report.at(h).accuracy(), 0.99) << "+h " << h;
   }
@@ -102,7 +108,7 @@ TEST(Accuracy, WarmupCountsAgainstThePredictor) {
   // Short stream: the learning prefix drags accuracy down — the paper's
   // IS.4 effect (~100 samples -> ~80%).
   const auto stream = cycle({0, 1, 2, 3, 4, 5, 6, 7}, 100);
-  const auto report = evaluate_stream(stream);
+  const auto report = evaluate_dpd(stream);
   const auto& h1 = report.at(1);
   EXPECT_GT(h1.unpredicted, 10);  // two periods of warm-up
   EXPECT_LT(h1.accuracy(), 0.92);
@@ -144,7 +150,7 @@ TEST(Accuracy, MissesCountedOnPatternBreak) {
 
 TEST(Accuracy, HigherHorizonsNeverExceedTotalBookkeeping) {
   const auto stream = cycle({5, 9, 5, 2}, 500);
-  const auto report = evaluate_stream(stream);
+  const auto report = evaluate_dpd(stream);
   for (std::size_t h = 1; h <= 5; ++h) {
     const auto& acc = report.at(h);
     EXPECT_EQ(acc.total(), 500);
@@ -182,9 +188,8 @@ TEST(Accuracy, EvaluateStreamsCoversBothStreams) {
   trace::Streams streams;
   streams.senders = cycle({1, 2}, 400);
   streams.sizes = cycle({100, 200, 300}, 400);
-  const auto eval = evaluate_streams(streams);
-  EXPECT_GT(eval.senders.at(1).accuracy(), 0.95);
-  EXPECT_GT(eval.sizes.at(1).accuracy(), 0.95);
+  EXPECT_GT(evaluate_dpd(streams.senders).at(1).accuracy(), 0.95);
+  EXPECT_GT(evaluate_dpd(streams.sizes).at(1).accuracy(), 0.95);
 }
 
 // --------------- differential: flat pending buffer == reference -----------

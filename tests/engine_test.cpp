@@ -10,7 +10,8 @@
 
 #include "apps/app.hpp"
 #include "common/error.hpp"
-#include "core/evaluate.hpp"
+#include "core/accuracy.hpp"
+#include "core/stream_predictor.hpp"
 #include "engine/engine.hpp"
 #include "mpi/world.hpp"
 #include "trace/stream.hpp"
@@ -88,9 +89,9 @@ TEST(PredictionEngine, MatchesHandWiredStreamPredictorPerStream) {
         sizes.push_back(event.bytes);
       }
     }
-    const core::StreamPredictor hand_wired;
-    expect_same_report(stream.senders, core::evaluate_stream_with(hand_wired, senders, 5));
-    expect_same_report(stream.sizes, core::evaluate_stream_with(hand_wired, sizes, 5));
+    core::StreamPredictor hand_wired;
+    expect_same_report(stream.senders, core::evaluate_with(hand_wired, senders, 5));
+    expect_same_report(stream.sizes, core::evaluate_with(hand_wired, sizes, 5));
   }
 }
 
@@ -257,9 +258,9 @@ TEST(PredictionEngine, TracePathMatchesExtractStreamsPerRank) {
       SCOPED_TRACE(to_string(stream.key));
       const auto streams = trace::extract_streams(world.traces(), stream.key.destination, level);
       ASSERT_EQ(static_cast<std::size_t>(stream.events), streams.length());
-      const auto want = core::evaluate_streams(streams);
-      expect_same_report(stream.senders, want.senders);
-      expect_same_report(stream.sizes, want.sizes);
+      core::StreamPredictor dpd;
+      expect_same_report(stream.senders, core::evaluate_with(dpd, streams.senders, 5));
+      expect_same_report(stream.sizes, core::evaluate_with(dpd, streams.sizes, 5));
     }
   }
 }

@@ -6,13 +6,17 @@
 // these gates instead of re-running them.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <random>
@@ -36,6 +40,7 @@
 #include "mpi/world.hpp"
 #include "trace/csv.hpp"
 #include "trace/merge.hpp"
+#include "trace/stats.hpp"
 
 namespace mpipred::ingest {
 namespace {
@@ -54,6 +59,13 @@ Diagnostic reject(const std::string& text) {
   }
   ADD_FAILURE() << "expected IngestError for:\n" << text;
   return {};
+}
+
+std::string write_temp_file(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream os(path);
+  os << text;
+  return path;
 }
 
 constexpr const char* kNative = "rank,level,time_ns,sender,bytes,kind,op\n";
@@ -351,11 +363,12 @@ TEST(CsvSource, EmptyFileNeedsHeader) {
   EXPECT_NE(d.reason.find("header"), std::string::npos);
 }
 
-// scan reads in 64 KiB blocks: lines cut by a block's end, comments longer
-// than several blocks, CRLF endings and an unterminated last line must
-// keep the line numbers and byte offsets of a plain split on '\n'.
+// scan cuts lines through a 64 KiB window: lines cut by a window's end,
+// comments longer than several windows, CRLF endings and an unterminated
+// last line must keep the line numbers and byte offsets of a plain split
+// on '\n', whether the bytes come from memory or from the file.
 TEST(CsvSource, ScanKeepsLineNumbersAndOffsetsAcrossBlocks) {
-  const std::size_t block = csv_line::BlockLines::kBlockBytes;
+  const std::size_t block = csv_line::kScanWindowBytes;
   std::string text = "# mpipred-trace: v1\r\n# " + std::string(2 * block + 7, 'c') + "\n" +
                      std::string(kNative);
   for (int i = 0; text.size() < 4 * block; ++i) {
@@ -377,15 +390,20 @@ TEST(CsvSource, ScanKeepsLineNumbersAndOffsetsAcrossBlocks) {
     }
     at = eol + 1;
   }
-  std::vector<std::pair<std::size_t, std::uint64_t>> got;
-  std::stringstream ss(text);
-  const csv_line::Layout layout =
-      csv_line::scan(ss, "<test>", [&](const auto&, const csv_line::Row&, std::size_t line,
-                                       std::uint64_t offset) { got.emplace_back(line, offset); });
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(layout.header_line, 3u);
-  EXPECT_EQ(layout.data_start, text.find(kNative) + std::string_view(kNative).size());
-  EXPECT_EQ(layout.end, text.size());
+  const csv_line::TextSource in_memory(text, "<test>");
+  const csv_line::FileSource on_disk(write_temp_file("scan_windows.csv", text));
+  for (const csv_line::ByteSource* bytes : {static_cast<const csv_line::ByteSource*>(&in_memory),
+                                            static_cast<const csv_line::ByteSource*>(&on_disk)}) {
+    SCOPED_TRACE(bytes->name());
+    std::vector<std::pair<std::size_t, std::uint64_t>> got;
+    const csv_line::Layout layout =
+        csv_line::scan(*bytes, [&](const auto&, const csv_line::Row&, std::size_t line,
+                                   std::uint64_t offset) { got.emplace_back(line, offset); });
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(layout.header_line, 3u);
+    EXPECT_EQ(layout.data_start, text.find(kNative) + std::string_view(kNative).size());
+    EXPECT_EQ(bytes->size(), text.size());
+  }
   EXPECT_EQ(parse(text).store().records(3, trace::Level::Physical).back().bytes, 16);
 }
 
@@ -879,13 +897,6 @@ TEST(AdaptiveReplay, RegistryPredictorComesFromTheConfig) {
 // buffering — and fall back (still byte-identical) on layouts it cannot
 // merge incrementally.
 
-std::string write_temp_file(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + name;
-  std::ofstream os(path);
-  os << text;
-  return path;
-}
-
 /// Monotone per-rank times with frequent cross-rank ties, occasional
 /// unresolved senders, both levels populated.
 trace::TraceStore random_store(std::uint32_t seed, int nranks, int records_per_rank) {
@@ -927,7 +938,7 @@ TEST(Streaming, NativeFileMatchesMaterializedAcrossBatchSizes) {
                                     std::size_t{1 << 20}}) {
       auto reader = CsvStreamReader::open(path, level);
       EXPECT_TRUE(reader->streaming());
-      EXPECT_EQ(reader->nranks(), 5);
+      EXPECT_EQ(CsvTraceFile::open(path).nranks(), 5);
       const auto got = pull_all(*reader, batch);
       EXPECT_EQ(strip_times(got), expect) << "batch = " << batch;
       // Bounded buffering: one lookahead per requested-level section (5
@@ -1074,11 +1085,14 @@ void expect_streams_like_materialized(const std::string& path, const std::string
                                       trace::Level level, std::size_t max_buffered) {
   const auto expect = drain(*parse(text).stream_events(level));
   ASSERT_FALSE(expect.empty());
+  const CsvTraceFile file = CsvTraceFile::open(path);
   for (const std::size_t batch : {std::size_t{1}, std::size_t{8192}}) {
-    auto reader = CsvStreamReader::open(path, level);
+    auto reader = CsvStreamReader::open(file, level);
     EXPECT_TRUE(reader->streaming());
     EXPECT_EQ(pull_all(*reader, batch), expect) << path << ", batch = " << batch;
     EXPECT_LE(reader->peak_buffered_events(), max_buffered) << path << ", batch = " << batch;
+    EXPECT_EQ(pull_all(*open_event_stream(path, level), batch), expect)
+        << path << ", batch = " << batch;
   }
 }
 
@@ -1138,8 +1152,37 @@ TEST(Streaming, ThousandsOfInterleavedSmallSections) {
   expect_streams_like_materialized(path, text, trace::Level::Physical, 2000);
 }
 
+// Ranks alternating on every line make one section per line. Up to
+// kMaxStreamSections sections both levels stream; one more and both fall
+// back to materializing through the index's descriptor. Either way the
+// order is the materialized one and the index counts every rank's rows.
+TEST(Streaming, MoreSectionsThanTheMergeTakesFallBack) {
+  for (const std::size_t sections :
+       {CsvStreamReader::kMaxStreamSections, CsvStreamReader::kMaxStreamSections + 1}) {
+    SCOPED_TRACE(sections);
+    std::string text = std::string(kNative);
+    for (std::size_t i = 0; i < sections; ++i) {
+      text += std::to_string(i % 2) + "," + std::to_string(i % 4 / 2) + "," +
+              std::to_string(i / 4) + "," + std::to_string(1 - i % 2) + ",64,0,0\n";
+    }
+    const std::string path = write_temp_file("stream_section_limit.csv", text);
+    const CsvTraceFile file = CsvTraceFile::open(path);
+    const CsvTraceSource source = parse(text);
+    for (const auto level : {trace::Level::Logical, trace::Level::Physical}) {
+      auto reader = CsvStreamReader::open(file, level);
+      EXPECT_EQ(reader->streaming(), sections <= CsvStreamReader::kMaxStreamSections);
+      EXPECT_EQ(pull_all(*reader, 4096), drain(*source.stream_events(level)));
+      EXPECT_EQ(file.records_per_rank(level),
+                (std::vector<std::size_t>{source.store().records(0, level).size(),
+                                          source.store().records(1, level).size()}));
+    }
+  }
+}
+
 // open() measures the file; a file cut short afterwards must fail the
-// drain with a diagnostic, never end the stream early as if complete.
+// drain with a diagnostic, never end the stream early as if complete —
+// and so must a second level's reader opened from the same index after
+// the cut.
 TEST(Streaming, FileTruncatedAfterOpenFailsClosed) {
   const auto store = random_store(/*seed=*/9, /*nranks=*/4, /*records_per_rank=*/2000);
   const std::string native_path = ::testing::TempDir() + "stream_truncated_native.csv";
@@ -1150,18 +1193,82 @@ TEST(Streaming, FileTruncatedAfterOpenFailsClosed) {
             ",64\n";
   }
   const std::string flat_path = write_temp_file("stream_truncated_flat.csv", flat);
-  for (const std::string& path : {native_path, flat_path}) {
-    auto reader = CsvStreamReader::open(path, trace::Level::Physical);
-    ASSERT_TRUE(reader->streaming());
-    std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  const auto expect_fails_closed = [](const std::string& path, const auto& read) {
     try {
-      (void)pull_all(*reader, 64);
+      read();
       ADD_FAILURE() << path << ": expected IngestError";
     } catch (const IngestError& e) {
       EXPECT_EQ(e.where().file, path);
       EXPECT_GT(e.where().line, 1u);
       EXPECT_NE(e.where().reason.find("short of the size open() measured"), std::string::npos)
           << e.what();
+    }
+  };
+  for (const std::string& path : {native_path, flat_path}) {
+    const CsvTraceFile file = CsvTraceFile::open(path);
+    auto reader = CsvStreamReader::open(file, trace::Level::Physical);
+    ASSERT_TRUE(reader->streaming());
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+    expect_fails_closed(path, [&] { (void)pull_all(*reader, 64); });
+    // Logical for the native file, a second Physical reader for the flat
+    // one: its cursors read past the cut while opening or while pulled.
+    const trace::Level second = file.levels().front();
+    expect_fails_closed(path, [&] { (void)pull_all(*CsvStreamReader::open(file, second), 64); });
+  }
+}
+
+// Only a regular file is read: a FIFO with no writer must be rejected at
+// open, before any read could block on it, and so must a directory.
+TEST(Streaming, NonRegularFilesAreRejectedAtOpen) {
+  const std::string fifo = ::testing::TempDir() + "stream_fifo.csv";
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  const std::string dir = ::testing::TempDir() + "stream_dir.csv";
+  std::filesystem::create_directories(dir);
+  for (const std::string& path : {fifo, dir}) {
+    for (const auto& open : std::initializer_list<void (*)(const std::string&)>{
+             [](const std::string& p) { (void)CsvTraceFile::open(p); },
+             [](const std::string& p) { (void)open_event_stream(p, trace::Level::Physical); },
+             [](const std::string& p) { (void)open_trace(p); }}) {
+      try {
+        open(path);
+        ADD_FAILURE() << path << ": expected IngestError";
+      } catch (const IngestError& e) {
+        EXPECT_EQ(e.where().file, path);
+        EXPECT_EQ(e.where().line, 0u);
+        EXPECT_EQ(e.where().reason, "not a regular file");
+      }
+    }
+  }
+  std::filesystem::remove(fifo);
+}
+
+// The index answers what the materialized source does: format, rank
+// count, levels, and the records each rank holds per level (unresolved
+// senders and declared but silent ranks included), so the representative
+// process is the same.
+TEST(Streaming, TraceFileAnswersLikeTheMaterializedSource) {
+  auto store = random_store(/*seed=*/21, /*nranks=*/5, /*records_per_rank=*/40);
+  store.append(2, trace::Level::Logical, {.time = sim::SimTime{1000}, .sender = 0, .bytes = 8});
+  std::stringstream native;
+  trace::write_csv(native, store);
+  const std::string declared = "# nranks: 9\n" + std::string(kFlat) +
+                               "5,1,0,100\n3,2,1,200\n5,3,0,300\n7,0,4,50\n9,0,4,50\n";
+  for (const std::string& text : {native.str(), declared}) {
+    const std::string path = write_temp_file("stream_index.csv", text);
+    const CsvTraceFile file = CsvTraceFile::open(path);
+    const CsvTraceSource source = parse(text);
+    EXPECT_EQ(file.format(), source.format());
+    EXPECT_EQ(file.nranks(), source.nranks());
+    EXPECT_EQ(file.levels(), source.levels());
+    for (const trace::Level level : file.levels()) {
+      std::vector<std::size_t> want;
+      for (int r = 0; r < source.nranks(); ++r) {
+        want.push_back(source.store().records(r, level).size());
+      }
+      EXPECT_EQ(file.records_per_rank(level), want);
+      EXPECT_EQ(trace::representative_rank(file.records_per_rank(level)),
+                trace::representative_rank(source.store(), level));
     }
   }
 }

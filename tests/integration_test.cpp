@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+
 #include "apps/app.hpp"
 #include "apps/registry.hpp"
-#include "core/evaluate.hpp"
+#include "core/accuracy.hpp"
 #include "core/set_prediction.hpp"
+#include "core/stream_predictor.hpp"
 #include "engine/engine.hpp"
 #include "ingest/replay.hpp"
 #include "ingest/source.hpp"
@@ -24,6 +28,12 @@ mpi::WorldConfig noisy(std::uint64_t seed) { return apps::paper_world_config(see
 
 core::StreamPredictorConfig paper_predictor() {
   return core::StreamPredictorConfig{};  // library defaults = paper setup
+}
+
+/// One stream scored by a fresh paper predictor at the paper's horizon.
+core::AccuracyReport evaluate_paper(std::span<const std::int64_t> stream) {
+  core::StreamPredictor predictor(paper_predictor());
+  return core::evaluate_with(predictor, stream, paper_predictor().horizon);
 }
 
 TEST(Pipeline, LogicalPredictionAboveNinetyPercentForEveryApp) {
@@ -44,10 +54,11 @@ TEST(Pipeline, LogicalPredictionAboveNinetyPercentForEveryApp) {
     const int rank = trace::representative_rank(world.traces(), trace::Level::Logical);
     const auto streams = trace::extract_streams(world.traces(), rank, trace::Level::Logical);
     ASSERT_GT(streams.length(), 100u) << app;
-    const auto eval = core::evaluate_streams(streams, paper_predictor());
+    const auto senders = evaluate_paper(streams.senders);
+    const auto sizes = evaluate_paper(streams.sizes);
     for (std::size_t h = 1; h <= 5; ++h) {
-      EXPECT_GT(eval.senders.at(h).accuracy(), 0.90) << app << " senders +h" << h;
-      EXPECT_GT(eval.sizes.at(h).accuracy(), 0.90) << app << " sizes +h" << h;
+      EXPECT_GT(senders.at(h).accuracy(), 0.90) << app << " senders +h" << h;
+      EXPECT_GT(sizes.at(h).accuracy(), 0.90) << app << " sizes +h" << h;
     }
   }
 }
@@ -62,7 +73,7 @@ TEST(Pipeline, PhysicalOrderingDegradesGracefullyByApp) {
                                   apps::AppConfig{.problem_class = apps::ProblemClass::S});
     const int rank = trace::representative_rank(world.traces(), trace::Level::Physical);
     const auto streams = trace::extract_streams(world.traces(), rank, trace::Level::Physical);
-    return core::evaluate_streams(streams, paper_predictor()).senders.at(1).accuracy();
+    return evaluate_paper(streams.senders).at(1).accuracy();
   };
   const double lu = physical_acc("lu", 4);
   const double sw = physical_acc("sweep3d", 6);
@@ -81,9 +92,8 @@ TEST(Pipeline, PhysicalIsHarderThanLogicalForIS) {
   const int rank = 3;
   const auto logical = trace::extract_streams(world.traces(), rank, trace::Level::Logical);
   const auto physical = trace::extract_streams(world.traces(), rank, trace::Level::Physical);
-  const auto leval = core::evaluate_streams(logical, paper_predictor());
-  const auto peval = core::evaluate_streams(physical, paper_predictor());
-  EXPECT_GT(leval.senders.at(1).accuracy(), peval.senders.at(1).accuracy() + 0.15);
+  EXPECT_GT(evaluate_paper(logical.senders).at(1).accuracy(),
+            evaluate_paper(physical.senders).at(1).accuracy() + 0.15);
 }
 
 TEST(Pipeline, SetPredictionRescuesPhysicalAccuracy) {

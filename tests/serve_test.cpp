@@ -233,6 +233,11 @@ TEST(Serve, ShortDpdStreamsHoldOnlyTheirHistory) {
       one.sender_predictor->footprint_bytes() + one.size_predictor->footprint_bytes() +
       one.sender_eval.heap_bytes() + one.size_eval.heap_bytes() + sizeof(engine::StreamState) + 64;
   EXPECT_EQ(stats.resident_bytes, per_stream * kStreams);
+
+  // One bill: the engine report charges each stream what the server does,
+  // less the fixed per-stream overhead.
+  EXPECT_EQ(stats.resident_bytes,
+            session->report().total_footprint_bytes + engine::kStreamOverheadBytes * kStreams);
 }
 
 /// Two-level trace for the streamed-ingest case: each of 8 ranks receives
