@@ -1,8 +1,8 @@
 #pragma once
 
-// Shared plumbing for the reproduction benches: every bench runs one or
-// more kernels at Class A under the paper noise profile and prints the
-// rows/series of the corresponding paper table or figure.
+// Shared plumbing of the bench and example mains: the paper-profile kernel
+// run, the §2 latency model, the fail-closed main wrapper and the flag
+// parsers.
 
 #include <algorithm>
 #include <charconv>
@@ -16,7 +16,6 @@
 #include <string>
 #include <string_view>
 #include <system_error>
-#include <type_traits>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -78,22 +77,12 @@ static_assert(LatencyModel{}.handshake_ns(1000) ==
                   LatencyModel{}.direct_ns(1000) + 2.0 * LatencyModel{}.latency_ns,
               "a handshake costs a direct send plus two latencies");
 
-/// The representative receiver's physical arrivals in record order: the
-/// stream every §2 what-if replays through ingest::replay_adaptive.
-inline std::vector<engine::Event> representative_arrivals(const trace::TraceStore& store,
-                                                          const trace::StreamFilter& filter = {}) {
-  const int rep = trace::representative_rank(store, trace::Level::Physical);
-  return engine::events_from_rank(store, rep, trace::Level::Physical, filter);
-}
-
 /// The shared main of the command-line tools: `--help` / `-h` anywhere
 /// prints `usage` to stdout and exits 0; otherwise `run` decides the exit
 /// code, and any exception escaping it (a bad argument, an unreadable or
 /// malformed trace, an unknown application, an unwritable output, or a
 /// standard-library error such as std::length_error from an absurd count)
-/// becomes one line on stderr and exit 1, never std::terminate. A `run`
-/// that takes no parameters marks a tool without options: any argument is
-/// rejected the same way (a typoed flag must not silently run). The tools
+/// becomes one line on stderr and exit 1, never std::terminate. The tools
 /// check no invariants at run time (the tier-1 suite does), so nothing
 /// else exits nonzero.
 template <typename Run>
@@ -106,55 +95,11 @@ int cli_main(int argc, char** argv, const char* usage, Run run) {
     }
   }
   try {
-    if constexpr (std::is_invocable_v<Run>) {
-      if (argc > 1) {
-        throw UsageError("unexpected argument '" + std::string(argv[1]) + "' (try --help)");
-      }
-      return run();
-    } else {
-      return run(argc, argv);
-    }
+    return run(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-}
-
-/// Per-(app, procs) cell of Figures 3/4, routed through the prediction
-/// engine: the representative process's arrivals are demultiplexed and
-/// scored by an engine pass (identical to a hand-wired per-rank
-/// evaluation; feeding only that receiver's events keeps the cost at the
-/// old single-rank level).
-inline engine::StreamReport evaluate_level(mpi::World& world, trace::Level level,
-                                             const std::string& predictor = "dpd",
-                                             const engine::PredictorOptions& options = {}) {
-  const int rep = trace::representative_rank(world.traces(), level);
-  engine::PredictionEngine eng(engine::EngineConfig{.predictor = predictor, .options = options});
-  eng.observe_all(engine::events_from_rank(world.traces(), rep, level));
-  for (const auto& stream : eng.report().streams) {
-    if (stream.key.destination == rep) {
-      return stream;
-    }
-  }
-  // Empty stream (nothing received at this level): zeroed rows, printable
-  // like any other report.
-  engine::StreamReport zero;
-  zero.senders.horizons.resize(options.horizon);
-  zero.sizes.horizons.resize(options.horizon);
-  return zero;
-}
-
-/// `--predictor` / `--list-predictors` handling for bench mains without
-/// positionals: the registry-level helper performs the listing/error
-/// exits, and any leftover argument is rejected here (a typoed flag must
-/// not silently run the default).
-inline std::string predictor_flag(int argc, char** argv, std::string fallback = "dpd") {
-  const auto arg = engine::predictor_arg_or_exit(argc, argv, std::move(fallback));
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    std::exit(1);
-  }
-  return arg.name;
 }
 
 /// Consumes every `<flag> <n>` / `<flag>=<n>` occurrence from `rest` (the
@@ -333,23 +278,6 @@ inline void write_telemetry_or_exit(const TelemetryFlags& flags,
       std::exit(1);
     }
   }
-}
-
-inline void print_accuracy_grid_header(const char* what) {
-  std::printf("%-10s %-8s", "config", what);
-  for (int h = 1; h <= 5; ++h) {
-    std::printf("   +%d ", h);
-  }
-  std::printf("\n");
-}
-
-inline void print_accuracy_row(const std::string& config, const char* stream,
-                               const core::AccuracyReport& report) {
-  std::printf("%-10s %-8s", config.c_str(), stream);
-  for (std::size_t h = 1; h <= 5; ++h) {
-    std::printf(" %5.1f", pct(report.at(h).accuracy()));
-  }
-  std::printf("\n");
 }
 
 }  // namespace mpipred::bench

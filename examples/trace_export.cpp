@@ -2,8 +2,8 @@
 // CSV, reload it, and analyze periodicity without re-running the
 // simulation — the workflow a tools team would use on recorded traces.
 //
-// `--help` prints the usage below and exits 0; an unwritable path prints
-// one line to stderr and exits 1.
+// `--help` prints the usage below and exits 0; a flag, a second path or an
+// unwritable path prints one line to stderr and exits 1.
 //
 //   $ ./examples/trace_export [path]   (default: ./is8_trace.csv)
 
@@ -29,6 +29,11 @@ constexpr const char* kUsage =
     "it, and prints per-rank sender periodicity.\n";
 
 int run(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i][0] == '-' || i > 1) {
+      throw UsageError("unexpected argument '" + std::string(argv[i]) + "' (try --help)");
+    }
+  }
   const std::string path = argc > 1 ? argv[1] : "is8_trace.csv";
   constexpr int kProcs = 8;
 

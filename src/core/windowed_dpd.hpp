@@ -17,8 +17,8 @@ namespace mpipred::core {
 ///  * on clean (logical) streams the two agree almost everywhere;
 ///  * after a single reordering, the full-window criterion stays silent
 ///    for up to N samples (the glitch must leave the window), while the
-///    production detector's hysteresis rides through — bench_ablation
-///    quantifies exactly this difference on real traces.
+///    production detector's hysteresis rides through — `reproduce_paper
+///    ablation` quantifies exactly this difference on real traces.
 ///
 /// Window semantics make the incremental trick of the production detector
 /// unavailable; observe() costs O(M) via mismatch bookkeeping (per lag,

@@ -6,8 +6,8 @@
 // is what makes an external trace first-class: the same registry
 // predictor, the same sharded engine, the same policy code, fed from a
 // file instead of the simulator. It is also the one replay behind the §2
-// what-if benches (bench_memory_reduction, bench_flow_control,
-// bench_rendezvous) and buffer_planner, which view its counts.
+// what-ifs (reproduce_paper's memory, flow-control and rendezvous
+// sections) and buffer_planner, which view its counts.
 
 #include <cstddef>
 #include <cstdint>
