@@ -126,13 +126,9 @@ int run(int argc, char** argv) {
   if (out_path.empty()) {
     out_path = "BENCH_adaptive_speedup.json";
   }
-  if (!args.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", args.front().c_str());
-    return 1;
-  }
+  bench::reject_unexpected(args);
   if (nseeds == 0) {
-    std::fprintf(stderr, "--seeds must be at least 1\n");
-    return 1;
+    throw UsageError("--seeds must be at least 1");
   }
 
   std::vector<std::string> app_list;
@@ -144,8 +140,7 @@ int run(int argc, char** argv) {
     start = comma + 1;
   }
   if (app_list.empty()) {
-    std::fprintf(stderr, "--apps names no application\n");
-    return 1;
+    throw UsageError("--apps names no application");
   }
   for (const std::string& app : app_list) {
     (void)apps::find_app(app);  // throws on an unknown name, before any world runs
@@ -285,8 +280,7 @@ int run(int argc, char** argv) {
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+    throw Error("cannot write " + out_path);
   }
   std::fprintf(out, "%s\n", json.str().c_str());
   std::fclose(out);

@@ -159,7 +159,7 @@ void write_percentiles(bench::JsonWriter& json, const char* name, const Repeated
 }
 
 int run(int argc, char** argv) {
-  auto arg = engine::predictor_arg_or_exit(argc, argv, "dpd");
+  auto arg = bench::predictor_arg(argc, argv);
   const std::size_t shards = bench::shards_flag(arg.rest, 4);
   const std::size_t nevents = bench::size_flag(arg.rest, "--events", 20000);
   const std::size_t tenants = bench::size_flag(arg.rest, "--tenants", 4);
@@ -167,9 +167,9 @@ int run(int argc, char** argv) {
   if (out_path.empty()) {
     out_path = "BENCH_engine_latency.json";
   }
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
+  bench::reject_unexpected(arg.rest);
+  if (bench::list_predictors(arg)) {
+    return 0;
   }
   const std::size_t eff_shards = engine::effective_shard_count(shards);
   const auto events = synthetic_trace(nevents, 32);
@@ -296,8 +296,7 @@ int run(int argc, char** argv) {
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+    throw Error("cannot write " + out_path);
   }
   std::fprintf(out, "%s\n", json.str().c_str());
   std::fclose(out);

@@ -66,18 +66,17 @@ std::vector<Event> synthetic_trace(std::size_t events, std::size_t streams) {
 }
 
 int run(int argc, char** argv) {
-  auto arg = engine::predictor_arg_or_exit(argc, argv);
+  auto arg = bench::predictor_arg(argc, argv);
   const std::size_t events_n = bench::size_flag(arg.rest, "--events", 1'000'000);
   const std::size_t streams_n = bench::size_flag(arg.rest, "--streams", 100'000);
   const std::size_t fixed_shards = bench::shards_flag(arg.rest, 0);
   const std::string json_path = bench::string_flag(arg.rest, "--json");
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
-  }
+  bench::reject_unexpected(arg.rest);
   if (events_n == 0 || streams_n == 0) {
-    std::fprintf(stderr, "--events and --streams must be at least 1\n");
-    return 1;
+    throw UsageError("--events and --streams must be at least 1");
+  }
+  if (bench::list_predictors(arg)) {
+    return 0;
   }
 
   const std::size_t hw = engine::effective_shard_count(0);
@@ -158,7 +157,7 @@ int run(int argc, char** argv) {
   json.key("stream_state_bytes").value(static_cast<std::uint64_t>(report.total_footprint_bytes));
   json.key("stream_state_mib").value(state_mib);
   json.end_object();
-  bench::write_file_or_exit(json_path, json.str() + "\n");
+  bench::write_file(json_path, json.str() + "\n");
   std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

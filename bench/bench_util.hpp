@@ -1,18 +1,17 @@
 #pragma once
 
 // Shared plumbing of the bench and example mains: the paper-profile kernel
-// run, the §2 latency model, the fail-closed main wrapper and the flag
-// parsers.
+// run, the §2 latency model, the fail-closed main wrapper, the flag
+// parsers (each throws UsageError for cli_main to report) and the level
+// report block.
 
-#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -23,8 +22,6 @@
 #include "common/error.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
-#include "ingest/streaming.hpp"
-#include "ingest/transform.hpp"
 #include "mpi/world.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/stats.hpp"
@@ -102,10 +99,45 @@ int cli_main(int argc, char** argv, const char* usage, Run run) {
   }
 }
 
+/// parse_predictor_arg (default dpd) for a command-line tool: returns the
+/// parsed flags, or throws UsageError with the registry's diagnostic on a
+/// missing value or an unknown name. `--list-predictors` is only recorded
+/// (`listed`): the tool answers it with list_predictors once its own
+/// arguments pass.
+inline engine::PredictorArg predictor_arg(int argc, char** argv) {
+  engine::PredictorArg arg = engine::parse_predictor_arg(argc, argv);
+  if (!arg.error.empty()) {
+    throw UsageError(arg.error);
+  }
+  return arg;
+}
+
+/// Throws UsageError naming the first argument no flag parser consumed (a
+/// typoed flag must not silently run the default configuration).
+inline void reject_unexpected(const std::vector<std::string>& rest) {
+  if (!rest.empty()) {
+    throw UsageError("unexpected argument '" + rest.front() + "'");
+  }
+}
+
+/// Answers `--list-predictors`: call it after every argument has passed
+/// its checks and before any work starts. Prints the registered names to
+/// stdout and returns true (the tool then exits 0 without running), or
+/// returns false when the flag was not given.
+inline bool list_predictors(const engine::PredictorArg& arg) {
+  if (!arg.listed) {
+    return false;
+  }
+  for (const auto& name : engine::PredictorRegistry::instance().names()) {
+    std::printf("%s\n", name.c_str());
+  }
+  return true;
+}
+
 /// Consumes every `<flag> <n>` / `<flag>=<n>` occurrence from `rest` (the
 /// unparsed remainder of parse_predictor_arg) and returns the last value,
-/// or `fallback` when the flag is absent. Exits on a missing or malformed
-/// number, so a typo can never silently run the default.
+/// or `fallback` when the flag is absent. Throws UsageError on a missing
+/// or malformed number, so a typo can never silently run the default.
 inline std::size_t size_flag(std::vector<std::string>& rest, const std::string& flag,
                              std::size_t fallback) {
   const auto parse = [&flag](const std::string& text) -> std::size_t {
@@ -116,9 +148,7 @@ inline std::size_t size_flag(std::vector<std::string>& rest, const std::string& 
     const char* last = text.data() + text.size();
     const auto [end, ec] = std::from_chars(text.data(), last, value);
     if (ec != std::errc() || end != last) {
-      std::fprintf(stderr, "%s requires a non-negative integer, got '%s'\n", flag.c_str(),
-                   text.c_str());
-      std::exit(1);
+      throw UsageError(flag + " requires a non-negative integer, got '" + text + "'");
     }
     return value;
   };
@@ -126,8 +156,7 @@ inline std::size_t size_flag(std::vector<std::string>& rest, const std::string& 
   for (auto it = rest.begin(); it != rest.end();) {
     if (*it == flag) {
       if (std::next(it) == rest.end()) {
-        std::fprintf(stderr, "%s requires a value\n", flag.c_str());
-        std::exit(1);
+        throw UsageError(flag + " requires a value");
       }
       value = parse(*std::next(it));
       it = rest.erase(it, std::next(it, 2));
@@ -148,23 +177,22 @@ inline std::size_t shards_flag(std::vector<std::string>& rest, std::size_t fallb
 }
 
 /// Consumes every `<flag> <value>` / `<flag>=<value>` occurrence from
-/// `rest` and returns the last value, or "" when the flag is absent. Exits
-/// on a missing or empty value (a dangling `--trace` or an unset shell
-/// variable in `--trace=$FILE` must not silently run the default mode).
+/// `rest` and returns the last value, or "" when the flag is absent.
+/// Throws UsageError on a missing or empty value (a dangling `--trace` or
+/// an unset shell variable in `--trace=$FILE` must not silently run the
+/// default mode).
 inline std::string string_flag(std::vector<std::string>& rest, const std::string& flag) {
   std::string value;
   const auto take = [&](std::string v) {
     if (v.empty()) {
-      std::fprintf(stderr, "%s requires a non-empty value\n", flag.c_str());
-      std::exit(1);
+      throw UsageError(flag + " requires a non-empty value");
     }
     value = std::move(v);
   };
   for (auto it = rest.begin(); it != rest.end();) {
     if (*it == flag) {
       if (std::next(it) == rest.end()) {
-        std::fprintf(stderr, "%s requires a value\n", flag.c_str());
-        std::exit(1);
+        throw UsageError(flag + " requires a value");
       }
       take(*std::next(it));
       it = rest.erase(it, std::next(it, 2));
@@ -176,56 +204,6 @@ inline std::string string_flag(std::vector<std::string>& rest, const std::string
     }
   }
   return value;
-}
-
-/// size_flag that also reports whether the flag appeared at all (tools use
-/// this to reject flags that only make sense in some modes instead of
-/// silently ignoring them).
-inline std::optional<std::size_t> opt_size_flag(std::vector<std::string>& rest,
-                                                const std::string& flag) {
-  const bool present = std::any_of(rest.begin(), rest.end(), [&flag](const std::string& a) {
-    return a == flag || a.starts_with(flag + "=");
-  });
-  if (!present) {
-    return std::nullopt;
-  }
-  return size_flag(rest, flag, 0);
-}
-
-/// The shared streamed-ingest flags of every `--trace` consumer:
-/// `--trace <file>`, `--batch-events <n>` (0 = unbounded), `--window
-/// <t0>:<t1>`, and `--remap-ranks <spec>`.
-struct TraceFlags {
-  std::string path;
-  std::size_t batch_events = ingest::kDefaultBatchEvents;
-  ingest::TransformSpec transforms;
-};
-
-/// Consumes the shared ingest flags from `rest`. Exits 1 on a malformed
-/// window/remap spec, or when an ingest-only flag is given without
-/// `--trace` (it would otherwise be a silent no-op).
-inline TraceFlags trace_flags_or_exit(std::vector<std::string>& rest) {
-  TraceFlags flags;
-  flags.path = string_flag(rest, "--trace");
-  const auto batch = opt_size_flag(rest, "--batch-events");
-  if (batch) {
-    flags.batch_events = *batch;
-  }
-  const std::string window_spec = string_flag(rest, "--window");
-  const std::string remap_spec = string_flag(rest, "--remap-ranks");
-  if (flags.path.empty() &&
-      (batch.has_value() || !window_spec.empty() || !remap_spec.empty())) {
-    std::fprintf(stderr,
-                 "--batch-events, --window and --remap-ranks require --trace <file>\n");
-    std::exit(1);
-  }
-  try {
-    flags.transforms = ingest::TransformSpec::parse(window_spec, remap_spec);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(1);
-  }
-  return flags;
 }
 
 /// The shared telemetry-export flags of every CLI: `--emit-metrics
@@ -242,7 +220,7 @@ struct TelemetryFlags {
 };
 
 /// Consumes `--emit-metrics <file>` and `--emit-trace-events <file>` from
-/// `rest` (exits 1 on a dangling or empty value, like every other flag).
+/// `rest` (a dangling or empty value throws, like every other flag).
 inline TelemetryFlags telemetry_flags(std::vector<std::string>& rest) {
   TelemetryFlags flags;
   flags.metrics_path = string_flag(rest, "--emit-metrics");
@@ -250,34 +228,64 @@ inline TelemetryFlags telemetry_flags(std::vector<std::string>& rest) {
   return flags;
 }
 
-/// Writes `text` to `path`, exiting 1 when the file cannot be written — an
-/// export the user asked for must never vanish silently.
-inline void write_file_or_exit(const std::string& path, const std::string& text) {
+/// Writes `text` to `path`; throws Error when the file cannot be written —
+/// an export the user asked for must never vanish silently.
+inline void write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary);
   out << text;
   out.flush();
   if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
-    std::exit(1);
+    throw Error("cannot write '" + path + "'");
   }
 }
 
 /// Writes whichever telemetry exports were requested: the metrics snapshot
 /// to `--emit-metrics`, the trace-event stream to `--emit-trace-events`.
-inline void write_telemetry_or_exit(const TelemetryFlags& flags,
-                                    const telemetry::Telemetry& telemetry) {
+inline void write_telemetry(const TelemetryFlags& flags, const telemetry::Telemetry& telemetry) {
   if (!flags.metrics_path.empty()) {
-    write_file_or_exit(flags.metrics_path, telemetry.metrics().snapshot().to_json());
+    write_file(flags.metrics_path, telemetry.metrics().snapshot().to_json());
   }
   if (!flags.trace_path.empty()) {
     std::ofstream out(flags.trace_path, std::ios::binary);
     telemetry.trace_sink().write_json(out);
     out.flush();
     if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", flags.trace_path.c_str());
-      std::exit(1);
+      throw Error("cannot write '" + flags.trace_path + "'");
     }
   }
+}
+
+/// One row of +1..+H accuracies, as the level reports print it.
+inline void print_report_block(const char* label, const core::AccuracyReport& report) {
+  std::printf("  %-8s", label);
+  for (std::size_t h = 1; h <= report.max_horizon(); ++h) {
+    std::printf("  +%zu: %5.1f%%", h, 100.0 * report.at(h).accuracy());
+  }
+  std::printf("\n");
+}
+
+/// One level's accuracy block: the header, the `rep_rank` process's
+/// streams and the aggregate over all `nprocs`. predict_nas prints it for a
+/// simulated run and replay_trace for a replayed file, so the two outputs
+/// stay diffable line for line.
+inline void print_level_report(trace::Level level, const engine::EngineReport& report,
+                               int rep_rank, int nprocs, std::size_t shards) {
+  std::printf("%s level (%lld messages over %zu streams on %zu engine shards, state %.1f KiB):\n",
+              std::string(to_string(level)).c_str(), static_cast<long long>(report.events),
+              report.streams.size(), engine::effective_shard_count(shards),
+              static_cast<double>(report.total_footprint_bytes) / 1024.0);
+  for (const auto& stream : report.streams) {
+    if (stream.key.destination != rep_rank) {
+      continue;
+    }
+    std::printf(" process %d (%lld messages):\n", rep_rank,
+                static_cast<long long>(stream.events));
+    print_report_block("senders:", stream.senders);
+    print_report_block("sizes:", stream.sizes);
+  }
+  std::printf(" aggregate over all %d processes:\n", nprocs);
+  print_report_block("senders:", report.aggregate_senders);
+  print_report_block("sizes:", report.aggregate_sizes);
 }
 
 }  // namespace mpipred::bench

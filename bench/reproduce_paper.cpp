@@ -580,7 +580,7 @@ std::string usage() {
 }
 
 int run(int argc, char** argv) {
-  const engine::PredictorArg arg = engine::predictor_arg_or_exit(argc, argv);
+  const engine::PredictorArg arg = bench::predictor_arg(argc, argv);
   std::vector<const Section*> selected;
   for (const std::string& name : arg.rest) {
     const auto* it = std::ranges::find(kSections, std::string_view(name), &Section::name);
@@ -607,6 +607,9 @@ int run(int argc, char** argv) {
       }
     }
     throw UsageError("--predictor needs named sections that all take it: " + takers);
+  }
+  if (bench::list_predictors(arg)) {
+    return 0;
   }
   for (const Section* s : selected) {
     s->run(arg.name);

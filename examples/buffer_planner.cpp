@@ -11,7 +11,7 @@
 
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <string_view>
 
 #include "apps/app.hpp"
@@ -21,45 +21,39 @@
 
 namespace {
 
+using namespace mpipred;
+
 constexpr const char* kUsage =
     "usage: buffer_planner [procs]\n"
     "Runs BT (class A) on procs simulated processes (default 16, must be a\n"
     "square) and plans one process's receive buffers from its physical trace.\n";
 
-/// The process count from argv, or exits: 0 after printing the usage for
-/// --help/-h, 1 with one line on stderr for anything else unusable.
-int procs_or_exit(int argc, char** argv) {
+/// The process count from argv (default 16); anything unusable throws
+/// UsageError for cli_main to report.
+int procs_arg(int argc, char** argv) {
   if (argc < 2) {
     return 16;
   }
   const std::string_view arg = argv[1];
-  if (arg == "--help" || arg == "-h") {
-    std::fputs(kUsage, stdout);
-    std::exit(0);
-  }
   if (argc > 2) {
-    std::fprintf(stderr, "buffer_planner: unexpected argument '%s' (try --help)\n", argv[2]);
-    std::exit(1);
+    throw UsageError("buffer_planner: unexpected argument '" + std::string(argv[2]) +
+                     "' (try --help)");
   }
   int procs = 0;
   const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), procs);
   if (ec != std::errc{} || end != arg.data() + arg.size() || procs < 1) {
-    std::fprintf(stderr, "buffer_planner: procs must be a positive integer, got '%s'\n",
-                 argv[1]);
-    std::exit(1);
+    throw UsageError("buffer_planner: procs must be a positive integer, got '" +
+                     std::string(arg) + "'");
   }
-  if (!mpipred::apps::bt_supports(procs)) {
-    std::fprintf(stderr, "buffer_planner: BT needs a square process count (got %d)\n", procs);
-    std::exit(1);
+  if (!apps::bt_supports(procs)) {
+    throw UsageError("buffer_planner: BT needs a square process count (got " +
+                     std::to_string(procs) + ")");
   }
   return procs;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace mpipred;
-  const int procs = procs_or_exit(argc, argv);
+int run(int argc, char** argv) {
+  const int procs = procs_arg(argc, argv);
 
   std::printf("running bt.%d and planning buffers from its physical trace...\n\n", procs);
   mpi::World world(procs, apps::paper_world_config(7));
@@ -95,4 +89,10 @@ int main(int argc, char** argv) {
                                  (all_pairs_buffers * buffer_bytes)),
               procs);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::cli_main(argc, argv, kUsage, run);
 }

@@ -25,10 +25,10 @@ constexpr const char* kUsage =
 
 int run(int argc, char** argv) {
   using namespace mpipred;
-  const auto arg = engine::predictor_arg_or_exit(argc, argv);
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
+  const auto arg = bench::predictor_arg(argc, argv);
+  bench::reject_unexpected(arg.rest);
+  if (bench::list_predictors(arg)) {
+    return 0;
   }
   const std::string& predictor = arg.name;
 

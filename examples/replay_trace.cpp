@@ -1,18 +1,28 @@
-// External traces through the whole stack: open any supported trace file
-// (run `trace_export` or `predict_nas --export-trace` to make one, or
-// bring a `time_ns,sender,receiver,bytes[,kind]` flat CSV from a real
-// capture tool), replay it through the resident prediction service — one
+// External traces through the whole stack, and the one tool that reads a
+// trace file: open any supported trace (run `trace_export` or
+// `predict_nas --export-trace` to make one, or bring a
+// `time_ns,sender,receiver,bytes[,kind]` flat CSV from a real capture
+// tool), replay it through the resident prediction service — one
 // PredictionServer, one session per trace level, each file parsed in
-// pulled batches that overlap the shard drain — and drive the adaptive
-// runtime's decision layer over the arrival stream; no simulator
-// involved. `--window` slices a capture-time range and `--remap-ranks`
-// folds/subsets the rank space before anything else sees the events. The
-// adaptive replay runs once, at `--shards`. That the streamed engine
-// reports match the materialized ones across shard counts and batch
-// sizes, survive a write_csv round trip, and equal a standalone engine's,
-// and that the adaptive replay is identical at every shard count and with
-// telemetry attached, is pinned in the tier-1 suite (ingest_test,
-// serve_test, telemetry_test), not re-checked here.
+// pulled batches of `--batch-events` that overlap the shard drain — and
+// drive the adaptive runtime's decision layer over the last level's
+// arrival stream; no simulator involved. `--window` slices a capture-time
+// range and `--remap-ranks` folds/subsets the rank space before anything
+// else sees the events.
+//
+// It prints, in order: the representative process; each level's
+// accuracy block (the one predict_nas prints for a simulated run, so a
+// run and its replayed export diff line for line) with its batch count
+// and transform summaries; the static per-peer vs same-budget LRU vs
+// adaptive buffer comparison over the last level's arrivals; and the
+// adaptive replay's summary. The adaptive replay runs once, at
+// `--shards`. That the streamed engine reports match the materialized
+// ones across shard counts and batch sizes, survive a write_csv round
+// trip, and equal a standalone engine's, that the adaptive replay is
+// identical at every shard count and with telemetry attached, and that a
+// replayed export prints the simulated run's accuracy blocks is pinned in
+// the tier-1 suite (ingest_test, serve_test, telemetry_test,
+// trace_tools_stdout_test), not re-checked here.
 //
 // `--emit-metrics <file>` writes the final metrics snapshot (serve.*,
 // engine.feed.* per tenant, adaptive.policy.*) as JSON;
@@ -27,8 +37,9 @@
 //       [--batch-events <n>] [--window <t0>:<t1>] [--remap-ranks <spec>]
 //       [--emit-metrics <file>] [--emit-trace-events <file>]
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,31 +60,74 @@ constexpr const char* kUsage =
     "                    [--remap-ranks <spec>] [--emit-metrics <file>]\n"
     "                    [--emit-trace-events <file>]\n";
 
-/// +1 accuracy as a percentage; 0 when the stream was empty (an empty
-/// window or keep set must degrade to a zero report, not an abort).
-double pct_at_one(const core::AccuracyReport& report) {
-  return report.max_horizon() == 0 ? 0.0 : 100.0 * report.at(1).accuracy();
+/// The stream a transformed replay reports on: the busiest destination
+/// (most events, smallest rank on ties — deterministic because report
+/// streams are key-sorted). The raw file's representative rank is
+/// meaningless after a window or a renumbering.
+int busiest_destination(const engine::EngineReport& report) {
+  int best = -1;
+  std::int64_t best_events = -1;
+  for (const auto& stream : report.streams) {
+    if (stream.key.destination == engine::kAnyKey) {
+      continue;
+    }
+    if (stream.events > best_events) {
+      best_events = stream.events;
+      best = stream.key.destination;
+    }
+  }
+  return best;
+}
+
+/// The §2 buffer question over one arrival sequence: the static library's
+/// analytic per-peer allocation (nranks-1 buffers, every arrival a hit),
+/// a prediction-free LRU at the adaptive policy's own mean budget, and the
+/// adaptive replay itself.
+void print_buffer_comparison(const std::vector<engine::Event>& arrivals, int nranks,
+                             const ingest::AdaptiveReplay& adaptive) {
+  const auto budget = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(adaptive.stats.avg_buffers())));
+  const double lru_rate = ingest::replay_lru(arrivals, budget).hit_rate();
+
+  std::printf("  static per-peer : %4.1f buffers/process (%6.1f KiB), hit-rate 100.0%%\n",
+              static_cast<double>(nranks - 1), static_cast<double>(nranks - 1) * 16.0);
+  std::printf("  lru@%-2zu no-pred  : %4.1f buffers/process, hit-rate %5.1f%%\n", budget,
+              static_cast<double>(budget), bench::pct(lru_rate));
+  std::printf("  adaptive        : %4.1f buffers/process (peak %lld), hit-rate %5.1f%%,\n",
+              adaptive.stats.avg_buffers(), static_cast<long long>(adaptive.stats.peak_buffers),
+              bench::pct(adaptive.stats.hit_rate()));
+  std::printf("                    fallback asks %lld, rendezvous %lld (%lld elided = %.1f%% of "
+              "long messages)\n",
+              static_cast<long long>(adaptive.stats.prepost_misses),
+              static_cast<long long>(adaptive.stats.rendezvous_sends),
+              static_cast<long long>(adaptive.stats.rendezvous_elided),
+              bench::pct(adaptive.stats.elision_rate()));
 }
 
 int run(int argc, char** argv) {
-  auto arg = engine::predictor_arg_or_exit(argc, argv);
+  auto arg = bench::predictor_arg(argc, argv);
   const std::size_t shards = bench::shards_flag(arg.rest);
-  const bench::TraceFlags flags = bench::trace_flags_or_exit(arg.rest);
+  const std::string path = bench::string_flag(arg.rest, "--trace");
+  const std::size_t batch_events =
+      bench::size_flag(arg.rest, "--batch-events", ingest::kDefaultBatchEvents);
+  const std::string window_spec = bench::string_flag(arg.rest, "--window");
+  const std::string remap_spec = bench::string_flag(arg.rest, "--remap-ranks");
+  const auto transforms = ingest::TransformSpec::parse(window_spec, remap_spec);
   const bench::TelemetryFlags telem_flags = bench::telemetry_flags(arg.rest);
-  if (!arg.rest.empty()) {
-    std::fprintf(stderr, "unexpected argument '%s'\n", arg.rest.front().c_str());
-    return 1;
+  bench::reject_unexpected(arg.rest);
+  if (bench::list_predictors(arg)) {
+    return 0;
   }
-  if (flags.path.empty()) {
+  if (path.empty()) {
     std::fputs(kUsage, stderr);
     return 1;
   }
 
-  const ingest::CsvTraceFile file = ingest::CsvTraceFile::open(flags.path);
+  const ingest::CsvTraceFile file = ingest::CsvTraceFile::open(path);
   const engine::EngineConfig cfg{.predictor = arg.name, .shards = shards};
 
   // Registry + (ordinal-clocked) trace sink behind the `--emit-*` flags;
-  // the serve sessions report into the registry.
+  // the serve sessions and the adaptive replay report into them.
   telemetry::Telemetry telem;
   if (!telem_flags.trace_path.empty()) {
     telem.enable_tracing();
@@ -82,50 +136,81 @@ int run(int argc, char** argv) {
   if (telem_flags.any()) {
     server_cfg.metrics = &telem.metrics();
   }
-  std::printf("%s: format %s, %d ranks, predictor %s, batch %zu events\n", flags.path.c_str(),
+  std::printf("%s: format %s, %d ranks, predictor %s, batch %zu events\n", path.c_str(),
               std::string(file.format()).c_str(), file.nranks(), arg.name.c_str(),
-              flags.batch_events);
+              batch_events);
 
   // The paper's accuracy question, answered from the file alone through
   // the resident service: one PredictionServer, one isolated session per
-  // trace level, each fed by the incremental reader in batches (parse of
-  // batch N+1 overlapped with the drain of batch N).
+  // trace level, each fed by the incremental reader through the transform
+  // chain in batches (parse of batch N+1 overlapped with the drain of
+  // batch N); nothing below depends on the batch size.
+  struct LevelRun {
+    trace::Level level{};
+    ingest::StreamedRun run;
+    std::string window_summary;
+    std::string remap_summary;
+    int nranks = 0;
+  };
   serve::PredictionServer server({.engine = server_cfg});
+  std::vector<LevelRun> runs;
   for (const trace::Level level : file.levels()) {
     auto chain =
-        ingest::apply_transforms(ingest::CsvStreamReader::open(file, level), flags.transforms);
+        ingest::apply_transforms(ingest::CsvStreamReader::open(file, level), transforms);
+    LevelRun lr;
+    lr.level = level;
     const auto session = server.open_session();
-    const ingest::StreamedRun run = ingest::run_into(*chain.stream, *session, flags.batch_events);
-    std::printf("%s level: %lld messages over %zu streams in %zu batches, +1 accuracy "
-                "senders %.1f%% / sizes %.1f%%\n",
-                std::string(to_string(level)).c_str(), static_cast<long long>(run.events),
-                run.report.streams.size(), run.batches, pct_at_one(run.report.aggregate_senders),
-                pct_at_one(run.report.aggregate_sizes));
+    lr.run = ingest::run_into(*chain.stream, *session, batch_events);
+    lr.nranks = file.nranks();
     if (chain.window != nullptr) {
-      std::printf("  %s\n", chain.window->summary().c_str());
+      lr.window_summary = chain.window->summary();
     }
     if (chain.remap != nullptr) {
-      std::printf("  remap %s: %s\n", chain.remap->config().to_string().c_str(),
-                  chain.remap->report().summary().c_str());
+      lr.remap_summary =
+          chain.remap->config().to_string() + ": " + chain.remap->report().summary();
+      lr.nranks = chain.remap->report().nranks();
+    }
+    runs.push_back(std::move(lr));
+  }
+
+  const int rep = !transforms.active()
+                      ? trace::representative_rank(file.records_per_rank(file.levels().front()))
+                      : busiest_destination(runs.front().run.report);
+  std::printf("  representative process: %d\n\n", rep);
+  for (const LevelRun& lr : runs) {
+    bench::print_level_report(lr.level, lr.run.report, rep, lr.nranks, shards);
+    std::printf("  read in %zu batches\n", lr.run.batches);
+    if (!lr.window_summary.empty()) {
+      std::printf("  %s\n", lr.window_summary.c_str());
+    }
+    if (!lr.remap_summary.empty()) {
+      std::printf("  remap %s\n", lr.remap_summary.c_str());
     }
   }
-  // The last level's transformed arrivals (physical, when the format
-  // records it), read again from the indexed file: no second scan.
-  const std::vector<engine::Event> arrivals = ingest::strip_times(ingest::drain(
-      *ingest::apply_transforms(ingest::CsvStreamReader::open(file, file.levels().back()),
-                                flags.transforms)
-           .stream,
-      flags.batch_events));
 
   // The §2 runtime question — what would the adaptive library have done?
+  // Asked of the last level's transformed arrivals (physical, the level
+  // the live loop feeds on, when the format records it), read again from
+  // the indexed file: no second scan.
+  const std::vector<engine::Event> arrivals = ingest::strip_times(ingest::drain(
+      *ingest::apply_transforms(ingest::CsvStreamReader::open(file, file.levels().back()),
+                                transforms)
+           .stream,
+      batch_events));
   adaptive::RuntimeConfig rt;
   rt.service.engine.predictor = arg.name;
   rt.service.engine.shards = shards;
   const ingest::AdaptiveReplay replay =
       ingest::replay_adaptive(arrivals, rt, telem_flags.any() ? &telem : nullptr);
+  // A remap that dropped every event reports 0 ranks; clamp so the static
+  // per-peer baseline stays non-negative.
+  const int nranks = std::max(1, runs.back().nranks);
+  std::printf("\n§2 receive buffers over %zu %s-level arrivals (%d ranks):\n", arrivals.size(),
+              std::string(to_string(runs.back().level)).c_str(), nranks);
+  print_buffer_comparison(arrivals, nranks, replay);
   std::printf("adaptive replay: %s\n", replay.summary().c_str());
   if (telem_flags.any()) {
-    bench::write_telemetry_or_exit(telem_flags, telem);
+    bench::write_telemetry(telem_flags, telem);
     std::printf("telemetry:");
     if (!telem_flags.metrics_path.empty()) {
       std::printf(" metrics -> %s", telem_flags.metrics_path.c_str());

@@ -1,7 +1,5 @@
 #include "engine/registry.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "common/error.hpp"
@@ -72,13 +70,8 @@ PredictorArg parse_predictor_arg(int argc, char** argv, std::string fallback) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--list-predictors") {
-      for (const auto& name : PredictorRegistry::instance().names()) {
-        std::printf("%s\n", name.c_str());
-      }
       out.listed = true;
-      return out;
-    }
-    if (arg == "--predictor") {
+    } else if (arg == "--predictor") {
       if (i + 1 >= argc) {
         out.error = "--predictor requires a name";
         return out;
@@ -97,18 +90,6 @@ PredictorArg parse_predictor_arg(int argc, char** argv, std::string fallback) {
     out.error = registry.unknown_name_message(out.name);
   }
   return out;
-}
-
-PredictorArg predictor_arg_or_exit(int argc, char** argv, std::string fallback) {
-  PredictorArg arg = parse_predictor_arg(argc, argv, std::move(fallback));
-  if (arg.listed) {
-    std::exit(0);
-  }
-  if (!arg.error.empty()) {
-    std::fprintf(stderr, "%s\n", arg.error.c_str());
-    std::exit(1);
-  }
-  return arg;
 }
 
 // ----------------------------------------------------------------------

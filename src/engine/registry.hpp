@@ -69,8 +69,9 @@ struct PredictorRegistrar {
 struct PredictorArg {
   /// The validated registry name (the fallback when no flag was given).
   std::string name;
-  /// `--list-predictors` was given and the registry was printed to stdout;
-  /// the caller should exit successfully without running.
+  /// `--list-predictors` was given. Parsing goes on past it, so the caller
+  /// can check every other argument first, then print names() and exit
+  /// successfully without running.
   bool listed = false;
   /// Non-empty on a missing value or unknown name; the caller should print
   /// it to stderr and exit with failure. `name` is unusable.
@@ -85,17 +86,8 @@ struct PredictorArg {
 /// Shared `--predictor <name>` (or `--predictor=<name>`) and
 /// `--list-predictors` handling for benches and examples: validates the
 /// name against the registry up front (before any expensive simulation),
-/// with the registry's own name-listing error message.
+/// with the registry's own name-listing error message. Prints nothing.
 [[nodiscard]] PredictorArg parse_predictor_arg(int argc, char** argv,
                                                std::string fallback = "dpd");
-
-/// parse_predictor_arg plus the exits every CLI main wants: a listing
-/// request exits 0 (the registry was already printed), a missing value or
-/// unknown name prints the registry's diagnostic to stderr and exits 1.
-/// Returns the validated arg otherwise; callers with positionals read
-/// `rest`, callers without any should reject a non-empty `rest` (a typoed
-/// flag must not silently run the default configuration).
-[[nodiscard]] PredictorArg predictor_arg_or_exit(int argc, char** argv,
-                                                 std::string fallback = "dpd");
 
 }  // namespace mpipred::engine

@@ -117,6 +117,15 @@ TEST(PredictorRegistry, ParsePredictorArg) {
   const auto unknown = run({"--predictor", "bogus"});
   EXPECT_NE(unknown.error.find("bogus"), std::string::npos);
   EXPECT_NE(unknown.error.find("dpd"), std::string::npos);  // lists names
+
+  // --list-predictors does not stop the parse, so a tool can reject a bad
+  // flag or name given with it before it answers the listing request.
+  const auto listed = run({"--bogus", "--list-predictors", "figure3"});
+  EXPECT_TRUE(listed.listed);
+  EXPECT_TRUE(listed.error.empty());
+  EXPECT_EQ(listed.rest, (std::vector<std::string>{"--bogus", "figure3"}));
+  EXPECT_NE(run({"--list-predictors", "--predictor", "bogus"}).error.find("bogus"),
+            std::string::npos);
 }
 
 // Counts constructions of the factory registered by
