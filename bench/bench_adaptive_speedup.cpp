@@ -278,12 +278,7 @@ int run(int argc, char** argv) {
   json.end_array();
   json.end_object();
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    throw Error("cannot write " + out_path);
-  }
-  std::fprintf(out, "%s\n", json.str().c_str());
-  std::fclose(out);
+  bench::write_file(out_path, json.str() + "\n");
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!default_conf_faster) {

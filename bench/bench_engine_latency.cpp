@@ -4,11 +4,18 @@
 // arriving message for the online path, batched feeds for replay, and
 // multi-tenant sessions through a PredictionServer.
 //
-// Feeds below engine::kMinParallelBatch events run inline on the caller's
-// thread; larger ones are partitioned and drained by the resident worker
-// pool. The single-event row measures the first, the batch sweep crosses
-// the threshold, and the multi-tenant phase interleaves sessions over one
-// shared pool.
+// Feeds below engine::kMinParallelBatch (512) events run inline on the
+// caller's thread; larger ones are partitioned and drained by the resident
+// worker pool. The single-event row measures the first, the batch sweep
+// brackets the floor (rows at a quarter, half, one and two times it) and
+// the multi-tenant phase interleaves 512-event sessions over one shared
+// pool. The floor is the measured crossover: p50 per feed at 4 shards,
+// inline vs pooled (builds with the floor forced past every feed and down
+// to 1; Release, GCC 12.2, 4-vCPU AMD EPYC), dpd 16 events 8.1 vs 11.7 µs
+// and 32 events 16.0 vs 13.9 µs; last-value 256 events 20.4 vs 20.8 µs
+// and 512 events 40.7 vs 31.4 µs. Run both predictors (`--predictor
+// last-value`) after any change to the feed path: at and above the floor
+// no row may drain slower pooled than inline.
 //
 // Every row is timed five times, each on a fresh engine (fresh sessions
 // for the multi-tenant row), and each figure is the median of the five
@@ -193,7 +200,15 @@ int run(int argc, char** argv) {
               single.mean_ns);
 
   // --- Batch sweep: per-event cost vs batch size. ------------------------
-  const std::size_t batch_sizes[] = {1, 64, 512, 4096, 32768, 0};
+  // Fixed rows plus four bracketing the dispatch floor, so the sweep shows
+  // the inline/pooled crossover at whatever value the floor has; 0 (one
+  // unbounded feed) last.
+  constexpr std::size_t kFloor = engine::kMinParallelBatch;
+  std::vector<std::size_t> batch_sizes = {
+      1, 64, kFloor / 4, kFloor / 2, kFloor, 2 * kFloor, 4096, 32768};
+  std::sort(batch_sizes.begin(), batch_sizes.end());
+  batch_sizes.erase(std::unique(batch_sizes.begin(), batch_sizes.end()), batch_sizes.end());
+  batch_sizes.push_back(0);
   struct BatchRow {
     std::size_t batch = 0;
     double p50_ns_per_feed = 0.0;
@@ -224,10 +239,11 @@ int run(int argc, char** argv) {
     row.p99_ns_per_feed = spread(p99).median;
     row.mean_ns_per_event = spread(per_event);
     sweep.push_back(row);
-    std::printf("batch %9s  feeds %6zu  p99/feed %12.0f ns   mean/event %8.1f ns (%.1f..%.1f)\n",
+    std::printf("batch %9s  feeds %6zu  p50/feed %12.0f ns  p99/feed %12.0f ns   "
+                "mean/event %8.1f ns (%.1f..%.1f)\n",
                 batch == 0 ? "unbounded" : std::to_string(batch).c_str(), row.feeds,
-                row.p99_ns_per_feed, row.mean_ns_per_event.median, row.mean_ns_per_event.min,
-                row.mean_ns_per_event.max);
+                row.p50_ns_per_feed, row.p99_ns_per_feed, row.mean_ns_per_event.median,
+                row.mean_ns_per_event.min, row.mean_ns_per_event.max);
   }
 
   // --- Multi-tenant: interleaved sessions through one server. ------------
@@ -272,6 +288,7 @@ int run(int argc, char** argv) {
   json.key("events").value(nevents);
   json.key("tenants").value(tenants);
   json.key("repeats").value(kRepeats);
+  json.key("dispatch_floor").value(kFloor);
   json.end_object();
   write_percentiles(json, "single_event", single, nevents);
   json.key("batch_sweep").begin_array();
@@ -294,12 +311,7 @@ int run(int argc, char** argv) {
   json.end_object();
   json.end_object();
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    throw Error("cannot write " + out_path);
-  }
-  std::fprintf(out, "%s\n", json.str().c_str());
-  std::fclose(out);
+  bench::write_file(out_path, json.str() + "\n");
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

@@ -79,6 +79,31 @@ int busiest_destination(const engine::EngineReport& report) {
   return best;
 }
 
+/// Passes a stream through unchanged and keeps every event it yields,
+/// timestamps dropped: the last level's arrivals, collected by the one
+/// pass that feeds its session, so that level is parsed once. Pulled on
+/// run_into's producer thread, read after run_into has joined it.
+class KeepArrivals final : public ingest::EventStream {
+ public:
+  KeepArrivals(ingest::EventStream& inner, std::vector<engine::Event>& kept)
+      : inner_(inner), kept_(kept) {}
+
+  std::size_t next_batch(std::size_t max_events,
+                         std::vector<ingest::TimedEvent>& out) override {
+    const std::size_t first = out.size();
+    const std::size_t n = inner_.next_batch(max_events, out);
+    for (std::size_t i = first; i < out.size(); ++i) {
+      kept_.push_back(out[i].event);
+    }
+    return n;
+  }
+  [[nodiscard]] bool time_ordered() const noexcept override { return inner_.time_ordered(); }
+
+ private:
+  ingest::EventStream& inner_;
+  std::vector<engine::Event>& kept_;
+};
+
 /// The §2 buffer question over one arrival sequence: the static library's
 /// analytic per-peer allocation (nranks-1 buffers, every arrival a hit),
 /// a prediction-free LRU at the adaptive policy's own mean budget, and the
@@ -154,13 +179,17 @@ int run(int argc, char** argv) {
   };
   serve::PredictionServer server({.engine = server_cfg});
   std::vector<LevelRun> runs;
-  for (const trace::Level level : file.levels()) {
+  const std::vector<trace::Level> levels = file.levels();
+  std::vector<engine::Event> arrivals;  // the last level's, for the §2 question below
+  for (const trace::Level level : levels) {
     auto chain =
         ingest::apply_transforms(ingest::CsvStreamReader::open(file, level), transforms);
     LevelRun lr;
     lr.level = level;
     const auto session = server.open_session();
-    lr.run = ingest::run_into(*chain.stream, *session, batch_events);
+    KeepArrivals keep(*chain.stream, arrivals);
+    ingest::EventStream& feed = level == levels.back() ? keep : *chain.stream;
+    lr.run = ingest::run_into(feed, *session, batch_events);
     lr.nranks = file.nranks();
     if (chain.window != nullptr) {
       lr.window_summary = chain.window->summary();
@@ -174,7 +203,7 @@ int run(int argc, char** argv) {
   }
 
   const int rep = !transforms.active()
-                      ? trace::representative_rank(file.records_per_rank(file.levels().front()))
+                      ? trace::representative_rank(file.records_per_rank(levels.front()))
                       : busiest_destination(runs.front().run.report);
   std::printf("  representative process: %d\n\n", rep);
   for (const LevelRun& lr : runs) {
@@ -190,13 +219,8 @@ int run(int argc, char** argv) {
 
   // The §2 runtime question — what would the adaptive library have done?
   // Asked of the last level's transformed arrivals (physical, the level
-  // the live loop feeds on, when the format records it), read again from
-  // the indexed file: no second scan.
-  const std::vector<engine::Event> arrivals = ingest::strip_times(ingest::drain(
-      *ingest::apply_transforms(ingest::CsvStreamReader::open(file, file.levels().back()),
-                                transforms)
-           .stream,
-      batch_events));
+  // the live loop feeds on, when the format records it), kept while that
+  // level fed its session: no second parse.
   adaptive::RuntimeConfig rt;
   rt.service.engine.predictor = arg.name;
   rt.service.engine.shards = shards;

@@ -20,6 +20,7 @@
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "engine/shard.hpp"
+#include "engine/worker_pool.hpp"
 
 namespace mpipred::engine {
 namespace {
@@ -160,6 +161,25 @@ TEST(EngineParallel, DispatchThresholdNeverChangesTheReport) {
       EXPECT_EQ(engine.report(), baseline);
     }
   }
+}
+
+TEST(EngineParallel, FeedsReachThePoolFromTheDispatchFloor) {
+  // The dispatch decision itself: a feed one event short of
+  // kMinParallelBatch drains inline and starts no worker; a feed of exactly
+  // kMinParallelBatch goes to the pool, and since its distinct receivers
+  // reach all four shards, every one of the three workers starts.
+  const core::StreamPredictor prototype;
+  WorkerPool pool(3);
+  ShardSet shards(4, prototype, 5, KeyPolicy::per_receiver(), ShardSetOptions{.pool = &pool});
+  std::vector<Event> events(kMinParallelBatch);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i].destination = static_cast<std::int32_t>(i);
+  }
+  shards.feed(std::span<const Event>(events).first(kMinParallelBatch - 1));
+  EXPECT_EQ(pool.started_count(), 0u);
+  shards.feed(events);
+  EXPECT_EQ(pool.started_count(), 3u);
+  EXPECT_EQ(shards.stream_count(), kMinParallelBatch);
 }
 
 TEST(EngineParallel, DefaultEngineUsesAutoShards) {

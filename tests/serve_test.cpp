@@ -328,7 +328,8 @@ TEST(Serve, SessionQueriesMatchTheEngine) {
 TEST(Serve, ConcurrentTenantsWithIdenticalKeysStayIsolated) {
   // Four tenants feed traces that use the SAME (source, dest, tag) keys
   // but different phases, concurrently, through one shared pool. Each
-  // session must end up exactly where a private engine would.
+  // session must end up exactly where a private engine would. Slices of
+  // kMinParallelBatch events are the smallest that dispatch to the pool.
   const engine::EngineConfig cfg{.shards = 4};
   constexpr int kTenants = 4;
   std::vector<std::vector<Event>> traces;
@@ -350,10 +351,11 @@ TEST(Serve, ConcurrentTenantsWithIdenticalKeysStayIsolated) {
   for (int t = 0; t < kTenants; ++t) {
     feeders.emplace_back([&, t] {
       // Feed in slices so tenant feeds genuinely interleave.
+      constexpr std::size_t kSlice = engine::kMinParallelBatch;
       const std::span<const Event> all(traces[static_cast<std::size_t>(t)]);
-      for (std::size_t off = 0; off < all.size(); off += 500) {
+      for (std::size_t off = 0; off < all.size(); off += kSlice) {
         sessions[static_cast<std::size_t>(t)]->observe_all(
-            all.subspan(off, std::min<std::size_t>(500, all.size() - off)));
+            all.subspan(off, std::min(kSlice, all.size() - off)));
       }
     });
   }
