@@ -115,9 +115,8 @@ int default_iters(const std::string& app) {
 int run(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   const auto nseeds = bench::size_flag(args, "--seeds", 5);
-  const int iters_flag = static_cast<int>(bench::size_flag(args, "--iters", 0));
-  const auto fallback_ns =
-      static_cast<std::int64_t>(bench::size_flag(args, "--fallback-ns", 20'000));
+  const int iters_flag = bench::narrow_flag(args, "--iters", 0);
+  const auto fallback_ns = bench::narrow_flag<std::int64_t>(args, "--fallback-ns", 20'000);
   std::string apps_csv = bench::string_flag(args, "--apps");
   if (apps_csv.empty()) {
     apps_csv = "bt,cg,lu";

@@ -11,6 +11,7 @@
 #include <exception>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -168,6 +169,17 @@ inline std::size_t size_flag(std::vector<std::string>& rest, const std::string& 
     }
   }
   return value;
+}
+
+/// size_flag for a count stored in the narrower type `T`: throws
+/// UsageError when the value exceeds `T`'s range instead of wrapping it.
+template <typename T>
+T narrow_flag(std::vector<std::string>& rest, const std::string& flag, T fallback) {
+  const std::size_t value = size_flag(rest, flag, static_cast<std::size_t>(fallback));
+  if (value > static_cast<std::size_t>(std::numeric_limits<T>::max())) {
+    throw UsageError(flag + " must be at most " + std::to_string(std::numeric_limits<T>::max()));
+  }
+  return static_cast<T>(value);
 }
 
 /// Shared `--shards <n>` handling: engine shard count, 0 = one shard per

@@ -8,6 +8,7 @@
 // — keep timestamps, hostnames, and pointers out of the values.
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +18,8 @@
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace mpipred::bench {
 
@@ -74,7 +77,12 @@ class JsonWriter {
   }
   /// Fixed three-decimal format: stable across platforms and precise
   /// enough for latency ratios without dragging in locale or %g noise.
+  /// Throws Error on NaN or infinity, which JSON cannot represent (printf
+  /// would write a bare `nan` that no parser accepts).
   JsonWriter& value(double d) {
+    if (!std::isfinite(d)) {
+      throw Error("cannot write the non-finite number " + std::to_string(d) + " as JSON");
+    }
     separate();
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3f", d);

@@ -66,7 +66,7 @@ struct DpdConfig {
 /// the current run of samples satisfying x[t] == x[t-m], which gives the
 /// same "has matched for long enough" signal in O(N + M) space — small
 /// enough to run inside an MPI library (the §4.2 overhead requirement; see
-/// bench_predictor_overhead).
+/// `bench_engine overhead`).
 ///
 /// That space is an upper bound, reached only by long streams: the state
 /// grows with the history seen. The ring holds min(samples, N) values and

@@ -144,7 +144,7 @@ class EngineShard {
 /// wake-and-join of the resident pool costs more than the parallel drain
 /// saves. It is the measured crossover, the smallest power of two at which
 /// no registered predictor drains slower pooled than inline.
-/// `bench_engine_latency` p50 per feed at 4 shards, inline vs pooled
+/// `bench_engine latency` p50 per feed at 4 shards, inline vs pooled
 /// (Release, GCC 12.2, 4-vCPU AMD EPYC):
 ///   dpd         16 events 8.1 vs 11.7 µs, 32 events 16.0 vs 13.9 µs;
 ///   last-value 256 events 20.4 vs 20.8 µs, 512 events 40.7 vs 31.4 µs;
