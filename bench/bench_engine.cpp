@@ -251,6 +251,32 @@ void write_percentiles(bench::JsonWriter& json, const char* name, const Percenti
   json.end_object();
 }
 
+constexpr std::size_t kTenantBatch = 512;
+
+/// One multi-tenant run: `tenants` sessions of one fresh server feed the
+/// same `kTenantBatch`-event slice round-robin before the next slice, so
+/// feeds of different namespaces genuinely interleave. Returns the wall
+/// time of each feed.
+std::vector<double> timed_tenant_feeds(const engine::EngineConfig& cfg,
+                                       std::span<const engine::Event> events,
+                                       std::size_t tenants) {
+  serve::PredictionServer server({.engine = cfg});
+  std::vector<std::shared_ptr<serve::Session>> sessions;
+  for (std::size_t t = 0; t < tenants; ++t) {
+    sessions.push_back(server.open_session());
+  }
+  std::vector<double> samples;
+  for (std::size_t off = 0; off < events.size(); off += kTenantBatch) {
+    const auto slice = events.subspan(off, std::min(kTenantBatch, events.size() - off));
+    for (const auto& session : sessions) {
+      const auto start = Clock::now();
+      session->observe_all(slice);
+      samples.push_back(elapsed_ns(start, Clock::now()));
+    }
+  }
+  return samples;
+}
+
 void latency(const Options& opts, bench::JsonWriter& json) {
   const std::size_t shards = engine::effective_shard_count(opts.shards.value_or(4));
   const std::size_t nevents = opts.events.value_or(20000);
@@ -271,12 +297,40 @@ void latency(const Options& opts, bench::JsonWriter& json) {
   json.key("dispatch_floor").value(kFloor);
   json.end_object();
 
-  // --- Single-event observe: one observe_all() per arriving message. -----
-  Percentiles single_runs;
+  // Batch sweep rows: fixed sizes plus four bracketing the dispatch floor,
+  // so the sweep shows the inline/pooled crossover at whatever value the
+  // floor has; 0 (one unbounded feed) last.
+  std::vector<std::size_t> batch_sizes = {
+      1, 64, kFloor / 4, kFloor / 2, kFloor, 2 * kFloor, 4096, 32768};
+  std::sort(batch_sizes.begin(), batch_sizes.end());
+  batch_sizes.erase(std::unique(batch_sizes.begin(), batch_sizes.end()), batch_sizes.end());
+  batch_sizes.push_back(0);
+
+  // Repeat-major: each repeat times every row once, each on fresh state,
+  // before the next repeat starts, so a slow phase of the host spreads
+  // over all rows instead of biasing one row's runs.
+  Percentiles single_runs;  // one observe_all() per arriving message
+  std::vector<Percentiles> batch_runs(batch_sizes.size());
+  std::vector<std::size_t> batch_feeds(batch_sizes.size());
+  Percentiles tenant_runs;
+  std::size_t tenant_feeds = 0;
   for (std::size_t rep = 0; rep < kRepeats; ++rep) {
-    engine::PredictionEngine single_engine(cfg);
-    single_runs.add_run(timed_feed(single_engine, events, 1));
+    {
+      engine::PredictionEngine single_engine(cfg);
+      single_runs.add_run(timed_feed(single_engine, events, 1));
+    }
+    for (std::size_t row = 0; row < batch_sizes.size(); ++row) {
+      engine::PredictionEngine eng(cfg);
+      auto samples = timed_feed(eng, events, batch_sizes[row]);
+      batch_feeds[row] = samples.size();
+      batch_runs[row].add_run(std::move(samples));
+    }
+    auto samples = timed_tenant_feeds(cfg, events, tenants);
+    tenant_feeds = samples.size();
+    tenant_runs.add_run(std::move(samples));
   }
+
+  // --- Single-event observe. ----------------------------------------------
   const Spread single_p50 = spread(single_runs.p50_ns);
   std::printf("single-event  p50 %9.0f ns (%.0f..%.0f)   p99 %9.0f ns   mean %9.0f ns\n\n",
               single_p50.median, single_p50.min, single_p50.max,
@@ -284,24 +338,11 @@ void latency(const Options& opts, bench::JsonWriter& json) {
   write_percentiles(json, "single_event", single_runs, nevents);
 
   // --- Batch sweep: per-event cost vs batch size. ------------------------
-  // Fixed rows plus four bracketing the dispatch floor, so the sweep shows
-  // the inline/pooled crossover at whatever value the floor has; 0 (one
-  // unbounded feed) last.
-  std::vector<std::size_t> batch_sizes = {
-      1, 64, kFloor / 4, kFloor / 2, kFloor, 2 * kFloor, 4096, 32768};
-  std::sort(batch_sizes.begin(), batch_sizes.end());
-  batch_sizes.erase(std::unique(batch_sizes.begin(), batch_sizes.end()), batch_sizes.end());
-  batch_sizes.push_back(0);
   json.key("batch_sweep").begin_array();
-  for (const std::size_t batch : batch_sizes) {
-    Percentiles per_feed;
-    std::size_t feeds = 0;
-    for (std::size_t rep = 0; rep < kRepeats; ++rep) {
-      engine::PredictionEngine eng(cfg);
-      auto samples = timed_feed(eng, events, batch);
-      feeds = samples.size();
-      per_feed.add_run(std::move(samples));
-    }
+  for (std::size_t row = 0; row < batch_sizes.size(); ++row) {
+    const std::size_t batch = batch_sizes[row];
+    const Percentiles& per_feed = batch_runs[row];
+    const std::size_t feeds = batch_feeds[row];
     // Total time over total events — correct even when the last feed is
     // a partial batch or the batch size exceeds the event count.
     std::vector<double> per_event_runs;
@@ -326,30 +367,6 @@ void latency(const Options& opts, bench::JsonWriter& json) {
   json.end_array();
 
   // --- Multi-tenant: interleaved sessions through one server. ------------
-  constexpr std::size_t kTenantBatch = 512;
-  const std::span<const engine::Event> all(events);
-  Percentiles tenant_runs;
-  std::size_t tenant_feeds = 0;
-  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
-    serve::PredictionServer server({.engine = cfg});
-    std::vector<std::shared_ptr<serve::Session>> sessions;
-    for (std::size_t t = 0; t < tenants; ++t) {
-      sessions.push_back(server.open_session());
-    }
-    std::vector<double> tenant_samples;
-    for (std::size_t off = 0; off < all.size(); off += kTenantBatch) {
-      const auto slice = all.subspan(off, std::min(kTenantBatch, all.size() - off));
-      // Round-robin: every tenant feeds the same slice before the next
-      // slice, so feeds of different namespaces genuinely interleave.
-      for (const auto& session : sessions) {
-        const auto start = Clock::now();
-        session->observe_all(slice);
-        tenant_samples.push_back(elapsed_ns(start, Clock::now()));
-      }
-    }
-    tenant_feeds = tenant_samples.size();
-    tenant_runs.add_run(std::move(tenant_samples));
-  }
   const Spread tenant_p50 = spread(tenant_runs.p50_ns);
   std::printf("\nmulti-tenant (%zu sessions, %zu-event feeds): p50 %9.0f ns (%.0f..%.0f)   "
               "p99 %9.0f ns\n",

@@ -74,7 +74,6 @@ void memory(const std::string& /*predictor*/) {
   // keeps 6).
   adaptive::RuntimeConfig rt;
   rt.policy.lru_keep = 3;
-  const std::int64_t buffer_bytes = rt.policy.buffer_bytes;
   const bench::LatencyModel model;
   const std::int64_t mean_bytes = 4096;
 
@@ -92,8 +91,8 @@ void memory(const std::string& /*predictor*/) {
     std::printf("%-12s %10.1f %10.1f %10lld %12.0f %12lld %10.2f\n", label(app, procs).c_str(),
                 bench::pct(predicted.hit_rate()), predicted.avg_buffers(),
                 static_cast<long long>(predicted.peak_buffers),
-                predicted.avg_buffers() * static_cast<double>(buffer_bytes),
-                static_cast<long long>((procs - 1) * buffer_bytes),
+                predicted.avg_buffers() * static_cast<double>(adaptive::kBufferBytes),
+                static_cast<long long>((procs - 1) * adaptive::kBufferBytes),
                 predicted_ns / model.direct_ns(mean_bytes));
     std::fflush(stdout);
   }
@@ -132,7 +131,7 @@ void flow_control(const std::string& /*predictor*/) {
   // Credits are planned per stream at the engine's default horizon.
   adaptive::RuntimeConfig rt;
   rt.service.engine = engine::EngineConfig{};
-  const std::int64_t granule = rt.policy.credit_granule_bytes;
+  constexpr std::int64_t granule = adaptive::kCreditGranuleBytes;
   const bench::LatencyModel model;
 
   for (const auto& [app, procs] :

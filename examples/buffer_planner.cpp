@@ -68,7 +68,7 @@ int run(int argc, char** argv) {
   rt.policy.lru_keep = 3;
   const adaptive::PolicyStats predicted = ingest::replay_adaptive(arrivals, rt).stats;
 
-  const auto buffer_bytes = static_cast<double>(rt.policy.buffer_bytes);
+  const auto buffer_bytes = static_cast<double>(adaptive::kBufferBytes);
   const auto print = [buffer_bytes](const char* policy, double hit_rate, double avg_buffers,
                                     std::int64_t peak_buffers) {
     std::printf("  %-12s hit-rate %5.1f%%  avg buffers %5.1f  peak %3lld  avg memory %8.0f B\n",

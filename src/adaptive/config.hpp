@@ -12,21 +12,23 @@
 
 namespace mpipred::adaptive {
 
+/// Per pre-posted eager buffer (the IBM MPI figure the paper quotes).
+inline constexpr std::int64_t kBufferBytes = 16 * 1024;
+
+/// A granted credit reserves the predicted size rounded up to this
+/// granule (buffers come from a pool of fixed-size slots).
+inline constexpr std::int64_t kCreditGranuleBytes = 1024;
+
 struct PolicyConfig {
   /// Predictions below this observed +1 accuracy are ignored (the stream
   /// falls back to static behavior). 0.0 accepts any prediction — the §2
   /// replays' historical behavior.
   double min_confidence = 0.0;
-  /// Per pre-posted eager buffer (the IBM MPI figure the paper quotes).
-  std::int64_t buffer_bytes = 16 * 1024;
   /// Buffers additionally retained for the most recently seen senders
   /// (small LRU so a briefly mispredicted regular sender is not evicted).
   std::size_t lru_keep = 3;
   /// Messages above this size use rendezvous unless elided.
   std::int64_t rendezvous_threshold_bytes = 16 * 1024;
-  /// A granted credit reserves the predicted size rounded up to this
-  /// granule (buffers come from a pool of fixed-size slots).
-  std::int64_t credit_granule_bytes = 1024;
 };
 
 struct ServiceConfig {
@@ -39,10 +41,12 @@ struct ServiceConfig {
 
 /// Configuration of the closed loop inside the simulated MPI library
 /// (`mpi::WorldConfig::adaptive`). When enabled, the World owns one
-/// AdaptivePolicy, every physical arrival feeds it, unexpected eager
-/// arrivals from predicted senders park in pre-posted (pledged) memory
-/// instead of the unbounded unexpected pool, and large sends the receiver
-/// anticipated skip the rendezvous handshake. Decisions depend only on
+/// AdaptivePolicy and every physical arrival feeds it. Both §2 mechanisms
+/// always run together: (a) unexpected eager arrivals from predicted
+/// senders park in pre-posted (pledged) memory instead of the unbounded
+/// unexpected pool, and misses take the slow ask-permission fallback
+/// (counted, and charged to the unexpected pool); (b) large sends the
+/// receiver anticipated skip the RTS/CTS handshake. Decisions depend only on
 /// per-stream predictor state, so a run is bit-identical across
 /// `service.engine.shards` values.
 struct RuntimeConfig {
@@ -56,12 +60,6 @@ struct RuntimeConfig {
   }
 
   bool enabled = false;
-  /// (a) pre-post eager buffers for predicted senders; misses take the
-  /// slow ask-permission fallback (counted, and charged to the unexpected
-  /// pool as today).
-  bool prepost_buffers = true;
-  /// (b) elide RTS/CTS for large messages the receiver anticipated.
-  bool elide_rendezvous = true;
   /// (c) let eager sends fly on the per-stream credits of
   /// `AdaptivePolicy::credit_plan` instead of the per-pair eager budget: a
   /// send whose flow holds a sufficiently large, sufficiently confident

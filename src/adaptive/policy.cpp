@@ -6,8 +6,8 @@ namespace mpipred::adaptive {
 
 namespace {
 
-[[nodiscard]] std::int64_t round_up(std::int64_t bytes, std::int64_t granule) noexcept {
-  return granule <= 0 ? bytes : (bytes + granule - 1) / granule * granule;
+[[nodiscard]] std::int64_t round_up_to_granule(std::int64_t bytes) noexcept {
+  return (bytes + kCreditGranuleBytes - 1) / kCreditGranuleBytes * kCreditGranuleBytes;
 }
 
 }  // namespace
@@ -128,7 +128,7 @@ std::vector<Credit> AdaptivePolicy::credit_plan(std::int32_t destination) const 
       continue;
     }
     if (const auto bytes = flow.predict_size()) {
-      out.push_back({.sender = source, .bytes = round_up(*bytes, cfg_.credit_granule_bytes)});
+      out.push_back({.sender = source, .bytes = round_up_to_granule(*bytes)});
     }
   }
   return out;

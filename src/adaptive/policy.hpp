@@ -32,6 +32,11 @@ struct PolicyStats {
   std::int64_t prepost_misses = 0; // slow ask-permission fallback
   std::int64_t peak_buffers = 0;   // largest per-receiver resident count seen
   double buffer_sum = 0.0;         // resident count summed per arrival
+  /// choose_protocol calls at or below the rendezvous threshold. The live
+  /// endpoint asks the policy only about rendezvous-sized sends, so this
+  /// stays 0 in a World; ingest::replay_adaptive asks for every arrival
+  /// and counts each eager one (is.4: 0 live, 324 replayed). ROADMAP
+  /// item 4 gives the struct one meaning on both paths.
   std::int64_t eager_sends = 0;
   std::int64_t rendezvous_sends = 0;
   std::int64_t rendezvous_elided = 0;

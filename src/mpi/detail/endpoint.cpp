@@ -123,7 +123,7 @@ void Endpoint::trace_buffer_pools() {
 void Endpoint::wake_owner() { world_->engine().rank(rank_).unblock(); }
 
 sim::SimTime Endpoint::progress_quantum() const {
-  return sim::from_ns(world_->config().progress_poll_ns);
+  return sim::from_ns(kProgressPollNs);
 }
 
 void Endpoint::dispatch(ProgressTask& task) {
@@ -193,9 +193,6 @@ bool Endpoint::matches(const RecvState& recv, const Arrival& arrival) noexcept {
 }
 
 void Endpoint::record_logical_post(RecvState& recv) {
-  if (!world_->config().record_logical) {
-    return;
-  }
   trace::Record rec;
   rec.time = world_->engine().now();
   rec.sender = (recv.src_filter == kAnySource) ? trace::kUnresolvedSender
@@ -204,20 +201,15 @@ void Endpoint::record_logical_post(RecvState& recv) {
   rec.kind = recv.kind;
   rec.op = recv.op;
   recv.logical_index = world_->traces().append(rank_, trace::Level::Logical, rec);
-  recv.logical_recorded = true;
 }
 
 void Endpoint::resolve_logical(const RecvState& recv, int sender, std::int64_t bytes) {
-  if (recv.logical_recorded) {
-    world_->traces().resolve(rank_, trace::Level::Logical, recv.logical_index,
-                             static_cast<std::int32_t>(sender), bytes);
-  }
+  world_->traces().resolve(rank_, trace::Level::Logical, recv.logical_index,
+                           static_cast<std::int32_t>(sender), bytes);
 }
 
-void Endpoint::record_physical(int sender, std::int64_t bytes, trace::OpKind kind, trace::Op op) {
-  if (!world_->config().record_physical) {
-    return;
-  }
+void Endpoint::record_physical_arrival(int sender, std::int64_t bytes, trace::OpKind kind,
+                                       trace::Op op) {
   trace::Record rec;
   rec.time = world_->engine().now();
   rec.sender = static_cast<std::int32_t>(sender);
@@ -257,7 +249,7 @@ bool Endpoint::note_adaptive_arrival(int sender, std::int64_t bytes, trace::OpKi
   if (tracer_ != nullptr) {
     tracer_->instant(rank_, hit ? "prepost-hit" : "prepost-miss", "adaptive", std::move(args));
   }
-  return hit && world_->config().adaptive.prepost_buffers;
+  return hit;
 }
 
 std::shared_ptr<SendState> Endpoint::post_send(std::span<const std::byte> data, int dst, int tag,
@@ -280,7 +272,7 @@ std::shared_ptr<SendState> Endpoint::post_send(std::span<const std::byte> data, 
   // §2.3 closed loop: when the receiver's predictions anticipated this
   // (sender, size), the buffer is already pledged there — the handshake
   // can be skipped and the large message travels like a short one.
-  if (send->rendezvous && world_->config().adaptive.elide_rendezvous) {
+  if (send->rendezvous) {
     if (adaptive::AdaptivePolicy* policy = world_->adaptive_policy()) {
       const engine::Event event{.source = static_cast<std::int32_t>(rank_),
                                 .destination = static_cast<std::int32_t>(dst),
@@ -293,8 +285,8 @@ std::shared_ptr<SendState> Endpoint::post_send(std::span<const std::byte> data, 
         // Account what the skipped RTS/CTS would have cost on this pair.
         // Accounting only — no planning state moves and no randomness is
         // consumed — surfaced as adaptive.policy.elision_saved_ns.
-        policy->note_elision_saved(std::llround(world_->engine().network().nominal_handshake_ns(
-            rank_, dst, world_->config().control_bytes)));
+        policy->note_elision_saved(std::llround(
+            world_->engine().network().nominal_handshake_ns(rank_, dst, kControlBytes)));
       }
     }
   }
@@ -348,7 +340,7 @@ std::shared_ptr<SendState> Endpoint::post_send(std::span<const std::byte> data, 
 
   // Rendezvous: announce with an RTS; the payload moves only after the
   // receiver grants a CTS (see grant_cts / handle_data).
-  const auto timing = net.plan_transfer(rank_, dst, world_->config().control_bytes, eng.now());
+  const auto timing = net.plan_transfer(rank_, dst, kControlBytes, eng.now());
   Endpoint& dst_ep = world_->endpoint(dst);
   eng.schedule(timing.delivery, [&dst_ep, send] {
     Arrival arrival;
@@ -367,7 +359,6 @@ std::shared_ptr<SendState> Endpoint::post_send(std::span<const std::byte> data, 
 
 void Endpoint::launch_eager(const std::shared_ptr<SendState>& send) {
   sim::Engine& eng = world_->engine();
-  const std::int64_t header = world_->config().header_bytes;
   if (send->credited) {
     stream_credit_used_[static_cast<std::size_t>(send->dst)] += send->bytes;
     inst_.stream_credit_grants->inc();
@@ -385,7 +376,7 @@ void Endpoint::launch_eager(const std::shared_ptr<SendState>& send) {
     }
   }
   const auto timing =
-      eng.network().plan_transfer(rank_, send->dst, send->bytes + header, eng.now());
+      eng.network().plan_transfer(rank_, send->dst, send->bytes + kHeaderBytes, eng.now());
   Endpoint& dst_ep = world_->endpoint(send->dst);
   eng.schedule(timing.delivery, [&dst_ep, send] {
     Arrival arrival;
@@ -498,7 +489,7 @@ std::shared_ptr<RecvState> Endpoint::post_recv(std::span<std::byte> buffer, int 
     }
     Arrival arrival = std::move(*it);
     if (arrival.type != Arrival::Type::Eager) {
-      inst_.unexpected_bytes->add(-world_->config().control_bytes);
+      inst_.unexpected_bytes->add(-kControlBytes);
     } else if (arrival.preposted) {
       inst_.preposted_bytes->add(-arrival.bytes);
     } else {
@@ -609,13 +600,11 @@ void Endpoint::grant_cts(const std::shared_ptr<SendState>& send,
   // CTS travels receiver -> sender; once it lands, the payload is planned
   // from that moment (both legs consume real NIC/wire resources).
   sim::Engine& eng = world_->engine();
-  const auto cts =
-      eng.network().plan_transfer(rank_, send->src, world_->config().control_bytes, eng.now());
+  const auto cts = eng.network().plan_transfer(rank_, send->src, kControlBytes, eng.now());
   eng.schedule(cts.delivery, [this, send, recv] {
     sim::Engine& e = world_->engine();
-    const std::int64_t header = world_->config().header_bytes;
     const auto data =
-        e.network().plan_transfer(send->src, send->dst, send->bytes + header, e.now());
+        e.network().plan_transfer(send->src, send->dst, send->bytes + kHeaderBytes, e.now());
     Endpoint& dst_ep = world_->endpoint(send->dst);
     e.schedule(data.delivery, [&dst_ep, send, recv] { dst_ep.deliver_data(send, recv); });
     e.schedule(data.sender_free,
@@ -626,13 +615,13 @@ void Endpoint::grant_cts(const std::shared_ptr<SendState>& send,
 void Endpoint::handle_eager(const Arrival& arrival) {
   inst_.eager_received->inc();
   inst_.message_bytes->observe(arrival.bytes);
-  record_physical(arrival.src, arrival.bytes, arrival.kind, arrival.op);
+  record_physical_arrival(arrival.src, arrival.bytes, arrival.kind, arrival.op);
   bool preposted = note_adaptive_arrival(arrival.src, arrival.bytes, arrival.kind);
   // An elided rendezvous was anticipated by the receiver, and a credited
   // send flies into a pledged per-stream slot: their buffers are
   // receiver-controlled by construction — never charged to the unbounded
   // unexpected pool (even if the pre-post plan shifted between send and
-  // arrival, or eager pre-posting is configured off).
+  // arrival).
   preposted = preposted || arrival.elided || arrival.credited;
   if (auto recv = take_posted_match(arrival)) {
     deliver_eager_to(recv, arrival);
@@ -678,7 +667,7 @@ void Endpoint::handle_rts(const Arrival& arrival) {
     return;
   }
   inst_.unexpected_arrivals->inc();
-  inst_.unexpected_bytes->add(world_->config().control_bytes);
+  inst_.unexpected_bytes->add(kControlBytes);
   trace_buffer_pools();
   unexpected_.push_back(arrival);
 }
@@ -687,7 +676,7 @@ void Endpoint::handle_data(const std::shared_ptr<SendState>& send,
                            const std::shared_ptr<RecvState>& recv) {
   inst_.rendezvous_received->inc();
   inst_.message_bytes->observe(send->bytes);
-  record_physical(send->src, send->bytes, send->kind, send->op);
+  record_physical_arrival(send->src, send->bytes, send->kind, send->op);
   // Accounting only: the recv is already matched, so no buffer routing —
   // but the policy must still learn this arrival in physical order.
   (void)note_adaptive_arrival(send->src, send->bytes, send->kind);

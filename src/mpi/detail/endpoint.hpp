@@ -32,10 +32,7 @@ struct EndpointCounters {
   /// Eager sends that had to queue for per-pair credit (§2.1 throttling).
   std::int64_t eager_credit_stalls = 0;
   // Closed-loop counters, populated only under WorldConfig::adaptive:
-  /// Arrivals the receiver's pre-post plan anticipated. Plan-quality
-  /// accounting: kept even with `prepost_buffers` off (when no memory is
-  /// actually parked) so policies can be scored without changing runtime
-  /// behavior.
+  /// Arrivals the receiver's pre-post plan anticipated.
   std::int64_t prepost_hits = 0;
   /// Arrivals the plan missed — the slow ask-permission fallback.
   std::int64_t prepost_misses = 0;
@@ -118,7 +115,7 @@ class Endpoint {
   bool progress_poll() { return progress_.poll(); }
 
   /// Simulated duration of one unsuccessful progress poll
-  /// (WorldConfig::progress_poll_ns).
+  /// (mpi::kProgressPollNs).
   [[nodiscard]] sim::SimTime progress_quantum() const;
 
   /// Removes an unmatched receive from the posted queue. Returns false if
@@ -177,7 +174,8 @@ class Endpoint {
 
   void record_logical_post(RecvState& recv);
   void resolve_logical(const RecvState& recv, int sender, std::int64_t bytes);
-  void record_physical(int sender, std::int64_t bytes, trace::OpKind kind, trace::Op op);
+  void record_physical_arrival(int sender, std::int64_t bytes, trace::OpKind kind,
+                               trace::Op op);
 
   /// Feeds one physical arrival to the world's adaptive policy (when
   /// enabled) and scores it against this receiver's pre-post plan.

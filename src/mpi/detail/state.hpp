@@ -58,10 +58,9 @@ struct RecvState {
   bool complete = false;  // payload landed in `buffer`, `status` valid
   Status status{};
   /// Removed from the posted queue by Future::cancel() before matching.
-  /// The logical trace record (if any) stays unresolved.
+  /// The logical trace record stays unresolved.
   bool cancelled = false;
-  bool logical_recorded = false;
-  std::size_t logical_index = 0;  // valid when logical_recorded
+  std::size_t logical_index = 0;  // this recv's record in the logical trace
   /// then() continuations, dispatched as progress tasks at completion
   /// (before the owner's fiber resumes).
   std::vector<std::function<void(const Status&)>> callbacks;

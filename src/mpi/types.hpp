@@ -65,7 +65,23 @@ template <> struct datatype_of<double> { static constexpr Datatype value = Datat
 template <typename T>
 inline constexpr Datatype datatype_of_v = datatype_of<T>::value;
 
-/// Configuration of a simulated MPI world.
+/// Size of RTS/CTS protocol control messages on the wire.
+inline constexpr std::int64_t kControlBytes = 64;
+static_assert(kControlBytes > 0, "control messages need a positive size");
+
+/// Per-message header bytes added to every wire transfer.
+inline constexpr std::int64_t kHeaderBytes = 32;
+
+/// Simulated duration of one unsuccessful progress poll: what a
+/// test()/progress() call costs when the pending queue is empty. This is
+/// what lets a spin loop on test() advance simulated time (MPI_Test
+/// semantics) instead of live-locking the event engine.
+inline constexpr std::int64_t kProgressPollNs = 1000;
+static_assert(kProgressPollNs > 0, "progress poll quantum must be positive");
+
+/// Configuration of a simulated MPI world. Both trace levels are always
+/// recorded: the top of the library (program order) and the bottom
+/// (arrival order).
 struct WorldConfig {
   sim::EngineConfig engine{};
   /// Messages up to this many bytes are sent eagerly (no handshake); larger
@@ -79,19 +95,6 @@ struct WorldConfig {
   /// from running arbitrarily far ahead of their receivers. Set <= 0 for
   /// unlimited (no flow control, MPICH-style "just send it").
   std::int64_t per_pair_credit_bytes = 16 * 1024;
-  /// Size of RTS/CTS protocol control messages on the wire.
-  std::int64_t control_bytes = 64;
-  /// Per-message header bytes added to every wire transfer.
-  std::int64_t header_bytes = 32;
-  /// Simulated duration of one unsuccessful progress poll: what a
-  /// test()/progress() call costs when the pending queue is empty. This is
-  /// what lets a spin loop on test() advance simulated time (MPI_Test
-  /// semantics) instead of live-locking the event engine. Must be > 0.
-  std::int64_t progress_poll_ns = 1000;
-  /// Record streams at the top of the library (program order)?
-  bool record_logical = true;
-  /// Record streams at the bottom of the library (arrival order)?
-  bool record_physical = true;
   /// The §2 closed loop: prediction-driven buffer pre-posting and
   /// rendezvous elision inside the library (off by default — the paper's
   /// measurement runs use the static library).

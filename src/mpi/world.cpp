@@ -22,8 +22,6 @@ World::World(int nranks, WorldConfig cfg)
       engine_(nranks, wired_engine_config()),
       traces_(nranks) {
   MPIPRED_REQUIRE(cfg.eager_threshold_bytes >= 0, "eager threshold cannot be negative");
-  MPIPRED_REQUIRE(cfg.control_bytes > 0, "control messages need a positive size");
-  MPIPRED_REQUIRE(cfg.progress_poll_ns > 0, "progress poll quantum must be positive");
   if (cfg.adaptive.enabled) {
     adaptive::PolicyConfig policy_cfg = cfg.adaptive.policy;
     // One protocol cutoff: the policy elides exactly the messages the

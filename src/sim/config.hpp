@@ -61,8 +61,6 @@ struct EngineConfig {
   /// Root seed for every random stream in the simulation. Two runs with the
   /// same seed and programs produce identical traces.
   std::uint64_t seed = 42;
-  /// Stack size for each rank's fiber.
-  std::size_t fiber_stack_bytes = 256 * 1024;
   /// Observability sink (not owned; must outlive the engine). The engine
   /// exports its run stats into the metrics registry and, when tracing is
   /// enabled on it, emits per-rank compute/block/poll spans. nullptr = no

@@ -176,8 +176,7 @@ void Engine::run(const std::function<void(Rank&)>& rank_main) {
   fibers_.reserve(ranks_.size());
   for (auto& rank : ranks_) {
     Rank* rp = rank.get();
-    fibers_.push_back(
-        std::make_unique<Fiber>([rp, &rank_main] { rank_main(*rp); }, cfg_.fiber_stack_bytes));
+    fibers_.push_back(std::make_unique<Fiber>([rp, &rank_main] { rank_main(*rp); }));
   }
   for (int r = 0; r < nranks(); ++r) {
     schedule(SimTime{0}, [this, r] { resume_rank(r); });

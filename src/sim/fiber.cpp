@@ -9,6 +9,7 @@
 #include <setjmp.h>
 #include <ucontext.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -40,6 +41,10 @@
 namespace mpipred::sim {
 
 namespace {
+/// Stack size of every fiber: each simulated rank runs on one.
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+static_assert(kFiberStackBytes >= 16 * 1024, "fiber stack must be at least 16 KiB");
+
 /// The fiber currently executing on this thread (nullptr in scheduler
 /// context). thread_local so independent simulations may run on different
 /// threads (e.g. parallel gtest shards within one binary).
@@ -111,11 +116,10 @@ struct Fiber::Impl {
   }
 };
 
-Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
+Fiber::Fiber(std::function<void()> body)
     : impl_(std::make_unique<Impl>()), body_(std::move(body)) {
   MPIPRED_REQUIRE(body_ != nullptr, "fiber body must be callable");
-  MPIPRED_REQUIRE(stack_bytes >= 16 * 1024, "fiber stack must be at least 16 KiB");
-  impl_->stack.resize(stack_bytes);
+  impl_->stack.resize(kFiberStackBytes);
 }
 
 Fiber::~Fiber() { unwind(); }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -22,8 +21,9 @@ namespace mpipred::sim {
 /// the `resume()` call that observed the termination.
 class Fiber {
  public:
-  /// Creates a suspended fiber that will run `body` on first resume.
-  explicit Fiber(std::function<void()> body, std::size_t stack_bytes = 256 * 1024);
+  /// Creates a suspended fiber that will run `body` on first resume, on a
+  /// 256 KiB stack of its own.
+  explicit Fiber(std::function<void()> body);
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;

@@ -8,11 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "adaptive/policy.hpp"
 #include "adaptive/service.hpp"
 #include "apps/app.hpp"
+#include "apps/registry.hpp"
+#include "engine/engine.hpp"
+#include "ingest/replay.hpp"
 #include "mpi/world.hpp"
 
 namespace mpipred::adaptive {
@@ -256,14 +261,11 @@ TEST(ClosedLoop, PrepostedBytesReturnToZeroAfterDrain) {
   EXPECT_GE(counters.preposted_bytes_peak, 0);
 }
 
-TEST(ClosedLoop, ElidedLargeMessagesParkInPledgedMemoryEvenWithoutPreposting) {
-  // elide_rendezvous on, prepost_buffers off: an elided large message that
-  // lands before its recv is posted must still be charged to the pledged
-  // pool (the receiver anticipated it — that is why it was elided), never
-  // to the unbounded unexpected pool.
-  mpi::WorldConfig cfg = adaptive_world_config(1);
-  cfg.adaptive.prepost_buffers = false;
-  mpi::World world(8, cfg);
+TEST(ClosedLoop, ElidedLargeMessagesParkInPledgedMemory) {
+  // An elided large message that lands before its recv is posted must be
+  // charged to the pledged pool (the receiver anticipated it — that is
+  // why it was elided), never to the unbounded unexpected pool.
+  mpi::World world(8, adaptive_world_config(1));
   const auto outcome = apps::run_cg(world, apps::AppConfig{});
   EXPECT_TRUE(outcome.verified);
   const auto counters = world.aggregate_counters();
@@ -272,6 +274,48 @@ TEST(ClosedLoop, ElidedLargeMessagesParkInPledgedMemoryEvenWithoutPreposting) {
   EXPECT_EQ(counters.preposted_bytes_now, 0);
   EXPECT_EQ(counters.unexpected_bytes_now, 0);
   EXPECT_GT(counters.prepost_hits, 0);
+}
+
+TEST(ClosedLoop, LivePrepostDecisionsMatchTheReplay) {
+  // ingest::replay_adaptive drives the policy as the endpoint drives it
+  // live, so replaying a world's physical arrivals (all of them: the live
+  // loop scores collective-internal messages too) under the same config
+  // must reproduce every pre-post decision. The protocol fields are left
+  // out: the live sender chooses at send time, the replay at arrival, and
+  // eager_sends counts different things on the two paths (ROADMAP item 4).
+  struct Case {
+    std::string_view app;
+    int procs;
+  };
+  for (const auto& [app, procs] :
+       {Case{"sweep3d", 6}, Case{"bt", 9}, Case{"cg", 8}, Case{"lu", 4}, Case{"is", 4}}) {
+    for (const double min_confidence : {0.0, 0.8, 1.0}) {
+      for (const bool per_stream_credits : {false, true}) {
+        SCOPED_TRACE(std::string(app) + "." + std::to_string(procs) +
+                     " min_confidence=" + std::to_string(min_confidence) +
+                     " per_stream_credits=" + std::to_string(per_stream_credits));
+        mpi::WorldConfig cfg = adaptive_world_config(1);
+        cfg.adaptive.policy.min_confidence = min_confidence;
+        cfg.adaptive.per_stream_credits = per_stream_credits;
+        mpi::World world(procs, cfg);
+        const auto outcome =
+            apps::find_app(app).run(world, {.problem_class = apps::ProblemClass::S});
+        ASSERT_TRUE(outcome.verified);
+        const PolicyStats live = world.adaptive_policy()->stats();
+        const PolicyStats replay =
+            ingest::replay_adaptive(
+                engine::events_from_trace(world.traces(), trace::Level::Physical), cfg.adaptive)
+                .stats;
+        EXPECT_GT(live.messages, 0);
+        EXPECT_EQ(live.messages, replay.messages);
+        EXPECT_EQ(live.prepost_hits, replay.prepost_hits);
+        EXPECT_EQ(live.prepost_misses, replay.prepost_misses);
+        EXPECT_EQ(live.peak_buffers, replay.peak_buffers);
+        EXPECT_EQ(live.buffer_sum, replay.buffer_sum);
+        EXPECT_EQ(live.degraded_arrivals, replay.degraded_arrivals);
+      }
+    }
+  }
 }
 
 }  // namespace

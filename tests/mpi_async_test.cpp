@@ -280,13 +280,9 @@ TEST(Async, ArrivalsAndCreditsRunAsProgressTasks) {
 
 TEST(ByteAccounting, PlainEagerArrivalBalancesToZero) {
   for (const bool adaptive : {false, true}) {
-    WorldConfig cfg = adaptive ? adaptive_config() : WorldConfig{};
-    if (adaptive) {
-      // Keep predicted arrivals out of the pledged pool so the charge
-      // lands in the unexpected pool in both variants.
-      cfg.adaptive.prepost_buffers = false;
-    }
-    World world(2, cfg);
+    // The only arrival misses the adaptive receiver's cold pre-post plan,
+    // so the charge lands in the unexpected pool in both variants.
+    World world(2, adaptive ? adaptive_config() : WorldConfig{});
     world.run([&](Communicator& comm) {
       std::vector<std::byte> buf(512);
       if (comm.rank() == 0) {
@@ -308,9 +304,7 @@ TEST(ByteAccounting, ControlArrivalChargesControlBytesAndBalances) {
   for (const bool adaptive : {false, true}) {
     WorldConfig cfg = adaptive ? adaptive_config() : WorldConfig{};
     cfg.eager_threshold_bytes = 1024;
-    if (adaptive) {
-      cfg.adaptive.elide_rendezvous = false;  // force the RTS path
-    }
+    // A cold predictor never elides: the only send takes the RTS path.
     World world(2, cfg);
     world.run([&](Communicator& comm) {
       std::vector<std::byte> buf(8192);
@@ -323,7 +317,7 @@ TEST(ByteAccounting, ControlArrivalChargesControlBytesAndBalances) {
     });
     const auto c = world.aggregate_counters();
     EXPECT_EQ(c.rendezvous_received, 1) << "adaptive=" << adaptive;
-    EXPECT_EQ(c.unexpected_bytes_peak, cfg.control_bytes) << "adaptive=" << adaptive;
+    EXPECT_EQ(c.unexpected_bytes_peak, kControlBytes) << "adaptive=" << adaptive;
     EXPECT_EQ(c.unexpected_bytes_now, 0) << "adaptive=" << adaptive;
   }
 }
@@ -353,7 +347,6 @@ TEST(ByteAccounting, PrepostedArrivalsParkInPledgedPoolAndBalance) {
 TEST(ByteAccounting, ElidedArrivalsNeverChargeTheUnexpectedPool) {
   WorldConfig cfg = adaptive_config();
   cfg.eager_threshold_bytes = 1024;
-  cfg.adaptive.prepost_buffers = false;  // pledged-by-construction path
   World world(2, cfg);
   world.run([&](Communicator& comm) {
     std::vector<std::byte> buf(8192);
@@ -375,7 +368,7 @@ TEST(ByteAccounting, ElidedArrivalsNeverChargeTheUnexpectedPool) {
   EXPECT_EQ(c.unexpected_bytes_now, 0);
   // The unexpected pool saw only the pre-elision RTS parks (control bytes),
   // never an elided payload.
-  EXPECT_LE(c.unexpected_bytes_peak, c.unexpected_arrivals * cfg.control_bytes);
+  EXPECT_LE(c.unexpected_bytes_peak, c.unexpected_arrivals * kControlBytes);
 }
 
 }  // namespace

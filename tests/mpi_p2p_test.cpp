@@ -548,12 +548,12 @@ TEST(P2PPriced, ElisionSavingsMatchTheNominalHandshake) {
   // transfers, so the policy's elision_saved_ns ledger must equal
   // elided-count times the network's nominal handshake price — and the
   // elided world must actually finish earlier than the static one.
+  // Pre-posting runs too; it never changes the handshake price.
   auto run_once = [](bool adaptive) {
     WorldConfig cfg;
     cfg.eager_threshold_bytes = 1024;
     cfg.adaptive.enabled = adaptive;
     cfg.adaptive.service.engine.shards = 1;
-    cfg.adaptive.prepost_buffers = false;  // isolate the elision path
     World world(2, cfg);
     std::int64_t elided = 0;
     std::int64_t saved = 0;
@@ -572,7 +572,7 @@ TEST(P2PPriced, ElisionSavingsMatchTheNominalHandshake) {
     if (const auto* policy = world.adaptive_policy()) {
       elided = world.aggregate_counters().rendezvous_elided;
       saved = policy->stats().elision_saved_ns;
-      nominal = world.engine().network().nominal_handshake_ns(0, 1, world.config().control_bytes);
+      nominal = world.engine().network().nominal_handshake_ns(0, 1, kControlBytes);
     }
     return std::tuple{world.engine().stats().final_time, elided, saved, nominal};
   };

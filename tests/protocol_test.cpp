@@ -177,27 +177,8 @@ TEST(Protocol, LatencyScalesWithMessageSize) {
 
 TEST(Protocol, WorldConfigValidation) {
   WorldConfig bad;
-  bad.control_bytes = 0;
+  bad.eager_threshold_bytes = -1;
   EXPECT_THROW(World(2, bad), UsageError);
-  WorldConfig bad2;
-  bad2.eager_threshold_bytes = -1;
-  EXPECT_THROW(World(2, bad2), UsageError);
-}
-
-TEST(Protocol, TracingCanBeDisabledPerLevel) {
-  WorldConfig cfg;
-  cfg.record_logical = false;
-  World world(2, cfg);
-  world.run([&](Communicator& comm) {
-    std::int32_t v = comm.rank();
-    if (comm.rank() == 0) {
-      send_value(comm, v, 1);
-    } else {
-      (void)recv_value<std::int32_t>(comm, 0);
-    }
-  });
-  EXPECT_EQ(world.traces().total_records(trace::Level::Logical), 0u);
-  EXPECT_EQ(world.traces().total_records(trace::Level::Physical), 1u);
 }
 
 TEST(Protocol, AggregateCountersSumEndpoints) {
