@@ -11,7 +11,7 @@ Repo-specific static checks that enforce invariants the compiler cannot:
                        across shard counts; hash order is not).
   raw-assert           library code uses MPIPRED_REQUIRE (always-on, typed
                        UsageError) instead of <cassert> assert.
-  nodiscard            Future, Error, and report/snapshot-returning APIs
+  nodiscard            Request, Error, and report/snapshot-returning APIs
                        carry [[nodiscard]]; dropping them is always a bug.
   include-hygiene      headers under src/mpi/ stay on the split config
                        headers (engine/config.hpp, adaptive/config.hpp)
@@ -133,7 +133,7 @@ NODISCARD_FN_RE = re.compile(
     + "|".join(NODISCARD_TYPES)
     + r")\s+(\w+)\s*\("
 )
-NODISCARD_CLASS_RE = re.compile(r"^\s*class\s+(Future|Error)\s*[:{]")
+NODISCARD_CLASS_RE = re.compile(r"^\s*class\s+(Request|Error)\s*[:{]")
 
 MPI_HEADER_RE = re.compile(r"^src/mpi/.*\.hpp$")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
@@ -367,7 +367,7 @@ def main() -> int:
             ("wall-clock", "no wall-clock/entropy outside src/sim/rng.hpp"),
             ("unordered-iteration", "hash order must not feed reports"),
             ("raw-assert", "MPIPRED_REQUIRE instead of assert() in src/"),
-            ("nodiscard", "[[nodiscard]] on Future/Error and report APIs"),
+            ("nodiscard", "[[nodiscard]] on Request/Error and report APIs"),
             ("include-hygiene", "mpi/ headers stay on split config headers"),
             ("pragma-once", "headers open with #pragma once"),
         ]:

@@ -9,7 +9,7 @@
 // event sequence, so the streamed==materialized gates hold through any
 // composition of them.
 //
-// CLI surface (predict_nas / bench_adaptive / replay_trace):
+// CLI surface (replay_trace, the one tool that reads a trace):
 //   --window <t0>:<t1>      keep events with t0 <= time_ns < t1 (either
 //                           side empty = unbounded)
 //   --remap-ranks <spec>    mod:<N>            fold ranks via old % N

@@ -35,7 +35,7 @@ Request Communicator::isend_tagged(std::span<const std::byte> data, int dst_loca
                                    trace::OpKind kind, trace::Op op) {
   MPIPRED_REQUIRE(!is_null(), "operation on a null communicator");
   auto st = endpoint_->post_send(data, to_world(dst_local), tag, comm_id_, kind, op);
-  return Request(*endpoint_, *sim_rank_, std::move(st));
+  return Request(*sim_rank_, std::move(st));
 }
 
 Request Communicator::irecv_tagged(std::span<std::byte> buf, int src_local, int tag,
@@ -43,7 +43,7 @@ Request Communicator::irecv_tagged(std::span<std::byte> buf, int src_local, int 
   MPIPRED_REQUIRE(!is_null(), "operation on a null communicator");
   const int src_world = (src_local == kAnySource) ? kAnySource : to_world(src_local);
   auto st = endpoint_->post_recv(buf, src_world, tag, comm_id_, kind, op);
-  return Request(*endpoint_, *sim_rank_, std::move(st));
+  return Request(*sim_rank_, std::move(st));
 }
 
 void Communicator::send(std::span<const std::byte> data, int dst, int tag) {
@@ -67,27 +67,6 @@ Request Communicator::isend(std::span<const std::byte> data, int dst, int tag) {
 Request Communicator::irecv(std::span<std::byte> buf, int src, int tag) {
   MPIPRED_REQUIRE(tag >= 0 || tag == kAnyTag, "user tags must be non-negative (or kAnyTag)");
   return irecv_tagged(buf, src, tag, trace::OpKind::PointToPoint, trace::Op::Recv);
-}
-
-Request Communicator::irecv(std::span<std::byte> buf, int src, int tag,
-                            std::function<void(const Status&)> cb) {
-  Request r = irecv(buf, src, tag);
-  r.then(std::move(cb));
-  return r;
-}
-
-bool Communicator::progress() {
-  MPIPRED_REQUIRE(!is_null(), "operation on a null communicator");
-  if (endpoint_->progress_poll()) {
-    return true;
-  }
-  sim_rank_->idle_poll(endpoint_->progress_quantum());
-  return false;
-}
-
-void Communicator::on_recv_complete(std::function<void(const Status&)> cb) {
-  MPIPRED_REQUIRE(!is_null(), "operation on a null communicator");
-  endpoint_->set_recv_notify(std::move(cb));
 }
 
 Status Communicator::sendrecv(std::span<const std::byte> sdata, int dst, int stag,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -46,24 +45,6 @@ class Communicator {
 
   [[nodiscard]] Request isend(std::span<const std::byte> data, int dst, int tag = 0);
   [[nodiscard]] Request irecv(std::span<std::byte> buf, int src, int tag = 0);
-
-  /// Nonblocking receive with a completion continuation: `cb` runs with
-  /// the receive Status as a progress task when the message lands, before
-  /// this rank's fiber resumes (GHEX's recv-with-callback shape).
-  [[nodiscard]] Request irecv(std::span<std::byte> buf, int src, int tag,
-                              std::function<void(const Status&)> cb);
-
-  /// Drives this rank's progress engine one step: drains pending tasks
-  /// (matching, adaptive feed, credit release, callbacks) and returns true
-  /// if any ran; otherwise yields one poll quantum of simulated time so
-  /// in-flight deliveries can land, and returns false. The explicit loop
-  /// `while (!f.ready()) comm.progress();` is equivalent to `f.wait()`.
-  bool progress();
-
-  /// Registers a per-endpoint hook invoked (as a progress task) for every
-  /// receive completed on this rank — user and collective traffic alike.
-  /// One hook per rank; registering again replaces it.
-  void on_recv_complete(std::function<void(const Status&)> cb);
 
   /// Combined send+receive that cannot deadlock (both posted first).
   Status sendrecv(std::span<const std::byte> sdata, int dst, int stag, std::span<std::byte> rbuf,

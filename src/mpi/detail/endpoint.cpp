@@ -122,10 +122,6 @@ void Endpoint::trace_buffer_pools() {
 
 void Endpoint::wake_owner() { world_->engine().rank(rank_).unblock(); }
 
-sim::SimTime Endpoint::progress_quantum() const {
-  return sim::from_ns(kProgressPollNs);
-}
-
 void Endpoint::dispatch(ProgressTask& task) {
   switch (task.kind) {
     case ProgressTask::Kind::EagerArrival: handle_eager(task.arrival); return;
@@ -397,35 +393,12 @@ void Endpoint::launch_eager(const std::shared_ptr<SendState>& send) {
 
 void Endpoint::finish_send(const std::shared_ptr<SendState>& send) {
   send->complete = true;
-  if (!send->callbacks.empty()) {
-    const Status st{send->dst, send->tag, send->bytes};
-    for (auto& cb : send->callbacks) {
-      ProgressTask task;
-      task.kind = ProgressTask::Kind::Callback;
-      task.fn = [cb = std::move(cb), st] { cb(st); };
-      progress_.submit(std::move(task));
-    }
-    send->callbacks.clear();
-  }
   wake_owner();
 }
 
 void Endpoint::finish_recv(const std::shared_ptr<RecvState>& recv, const Status& st) {
   recv->complete = true;
   recv->status = st;
-  for (auto& cb : recv->callbacks) {
-    ProgressTask task;
-    task.kind = ProgressTask::Kind::Callback;
-    task.fn = [cb = std::move(cb), st] { cb(st); };
-    progress_.submit(std::move(task));
-  }
-  recv->callbacks.clear();
-  if (recv_notify_) {
-    ProgressTask task;
-    task.kind = ProgressTask::Kind::Callback;
-    task.fn = [this, st] { recv_notify_(st); };
-    progress_.submit(std::move(task));
-  }
 }
 
 void Endpoint::handle_credit(int peer, std::int64_t bytes, bool per_stream) {
@@ -523,29 +496,6 @@ std::shared_ptr<RecvState> Endpoint::post_recv(std::span<std::byte> buffer, int 
 
   posted_.push_back(recv);
   return recv;
-}
-
-bool Endpoint::cancel_recv(const std::shared_ptr<RecvState>& recv) {
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (*it == recv) {
-      posted_.erase(it);
-      recv->cancelled = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Endpoint::cancel_send(const std::shared_ptr<SendState>& send) {
-  auto& queue = send_queue_[static_cast<std::size_t>(send->dst)];
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (*it == send) {
-      queue.erase(it);
-      send->cancelled = true;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::shared_ptr<RecvState> Endpoint::take_posted_match(const Arrival& arrival) {

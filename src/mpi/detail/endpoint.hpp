@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 
@@ -109,30 +108,8 @@ class Endpoint {
   /// returns the stream credit this endpoint (the sender) spent on it.
   void stream_credit_returned(int peer, std::int64_t bytes);
 
-  // --- cooperative progress & cancellation (owner fiber context) ----------
-
-  /// Drains pending progress tasks. Returns true if any task ran.
-  bool progress_poll() { return progress_.poll(); }
-
-  /// Simulated duration of one unsuccessful progress poll
-  /// (mpi::kProgressPollNs).
-  [[nodiscard]] sim::SimTime progress_quantum() const;
-
-  /// Removes an unmatched receive from the posted queue. Returns false if
-  /// the receive already matched (cancellation lost the race).
-  bool cancel_recv(const std::shared_ptr<RecvState>& recv);
-
-  /// Removes a still-queued (credit-stalled) eager send. Returns false if
-  /// the payload already left (launched or rendezvous-announced).
-  bool cancel_send(const std::shared_ptr<SendState>& send);
-
-  /// Registers a hook invoked (as a progress task) for every receive that
-  /// completes on this endpoint — user and collective traffic alike.
-  void set_recv_notify(std::function<void(const Status&)> cb) { recv_notify_ = std::move(cb); }
-
   /// Called by the source endpoint when a send owned by this rank
-  /// completes: flips the state, dispatches then() continuations as
-  /// progress tasks, and wakes the owner.
+  /// completes: marks the state complete and wakes the owner.
   void finish_send(const std::shared_ptr<SendState>& send);
 
   /// Point-in-time copy assembled from this endpoint's registry-backed
@@ -167,9 +144,8 @@ class Endpoint {
   void deliver_eager_to(const std::shared_ptr<RecvState>& recv, const Arrival& arrival);
   void grant_cts(const std::shared_ptr<SendState>& send, const std::shared_ptr<RecvState>& recv);
 
-  /// Completion tail shared by the eager and rendezvous paths: flips the
-  /// state, then dispatches then() continuations and the recv-notify hook
-  /// as progress tasks (they run before the owner's fiber resumes).
+  /// Completion tail shared by the eager and rendezvous paths: marks the
+  /// state complete with its status. The caller wakes the owner.
   void finish_recv(const std::shared_ptr<RecvState>& recv, const Status& st);
 
   void record_logical_post(RecvState& recv);
@@ -220,7 +196,6 @@ class Endpoint {
   std::vector<std::int64_t> credit_used_;                           // per destination
   std::vector<std::int64_t> stream_credit_used_;                    // per destination
   std::vector<std::deque<std::shared_ptr<SendState>>> send_queue_;  // per destination
-  std::function<void(const Status&)> recv_notify_;
   Instruments inst_;
 };
 

@@ -42,25 +42,17 @@ void ProgressEngine::submit(ProgressTask t) {
   queue_.push_back(std::move(t));
   queue_depth_->add(1);
   if (!draining_) {
-    (void)drain();
+    drain();
   }
 }
 
-bool ProgressEngine::poll() {
-  if (draining_) {
-    return false;  // already inside a drain pass; it will finish the queue
-  }
-  return drain();
-}
-
-bool ProgressEngine::drain() {
+void ProgressEngine::drain() {
   struct DrainGuard {  // handlers may throw (e.g. message truncation)
     bool& flag;
     ~DrainGuard() { flag = false; }
   };
   draining_ = true;
   DrainGuard guard{draining_};
-  bool ran = false;
   while (!queue_.empty()) {
     // Move the task out first: the handler may submit (push_back) and a
     // reference into the deque would not survive reallocation of its map.
@@ -68,7 +60,6 @@ bool ProgressEngine::drain() {
     queue_.pop_front();
     queue_depth_->add(-1);
     executed_->inc();
-    ran = true;
     if (tracer_ != nullptr) {
       tracer_->instant(track_, std::string("task:") + kind_name(task.kind), "progress");
       tracer_->counter(track_, "progress_queue_depth",
@@ -76,10 +67,7 @@ bool ProgressEngine::drain() {
     }
     handler_(task);
   }
-  if (ran) {
-    drains_->inc();
-  }
-  return ran;
+  drains_->inc();
 }
 
 ProgressStats ProgressEngine::stats() const {

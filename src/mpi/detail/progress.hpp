@@ -13,7 +13,7 @@
 namespace mpipred::mpi::detail {
 
 /// One unit of receive-side library work. Packet arrivals, credit returns,
-/// and completion callbacks are all expressed as tasks so the endpoint's
+/// and deferred deliveries are all expressed as tasks so the endpoint's
 /// bottom half has a single, inspectable execution pipeline instead of
 /// ad-hoc inline work in the delivery handlers.
 struct ProgressTask {
@@ -22,7 +22,7 @@ struct ProgressTask {
     RtsArrival,      ///< match or park a rendezvous announcement
     RendezvousData,  ///< land a granted rendezvous payload
     CreditRelease,   ///< return per-pair eager credit, relaunch queued sends
-    Callback,        ///< user completion callback / recv-notify hook
+    Callback,        ///< deferred work, e.g. a priced fallback's late delivery
   };
   static constexpr int kKinds = 5;
 
@@ -56,9 +56,7 @@ struct ProgressStats {
 /// The synchronous drain is a deliberate equivalence argument: work routed
 /// through the queue executes at exactly the point it would have executed
 /// inline, so converting a handler body into a task is behavior-preserving
-/// by construction (the trace gate in mpi_gate_test pins this). An explicit
-/// `poll()` exists for cooperative progress (MPI_Test semantics): it drains
-/// whatever is pending and reports whether anything ran.
+/// by construction (the trace gate in mpi_gate_test pins this).
 ///
 /// Accounting lives in registry-backed instruments: per-kind counters, a
 /// submitted/executed/drains trio, and a queue-depth gauge whose peak is
@@ -90,16 +88,13 @@ class ProgressEngine {
   /// Enqueues `t`; drains the queue unless a drain is already in progress.
   void submit(ProgressTask t);
 
-  /// Drains any pending tasks. Returns true if at least one task ran.
-  bool poll();
-
   [[nodiscard]] bool idle() const noexcept { return queue_.empty() && !draining_; }
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
   /// Point-in-time view assembled from the registry instruments.
   [[nodiscard]] ProgressStats stats() const;
 
  private:
-  bool drain();
+  void drain();
 
   Handler handler_;
   std::deque<ProgressTask> queue_;

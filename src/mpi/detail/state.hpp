@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -38,11 +37,6 @@ struct SendState {
   /// consumes the payload.
   bool credited = false;
   bool complete = false;
-  /// Removed from the send queue by Future::cancel() before launch.
-  bool cancelled = false;
-  /// then() continuations, dispatched as progress tasks at completion
-  /// (before the owner's fiber resumes).
-  std::vector<std::function<void(const Status&)>> callbacks;
 };
 
 /// State of one receive operation.
@@ -57,13 +51,7 @@ struct RecvState {
   bool matched = false;   // a message (or its RTS) has been bound to this recv
   bool complete = false;  // payload landed in `buffer`, `status` valid
   Status status{};
-  /// Removed from the posted queue by Future::cancel() before matching.
-  /// The logical trace record stays unresolved.
-  bool cancelled = false;
   std::size_t logical_index = 0;  // this recv's record in the logical trace
-  /// then() continuations, dispatched as progress tasks at completion
-  /// (before the owner's fiber resumes).
-  std::vector<std::function<void(const Status&)>> callbacks;
 };
 
 /// An arrival the receiver was not ready for: either a complete eager

@@ -4,18 +4,19 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "mpi/detail/endpoint.hpp"
+#include "common/error.hpp"
+#include "mpi/types.hpp"
 #include "sim/engine.hpp"
 
 namespace mpipred::mpi {
 
-Future::Future(detail::Endpoint& ep, sim::Rank& rank, std::shared_ptr<detail::SendState> s)
-    : ep_(&ep), rank_(&rank), send_(std::move(s)) {}
+Request::Request(sim::Rank& rank, std::shared_ptr<detail::SendState> s)
+    : rank_(&rank), send_(std::move(s)) {}
 
-Future::Future(detail::Endpoint& ep, sim::Rank& rank, std::shared_ptr<detail::RecvState> r)
-    : ep_(&ep), rank_(&rank), recv_(std::move(r)) {}
+Request::Request(sim::Rank& rank, std::shared_ptr<detail::RecvState> r)
+    : rank_(&rank), recv_(std::move(r)) {}
 
-void Future::require_owner(const char* op) const {
+void Request::require_owner(const char* op) const {
   const int current = rank_->engine().current_rank();
   if (current != rank_->id()) {
     std::ostringstream os;
@@ -25,7 +26,7 @@ void Future::require_owner(const char* op) const {
   }
 }
 
-std::string Future::describe() const {
+std::string Request::describe() const {
   std::ostringstream os;
   if (send_) {
     os << "send(dst=" << send_->dst << ", tag=" << send_->tag << ")";
@@ -49,23 +50,7 @@ std::string Future::describe() const {
   return os.str();
 }
 
-bool Future::test() {
-  if (ready()) {
-    return true;
-  }
-  require_owner("test");
-  // One progress step: drain whatever the endpoint has pending; if that
-  // did nothing and the operation is still in flight, the completion can
-  // only come from a future delivery — yield one poll quantum so the
-  // event loop can run it. Without the yield a spin loop on test() would
-  // freeze simulated time (the live-lock this API replaces).
-  if (!ep_->progress_poll() && !ready()) {
-    rank_->idle_poll(ep_->progress_quantum());
-  }
-  return ready();
-}
-
-void Future::wait() {
+void Request::wait() {
   if (ready()) {
     return;
   }
@@ -75,53 +60,15 @@ void Future::wait() {
   }
 }
 
-void Future::then(std::function<void(const Status&)> cb) {
-  MPIPRED_REQUIRE(cb != nullptr, "then() needs a callable continuation");
-  MPIPRED_REQUIRE(valid(), "then() on a null request");
-  if (send_) {
-    if (send_->cancelled) {
-      return;
-    }
-    if (send_->complete) {
-      cb(Status{send_->dst, send_->tag, send_->bytes});
-      return;
-    }
-    send_->callbacks.push_back(std::move(cb));
-    return;
-  }
-  if (recv_->cancelled) {
-    return;
-  }
-  if (recv_->complete) {
-    cb(recv_->status);
-    return;
-  }
-  recv_->callbacks.push_back(std::move(cb));
-}
-
-bool Future::cancel() {
-  if (!valid() || ready()) {
-    return false;
-  }
-  require_owner("cancel");
-  if (recv_) {
-    if (recv_->matched) {
-      return false;  // a message (or its RTS) is already bound to this recv
-    }
-    return ep_->cancel_recv(recv_);
-  }
-  return ep_->cancel_send(send_);
-}
-
-const Status& Future::status() const {
+const Status& Request::status() const {
   MPIPRED_REQUIRE(recv_ != nullptr && recv_->complete,
                   "status() requires a completed receive request");
   return recv_->status;
 }
 
-void Future::wait_all(std::span<Future> reqs) {
+void Request::wait_all(std::span<Request> reqs) {
   sim::Rank* owner = nullptr;
-  for (Future& r : reqs) {
+  for (Request& r : reqs) {
     if (!r.valid()) {
       continue;  // null entries are trivially complete
     }
@@ -136,8 +83,8 @@ void Future::wait_all(std::span<Future> reqs) {
     return;
   }
   for (;;) {
-    const Future* blocking = nullptr;
-    for (Future& r : reqs) {
+    const Request* blocking = nullptr;
+    for (Request& r : reqs) {
       if (r.valid() && !r.ready()) {
         blocking = &r;
         break;

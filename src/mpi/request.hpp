@@ -1,8 +1,8 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
+#include <string>
 
 #include "mpi/detail/state.hpp"
 #include "mpi/status.hpp"
@@ -13,95 +13,61 @@ class Rank;
 
 namespace mpipred::mpi {
 
-namespace detail {
-class Endpoint;
-}  // namespace detail
-
-/// Future-style handle for a nonblocking operation (isend/irecv).
-/// Default-constructed futures are null (trivially ready). Copyable: copies
-/// share the underlying operation, and any copy observes completion.
+/// Handle for a nonblocking operation (isend/irecv). Default-constructed
+/// requests are null (trivially ready). Copyable: copies share the
+/// underlying operation, and any copy observes completion.
 ///
-/// A future is bound to the rank that created it. `ready()` is a pure
-/// observation and is valid anywhere (including after World::run returns);
-/// `test()`, `wait()`, and `cancel()` drive or mutate the owning rank's
-/// progress engine and must be called from the owning rank's fiber —
-/// calling them from another rank throws UsageError instead of silently
-/// corrupting the scheduler.
-///
-/// Completion semantics:
-///  - `test()` drives one progress step (MPI_Test): it drains the owning
-///    endpoint's pending-task queue, and if nothing ran and the operation
-///    is still incomplete, yields one poll quantum of simulated time so
-///    deliveries can land. A spin loop on test() therefore advances the
-///    simulation instead of live-locking it.
-///  - `wait()` is progress-until-ready: it blocks the owning fiber and is
-///    woken by the completion task.
-///  - `then(cb)` registers a continuation dispatched as a progress task at
-///    completion, before the owner's fiber resumes. A continuation added
-///    after completion runs immediately in the caller's context.
-///  - `cancel()` revokes an operation whose effects have not started: an
-///    unmatched receive, or an eager send still queued for credit. A
-///    cancelled future is ready; a cancelled receive never completes and
-///    its continuations never run.
-class [[nodiscard]] Future {
+/// A request is bound to the rank that created it. An operation completes
+/// on one path: a progress task on the owning endpoint sets its state
+/// complete and wakes the owner. `ready()` is a pure observation and is
+/// valid anywhere (including after World::run returns); `wait()` and
+/// `wait_all()` block the owning rank's fiber until the completion lands,
+/// and calling them on an incomplete request from another rank throws
+/// UsageError instead of silently corrupting the scheduler.
+class [[nodiscard]] Request {
  public:
-  Future() = default;
+  Request() = default;
 
   [[nodiscard]] bool valid() const noexcept { return send_ != nullptr || recv_ != nullptr; }
 
-  /// True once the operation has completed or been cancelled. Pure
-  /// observation: never drives progress, callable from any context.
+  /// True once the operation has completed. Pure observation: never
+  /// drives progress, callable from any context.
   [[nodiscard]] bool ready() const noexcept {
     if (send_) {
-      return send_->complete || send_->cancelled;
+      return send_->complete;
     }
     if (recv_) {
-      return recv_->complete || recv_->cancelled;
+      return recv_->complete;
     }
-    return true;  // null futures are trivially ready
+    return true;  // null requests are trivially ready
   }
-
-  /// Drives one progress step and reports completion (MPI_Test).
-  bool test();
 
   /// Blocks the calling rank until the operation completes.
   void wait();
 
-  /// Registers `cb` to run with the completion Status. Send futures see
-  /// Status{dst, tag, bytes}. Cancelled operations drop continuations.
-  void then(std::function<void(const Status&)> cb);
-
-  /// Attempts to revoke the operation; see class comment. Returns false if
-  /// the operation already completed, matched, or launched.
-  bool cancel();
-
   /// Receive completion status; only valid for completed receives.
   [[nodiscard]] const Status& status() const;
 
-  /// Waits for every valid future in `reqs` (they may complete in any
+  /// Waits for every valid request in `reqs` (they may complete in any
   /// order); null entries are skipped. Blocks on an all-complete predicate
   /// with a reason naming the specific operation still outstanding, so a
   /// deadlock report points at the stuck request instead of a generic
   /// wait(recv).
-  static void wait_all(std::span<Future> reqs);
+  static void wait_all(std::span<Request> reqs);
 
  private:
   friend class Communicator;
 
-  Future(detail::Endpoint& ep, sim::Rank& rank, std::shared_ptr<detail::SendState> s);
-  Future(detail::Endpoint& ep, sim::Rank& rank, std::shared_ptr<detail::RecvState> r);
+  Request(sim::Rank& rank, std::shared_ptr<detail::SendState> s);
+  Request(sim::Rank& rank, std::shared_ptr<detail::RecvState> r);
 
   /// Throws UsageError unless the currently executing fiber is the owner.
   void require_owner(const char* op) const;
   [[nodiscard]] std::string describe() const;
 
-  detail::Endpoint* ep_ = nullptr;
   sim::Rank* rank_ = nullptr;
   std::shared_ptr<detail::SendState> send_;
   std::shared_ptr<detail::RecvState> recv_;
 };
-
-/// The historical name: every pre-async call site keeps compiling.
-using Request = Future;
 
 }  // namespace mpipred::mpi

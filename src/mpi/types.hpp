@@ -72,13 +72,6 @@ static_assert(kControlBytes > 0, "control messages need a positive size");
 /// Per-message header bytes added to every wire transfer.
 inline constexpr std::int64_t kHeaderBytes = 32;
 
-/// Simulated duration of one unsuccessful progress poll: what a
-/// test()/progress() call costs when the pending queue is empty. This is
-/// what lets a spin loop on test() advance simulated time (MPI_Test
-/// semantics) instead of live-locking the event engine.
-inline constexpr std::int64_t kProgressPollNs = 1000;
-static_assert(kProgressPollNs > 0, "progress poll quantum must be positive");
-
 /// Configuration of a simulated MPI world. Both trace levels are always
 /// recorded: the top of the library (program order) and the bottom
 /// (arrival order).

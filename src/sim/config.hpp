@@ -63,7 +63,7 @@ struct EngineConfig {
   std::uint64_t seed = 42;
   /// Observability sink (not owned; must outlive the engine). The engine
   /// exports its run stats into the metrics registry and, when tracing is
-  /// enabled on it, emits per-rank compute/block/poll spans. nullptr = no
+  /// enabled on it, emits per-rank compute/block spans. nullptr = no
   /// telemetry (mpi::World always wires one in).
   telemetry::Telemetry* telemetry = nullptr;
 };

@@ -39,24 +39,6 @@ void Rank::compute_exact(SimTime d) {
   }
 }
 
-void Rank::idle_poll(SimTime d) {
-  MPIPRED_REQUIRE(d > SimTime{0}, "poll quantum must be positive");
-  ++engine_->stats_.idle_polls;
-  TELEM_SPAN(engine_->tracer(), id_, "idle-poll", "poll");
-  // Same shape as compute_exact, but semantically a yield: the rank is not
-  // doing work, it is giving the event loop a quantum in which deliveries
-  // addressed to it may land. Spurious wakeups (e.g. a completion event)
-  // re-block until the quantum elapses; the caller re-checks its predicate.
-  bool done = false;
-  engine_->schedule_after(d, [this, &done] {
-    done = true;
-    unblock();
-  });
-  while (!done) {
-    block("progress-poll");
-  }
-}
-
 void Rank::block(std::string why) {
   MPIPRED_REQUIRE(Fiber::current() != nullptr, "block() must run inside a rank fiber");
   MPIPRED_REQUIRE(!blocked_, "rank is already blocked");

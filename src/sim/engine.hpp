@@ -39,13 +39,6 @@ class Rank {
   /// Spends exactly `d` of simulated CPU time (no jitter).
   void compute_exact(SimTime d);
 
-  /// Yields this rank to the event loop for exactly `d` of simulated time —
-  /// the quantum one unsuccessful progress poll costs. Unlike compute, a
-  /// poll is interruptible bookkeeping: pending deliveries for this rank
-  /// fire while it sleeps, which is what lets a test()/progress() spin loop
-  /// advance simulated time instead of live-locking.
-  void idle_poll(SimTime d);
-
   /// Suspends this rank until some event handler calls unblock(). `why` is
   /// kept for deadlock diagnostics. Must be called from this rank's fiber.
   void block(std::string why);
@@ -74,6 +67,8 @@ class Rank {
 struct EngineStats {
   std::int64_t events_processed = 0;
   std::int64_t context_switches = 0;
+  /// Always 0: no rank polls. Kept, with its `sim.idle_polls` metric,
+  /// because the benchmark driver reads it.
   std::int64_t idle_polls = 0;
   SimTime final_time{0};
 };
@@ -101,7 +96,7 @@ class Engine {
 
   /// The rank whose fiber is currently executing, or -1 in engine (event
   /// handler) context. This is what binds nonblocking-operation handles to
-  /// their owning rank: wait/test from the wrong fiber is a diagnosable
+  /// their owning rank: a wait from the wrong fiber is a diagnosable
   /// usage error instead of scheduler corruption.
   [[nodiscard]] int current_rank() const noexcept { return current_rank_; }
 

@@ -1,6 +1,6 @@
 // lint-fixture-path: src/engine/example.hpp
 // lint-expect: nodiscard
-// A report-returning API without [[nodiscard]] and a Future class without
+// A report-returning API without [[nodiscard]] and a Request class without
 // the class-level attribute: both silently-droppable results.
 #pragma once
 
@@ -13,9 +13,9 @@ class Example {
   EngineReport report() const;
 };
 
-class Future {
+class Request {
  public:
-  bool test();
+  bool ready() const;
 };
 
 }  // namespace mpipred::engine

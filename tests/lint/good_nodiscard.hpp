@@ -1,6 +1,6 @@
 // lint-fixture-path: src/engine/example.hpp
 // The compliant shapes: attribute on the same line, on the line above,
-// and class-level on Future.
+// and class-level on Request.
 #pragma once
 
 namespace mpipred::engine {
@@ -15,9 +15,9 @@ class Example {
   StreamSnapshot snapshot() const;
 };
 
-class [[nodiscard]] Future {
+class [[nodiscard]] Request {
  public:
-  bool test();
+  bool ready() const;
 };
 
 }  // namespace mpipred::engine

@@ -294,30 +294,6 @@ TEST(P2P, InvalidArgumentsThrow) {
 
 // -------------------------------------------------- request semantics --
 
-TEST(P2P, TestDrivesProgress) {
-  // MPI_Test semantics: a rank spinning on test() without ever blocking
-  // must still observe completion — each unsuccessful test() drives one
-  // progress step and lets one poll quantum of simulated time pass.
-  // Before the async front-end, test() was a pure flag probe: simulated
-  // time froze under the spin and no iteration count could complete it.
-  World world(2);
-  std::int32_t v = 0;  // outlives the fibers
-  bool completed = false;
-  world.run([&](Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.compute(sim::SimTime{1'000'000});
-      send_value<std::int32_t>(comm, 7, 1);
-    } else {
-      Request r = comm.irecv(std::as_writable_bytes(std::span{&v, 1}), 0, 0);
-      for (int spin = 0; spin < 100'000 && !r.test(); ++spin) {
-      }
-      completed = r.test();
-    }
-  });
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(v, 7);
-}
-
 TEST(P2P, WaitFromForeignRankThrows) {
   // A request is bound to the rank that created it. Waiting on it from a
   // different rank would block the *owner's* rank state from the caller's

@@ -56,14 +56,6 @@ TEST(ProgressEngine, ReentrantSubmitsAppendInFifoOrderNotNested) {
   EXPECT_EQ(order, (std::vector<std::string>{"parent", "child-a", "child-b"}));
 }
 
-TEST(ProgressEngine, PollIsFalseWhenIdle) {
-  ProgressEngine pe([](ProgressTask& t) { t.fn(); });
-  EXPECT_FALSE(pe.poll());
-  pe.submit(callback_task([] {}));
-  EXPECT_FALSE(pe.poll());  // the submit already drained it
-  EXPECT_EQ(pe.stats().drains, 1);
-}
-
 TEST(ProgressEngine, StatsCountTasksByKind) {
   int handled = 0;
   ProgressEngine pe([&](ProgressTask&) { ++handled; });
@@ -92,7 +84,7 @@ TEST(ProgressEngine, ThrowingHandlerLeavesEngineUsable) {
   int ran = 0;
   ProgressEngine pe([&](ProgressTask& t) { t.fn(); });
   EXPECT_THROW(pe.submit(callback_task([] { throw UsageError("boom"); })), UsageError);
-  EXPECT_FALSE(pe.poll());  // not stuck in the "draining" state
+  EXPECT_TRUE(pe.idle());  // not stuck in the "draining" state
   pe.submit(callback_task([&] { ++ran; }));
   EXPECT_EQ(ran, 1);
 }

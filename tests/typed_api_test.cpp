@@ -86,7 +86,7 @@ TEST(Typed, ScanValuePrefixes) {
 TEST(Request, NullRequestIsTriviallyComplete) {
   Request r;
   EXPECT_FALSE(r.valid());
-  EXPECT_TRUE(r.test());
+  EXPECT_TRUE(r.ready());
   r.wait();  // no-op, must not crash
 }
 
@@ -119,7 +119,7 @@ TEST(Request, CopiesShareCompletion) {
       Request a = comm.irecv(std::as_writable_bytes(std::span{&v, 1}), 0, 0);
       Request b = a;  // shared handle
       a.wait();
-      EXPECT_TRUE(b.test());
+      EXPECT_TRUE(b.ready());
       EXPECT_EQ(b.status().bytes, 4);
     }
   });
