@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -316,10 +317,18 @@ FIXTURE_PATH_RE = re.compile(r"//\s*lint-fixture-path:\s*(\S+)")
 FIXTURE_EXPECT_RE = re.compile(r"//\s*lint-expect:\s*([\w-]+)")
 
 
+def rule_counts(rules: list[str]) -> dict[str, int]:
+    """Findings per rule, in rule order."""
+    return dict(sorted(Counter(rules).items()))
+
+
 def self_test(fixture_dir: Path) -> int:
     """Every fixture declares its logical path (lint-fixture-path) and the
-    rules it must trip (lint-expect, zero or more). The harness fails when
-    the produced rule set differs from the declared one."""
+    findings it must produce: one lint-expect line per expected finding,
+    naming its rule (zero or more lines). The harness fails when the
+    number of findings of any rule differs from the declared one, so a
+    check that goes dead fails even when the fixture holds another
+    finding of the same rule."""
     failures = 0
     fixtures = sorted(p for p in fixture_dir.rglob("*") if p.suffix in CXX_SUFFIXES)
     if not fixtures:
@@ -330,23 +339,23 @@ def self_test(fixture_dir: Path) -> int:
         lines = text.splitlines()
         m = FIXTURE_PATH_RE.search(text)
         logical = m.group(1) if m else f"src/{fixture.name}"
-        expected = sorted(set(FIXTURE_EXPECT_RE.findall(text)))
+        expected = rule_counts(FIXTURE_EXPECT_RE.findall(text))
         # Directive lines are part of the fixture prose; strip them so a
         # lint-expect mention never interferes with a rule regex.
         body = [
             ln for ln in lines
             if not FIXTURE_PATH_RE.search(ln) and not FIXTURE_EXPECT_RE.search(ln)
         ]
-        got = sorted({f.rule for f in lint_file(fixture, logical, body)})
+        got = rule_counts([f.rule for f in lint_file(fixture, logical, body)])
         if got != expected:
             failures += 1
             print(f"FAIL {fixture.name} (as {logical}):", file=sys.stderr)
-            print(f"  expected rules: {expected or ['<none>']}", file=sys.stderr)
-            print(f"  got rules:      {got or ['<none>']}", file=sys.stderr)
+            print(f"  expected findings: {expected or '<none>'}", file=sys.stderr)
+            print(f"  got findings:      {got or '<none>'}", file=sys.stderr)
             for f2 in lint_file(fixture, logical, body):
                 print(f"    {f2}", file=sys.stderr)
         else:
-            print(f"ok   {fixture.name}: {expected or ['clean']}")
+            print(f"ok   {fixture.name}: {expected or 'clean'}")
     if failures:
         print(f"mpipred_lint --self-test: {failures} fixture(s) failed", file=sys.stderr)
         return 1

@@ -119,15 +119,15 @@ EngineReport PredictionEngine::report() const { return report_of(*shards_); }
 
 std::vector<Event> events_from_trace(const trace::TraceStore& store, trace::Level level,
                                      const trace::StreamFilter& filter) {
-  const auto merged = trace::merged_records(store, level, filter);
+  trace::RecordMerge merge(store, level, filter);
   std::vector<Event> out;
-  out.reserve(merged.size());
-  for (const trace::MergedRecord& rec : merged) {
+  out.reserve(merge.size());
+  merge.drain([&out](std::int32_t receiver, const trace::Record& rec) {
     out.push_back({.source = rec.sender,
-                   .destination = rec.receiver,
+                   .destination = receiver,
                    .tag = static_cast<std::int32_t>(rec.kind),
                    .bytes = rec.bytes});
-  }
+  });
   return out;
 }
 

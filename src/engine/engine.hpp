@@ -119,12 +119,13 @@ void drive_batches(const BatchProducer& produce,
 ///
 /// Streams are hash-partitioned across `EngineConfig::shards` worker
 /// shards; `observe_all()` batches of at least kMinParallelBatch events
-/// are split by shard and drained by resident workers, one per shard (no
-/// shared mutable state, joined before return), while `observe()` and
-/// smaller batches run on the caller's thread. Every stream's event
-/// subsequence reaches its predictors in feed order regardless of shard
-/// count, so reports are byte-identical across shard counts —
-/// engine_parallel_test pins that equivalence. Calls on one
+/// are drained by resident workers, one per shard, each walking the
+/// caller's batch in place and observing only the events its shard owns
+/// (no copies, no shared mutable state, joined before return), while
+/// `observe()` and smaller batches run on the caller's thread. Every
+/// stream's event subsequence reaches its predictors in feed order
+/// regardless of shard count, so reports are byte-identical across shard
+/// counts — engine_parallel_test pins that equivalence. Calls on one
 /// engine must not overlap: the engine is internally parallel, not
 /// thread-safe for concurrent callers.
 class PredictionEngine {
@@ -181,7 +182,8 @@ class PredictionEngine {
   std::unique_ptr<ShardSet> shards_;
 };
 
-/// One engine event per merged trace record; the OpKind becomes the tag.
+/// One engine event per merged trace record (trace::RecordMerge order,
+/// written straight into the result); the OpKind becomes the tag.
 [[nodiscard]] std::vector<Event> events_from_trace(const trace::TraceStore& store,
                                                    trace::Level level,
                                                    const trace::StreamFilter& filter = {});

@@ -25,6 +25,12 @@ namespace {
 // Slots per table before the first growth; always a power of two.
 constexpr std::size_t kInitialSlots = 16;
 
+// The owner array of a pooled feed: each event's shard. One per feeding
+// thread rather than one per shard set, so a thread that feeds several
+// sets (the serve layer's sessions) keeps one array's capacity, not one
+// per set; a feed blocks its thread until every shard is done with it.
+thread_local std::vector<std::uint32_t> t_owners;
+
 }  // namespace
 
 StreamTable::StreamTable() : slots_(kInitialSlots) {}
@@ -94,12 +100,15 @@ void EngineShard::observe(const Event& event, const StreamKey& key, std::uint64_
   ++stream.events;
 }
 
-void EngineShard::drain(const KeyPolicy& policy) {
-  for (const Event& event : batch_) {
-    const StreamKey key = key_for(event, policy);
-    observe(event, key, stream_key_hash(key));
+void EngineShard::observe_owned(std::span<const Event> events,
+                                std::span<const std::uint32_t> owners, std::uint32_t self,
+                                const KeyPolicy& policy) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (owners[i] == self) {
+      const StreamKey key = key_for(events[i], policy);
+      observe(events[i], key, stream_key_hash(key));
+    }
   }
-  batch_.clear();
 }
 
 ShardSet::ShardSet(std::size_t shards, const core::Predictor& prototype, std::size_t horizon,
@@ -155,37 +164,42 @@ void ShardSet::feed(std::span<const Event> events) {
     update_resident_gauge();
     return;
   }
-  partition(events);
   if (pool_ == nullptr) {
     owned_pool_ = std::make_unique<WorkerPool>(shards_.size() - 1);
     pool_ = owned_pool_.get();
   }
-  // Wake only the workers whose shard actually received events: a feed
-  // that routes to two shards costs two condvar signals, not a broadcast.
+  // Each event's shard, computed once: every shard then walks the span
+  // and observes its own events in feed order, so workers never race on
+  // a stream and no event is copied into a per-shard queue.
+  t_owners.resize(events.size());
+  touched_.assign(shards_.size(), 0);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto shard =
+        static_cast<std::uint32_t>(shard_index(stream_key_hash(key_for(events[i], policy_))));
+    t_owners[i] = shard;
+    touched_[shard] = 1;
+  }
+  // Wake only the workers whose shard owns events: a feed that routes to
+  // two shards costs two condvar signals, not a broadcast.
   pending_.clear();
   for (std::size_t s = 1; s < shards_.size(); ++s) {
-    if (!shards_[s].batch().empty()) {
+    if (touched_[s] != 0) {
       pending_.push_back(s - 1);
     }
   }
+  const std::span<const std::uint32_t> owners(t_owners.data(), events.size());
   pool_->run(
-      pending_, [this](std::size_t worker) { shards_[worker + 1].drain(policy_); },
-      [this] { shards_[0].drain(policy_); });
+      pending_,
+      [this, events, owners](std::size_t worker) {
+        const auto self = static_cast<std::uint32_t>(worker + 1);
+        shards_[self].observe_owned(events, owners, self, policy_);
+      },
+      [this, events, owners] {
+        if (touched_[0] != 0) {
+          shards_[0].observe_owned(events, owners, 0, policy_);
+        }
+      });
   update_resident_gauge();
-}
-
-void ShardSet::partition(std::span<const Event> events) {
-  // A previous feed that threw (allocation failure mid-partition or
-  // mid-drain) may have left stale queued events behind; drop them rather
-  // than silently replaying them into the predictors twice.
-  for (EngineShard& shard : shards_) {
-    shard.batch().clear();
-  }
-  // Partition in feed order: each stream's subsequence lands in exactly
-  // one shard's queue, already ordered — workers never race on a stream.
-  for (const Event& event : events) {
-    shards_[shard_index(stream_key_hash(key_for(event, policy_)))].batch().push_back(event);
-  }
 }
 
 StreamRef ShardSet::stream(const StreamKey& key) const noexcept {

@@ -106,13 +106,12 @@ class StreamTable {
   PoolArena<StreamState> arena_;
 };
 
-/// One worker shard: its partition of the stream table plus the reusable
-/// batch buffer the feed loop fills for it. A shard is only ever touched
-/// by one thread at a time — ownership moves with the WorkerPool's
-/// per-slot mutex handoff, not with a lock of its own, so there is no
-/// capability here for the thread-safety analysis to name; the TSan CI
-/// job and the shard-count byte-identity gates cover this contract
-/// (docs/STATIC_ANALYSIS.md has the coverage matrix).
+/// One worker shard: its partition of the stream table. A shard is only
+/// ever touched by one thread at a time — ownership moves with the
+/// WorkerPool's per-slot mutex handoff, not with a lock of its own, so
+/// there is no capability here for the thread-safety analysis to name;
+/// the TSan CI job and the shard-count byte-identity gates cover this
+/// contract (docs/STATIC_ANALYSIS.md has the coverage matrix).
 class EngineShard {
  public:
   EngineShard(const core::Predictor& prototype, std::size_t horizon)
@@ -124,11 +123,12 @@ class EngineShard {
   /// demux cost this layer exists to cut).
   void observe(const Event& event, const StreamKey& key, std::uint64_t hash);
 
-  /// Processes the queued batch in order, then clears it (keeping its
-  /// capacity for the next feed).
-  void drain(const KeyPolicy& policy);
+  /// This shard's share of a pooled feed, read in place: observes, in
+  /// feed order, every event of `events` whose entry in `owners` (the
+  /// shard index the feed computed for it, one per event) is `self`.
+  void observe_owned(std::span<const Event> events, std::span<const std::uint32_t> owners,
+                     std::uint32_t self, const KeyPolicy& policy);
 
-  [[nodiscard]] std::vector<Event>& batch() noexcept { return batch_; }
   [[nodiscard]] const StreamTable& table() const noexcept { return table_; }
   [[nodiscard]] StreamTable& table() noexcept { return table_; }
 
@@ -136,21 +136,20 @@ class EngineShard {
   const core::Predictor* prototype_;
   std::size_t horizon_;
   StreamTable table_;
-  std::vector<Event> batch_;
 };
 
 /// Batches smaller than this run inline on the caller's thread instead of
-/// being dispatched to the shard workers: below it, partitioning plus the
-/// wake-and-join of the resident pool costs more than the parallel drain
-/// saves. It is the measured crossover, the smallest power of two at which
-/// no registered predictor drains slower pooled than inline.
-/// `bench_engine latency` p50 per feed at 4 shards, inline vs pooled
-/// (Release, GCC 12.2, 4-vCPU AMD EPYC):
-///   dpd         16 events 8.1 vs 11.7 µs, 32 events 16.0 vs 13.9 µs;
-///   last-value 256 events 20.4 vs 20.8 µs, 512 events 40.7 vs 31.4 µs;
-///   cycle      256 events 25.6 vs 26.8 µs, 512 events 51.4 vs 45.3 µs.
-/// The cheapest predictors set it; a one-event feed costs 0.5 µs inline
-/// and over 2 µs pooled, so the inline path stays. Never changes any report.
+/// being dispatched to the shard workers: below it, the owner pass plus
+/// the wake-and-join of the resident pool costs more than the parallel
+/// drain saves. It is the measured crossover, the smallest power of two
+/// at which no registered predictor drains slower pooled than inline; the
+/// cheapest predictor sets it. `bench_engine latency` p50 per feed at 4
+/// shards, one build forced inline against one forced pooled, median of 3
+/// runs of 5 (Release, GCC 12.2, 4-vCPU Xeon VM, with the copy-free feed):
+///   dpd          1 event   1.1 vs 13.9 µs,  64 events  58.2 vs 38.1 µs;
+///   last-value 256 events 27.9 vs 31.2 µs, 512 events 55.6 vs 46.2 µs.
+/// A one-event last-value feed costs 0.2 µs inline and 13 µs pooled, so
+/// the inline path stays. Never changes any report.
 inline constexpr std::size_t kMinParallelBatch = 512;
 
 /// Runtime wiring of a ShardSet beyond the stream-space partitioning: the
@@ -172,13 +171,16 @@ struct ShardSetOptions {
 };
 
 /// Fixed set of shards hash-partitioning the stream space. feed() is the
-/// batched path: batches of at least kMinParallelBatch events are queued
-/// per shard, then all non-empty shards drain concurrently on resident
-/// worker threads woken per feed (the caller's thread included) and are
-/// joined before feed returns; smaller batches and observe_one() run on
-/// the caller's thread. Because a stream lives in exactly one shard and
-/// each shard consumes its queue in feed order, results never depend on
-/// shard count, batch size, or thread interleaving.
+/// batched path: for a batch of at least kMinParallelBatch events the
+/// caller's thread computes each event's shard once into an owner array
+/// (one per feeding thread, reused by every set that thread feeds), then
+/// every shard that owns an event walks the caller's span concurrently on
+/// a resident worker woken for this feed (shard 0 on the caller's thread)
+/// and observes only its own events; all are joined before feed returns.
+/// No event is copied. Smaller batches and observe_one() run on the
+/// caller's thread. Because a stream lives in exactly one shard and each
+/// shard walks the span in feed order, results never depend on shard
+/// count, batch size, or thread interleaving.
 class ShardSet {
  public:
   /// `prototype` must outlive the set (the engine or server owns it).
@@ -187,10 +189,13 @@ class ShardSet {
 
   void observe_one(const Event& event);
 
-  /// Blocks until every event is observed. If it throws (allocation
-  /// failure in a predictor or queue), stream state is partially updated;
-  /// unprocessed queued events are dropped by the next feed, never
-  /// replayed.
+  /// Blocks until every event is observed. If an observation throws (a
+  /// predictor, or an allocation), the error is rethrown after every
+  /// shard has stopped: the shards that did not throw observed all their
+  /// events, the throwing one stopped at its failing event, and stream
+  /// state stays as far as each got. A feed keeps no state past its
+  /// return, so the next feed observes exactly its own events and never
+  /// one of a failed feed's.
   void feed(std::span<const Event> events);
 
   /// The one key-to-stream lookup behind the query verb of the engine
@@ -213,14 +218,14 @@ class ShardSet {
  private:
   [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const noexcept;
   void route(const Event& event);
-  void partition(std::span<const Event> events);
   void update_resident_gauge() noexcept;
 
   KeyPolicy policy_;
   std::vector<EngineShard> shards_;
   WorkerPool* pool_;                        // resident workers actually used
   std::unique_ptr<WorkerPool> owned_pool_;  // set when options.pool was null
-  std::vector<std::size_t> pending_;  // reused worker-slot scratch
+  std::vector<std::uint8_t> touched_;  // reused: shards owning an event this feed
+  std::vector<std::size_t> pending_;   // reused worker-slot scratch
   std::unique_ptr<telemetry::MetricsRegistry> owned_metrics_;  // when none was passed
   telemetry::Counter* feed_events_ = nullptr;
   telemetry::Counter* feed_batches_ = nullptr;

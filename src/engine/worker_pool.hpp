@@ -3,8 +3,8 @@
 // Resident worker threads for the sharded feed path: the only way a
 // parallel batch is drained. A WorkerPool keeps one long-lived thread per
 // worker slot, woken by a per-slot condition variable only when its
-// shard's queue is non-empty, so a dispatch costs a wakeup, not a thread
-// spawn. One pool can serve many shard sets (the serve layer shares a
+// shard owns events of the feed, so a dispatch costs a wakeup, not a
+// thread spawn. One pool can serve many shard sets (the serve layer shares a
 // single pool across every tenant session); dispatches from different
 // threads are serialized internally.
 //
@@ -30,7 +30,7 @@ namespace mpipred::engine {
 
 /// Fixed set of resident worker threads, one per slot, each woken through
 /// its own condition variable — the shard fan-out never broadcasts to
-/// workers that have nothing queued. Threads start lazily on the first
+/// workers that have nothing to do. Threads start lazily on the first
 /// dispatch that needs them and are joined by the destructor (which first
 /// lets any in-flight job finish: shutdown never drops queued work).
 class WorkerPool {

@@ -47,16 +47,16 @@ std::vector<engine::Event> CsvTraceSource::events(trace::Level level) const {
 }
 
 std::unique_ptr<EventStream> CsvTraceSource::stream_events(trace::Level level) const {
-  const auto merged = trace::merged_records(store_, level);
+  trace::RecordMerge merge(store_, level);
   std::vector<TimedEvent> timed;
-  timed.reserve(merged.size());
-  for (const trace::MergedRecord& rec : merged) {
+  timed.reserve(merge.size());
+  merge.drain([&timed](std::int32_t receiver, const trace::Record& rec) {
     timed.push_back({.time = rec.time,
                      .event = {.source = rec.sender,
-                               .destination = rec.receiver,
+                               .destination = receiver,
                                .tag = static_cast<std::int32_t>(rec.kind),
                                .bytes = rec.bytes}});
-  }
+  });
   return std::make_unique<VectorEventStream>(std::move(timed), /*time_ordered=*/true);
 }
 

@@ -76,15 +76,18 @@ inline constexpr int kNumOps = static_cast<int>(Op::Scan) + 1;
 /// stream (program order) is already correct at creation time.
 inline constexpr std::int32_t kUnresolvedSender = -1;
 
-/// One received message, as seen by one instrumentation level.
+/// One received message, as seen by one instrumentation level. The two
+/// 8-byte fields lead so the 4- and 1-byte ones share the last word: 24
+/// bytes a record, the unit every trace store is billed in.
 struct Record {
   sim::SimTime time{0};   ///< post time (logical) / delivery time (physical)
-  std::int32_t sender = kUnresolvedSender;
   std::int64_t bytes = 0;
+  std::int32_t sender = kUnresolvedSender;
   OpKind kind = OpKind::PointToPoint;
   Op op = Op::Recv;
 
   [[nodiscard]] bool operator==(const Record&) const = default;
 };
+static_assert(sizeof(Record) == 24, "trace::Record grew past 24 bytes");
 
 }  // namespace mpipred::trace

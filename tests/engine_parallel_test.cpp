@@ -9,10 +9,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -180,6 +184,81 @@ TEST(EngineParallel, FeedsReachThePoolFromTheDispatchFloor) {
   shards.feed(events);
   EXPECT_EQ(pool.started_count(), 3u);
   EXPECT_EQ(shards.stream_count(), kMinParallelBatch);
+}
+
+/// Last-value predictor that throws on one poison sample: a predictor
+/// failure in the middle of a pooled feed.
+class PoisonPredictor final : public core::Predictor {
+ public:
+  static constexpr Value kPoison = 666'666;
+
+  void observe(Value v) override {
+    if (v == kPoison) {
+      throw std::runtime_error("poison sample");
+    }
+    last_ = v;
+  }
+  [[nodiscard]] std::optional<Value> predict(std::size_t) const override { return last_; }
+  [[nodiscard]] std::size_t max_horizon() const override { return 5; }
+  [[nodiscard]] std::string_view name() const override { return "poison"; }
+  void reset() override { last_.reset(); }
+  [[nodiscard]] std::unique_ptr<core::Predictor> clone_fresh() const override {
+    return std::make_unique<PoisonPredictor>();
+  }
+  [[nodiscard]] std::size_t footprint_bytes() const override { return sizeof(*this); }
+
+ private:
+  std::optional<Value> last_;
+};
+
+TEST(EngineParallel, AFailedPooledFeedLeavesNothingForTheNextFeed) {
+  // A feed keeps no state past its return: after a pooled feed throws
+  // part-way (one shard's predictor rejects a sample), the next feed
+  // observes each of its own events exactly once and none of the failed
+  // feed's. The failed feed spans receivers 0..63, the clean one 64..127,
+  // so every stream's count tells which feed it came from.
+  const PoisonPredictor prototype;
+  WorkerPool pool(3);
+  ShardSet shards(4, prototype, 5, KeyPolicy::per_receiver(), ShardSetOptions{.pool = &pool});
+  const std::size_t nevents = 2 * kMinParallelBatch;
+  std::vector<Event> failed(nevents);
+  std::vector<Event> clean(nevents);
+  for (std::size_t i = 0; i < nevents; ++i) {
+    const auto receiver = static_cast<std::int32_t>(i % 64);
+    failed[i] = {.source = receiver + 1, .destination = receiver, .tag = 0, .bytes = 64};
+    clean[i] = {.source = receiver + 1, .destination = receiver + 64, .tag = 0, .bytes = 128};
+  }
+  const std::size_t poison_at = nevents / 2 + 5;
+  const std::int32_t poisoned = failed[poison_at].destination;
+  failed[poison_at].bytes = PoisonPredictor::kPoison;
+
+  EXPECT_THROW(shards.feed(failed), std::runtime_error);
+  EXPECT_EQ(pool.started_count(), 3u);  // the failing feed did go to the pool
+  const EngineReport after_failure = report_of(shards);
+  shards.feed(clean);
+  const EngineReport report = report_of(shards);
+
+  const auto count_of = [](std::span<const Event> events, std::int32_t receiver) {
+    return std::count_if(events.begin(), events.end(),
+                         [receiver](const Event& e) { return e.destination == receiver; });
+  };
+  std::int64_t failed_seen = 0;
+  for (const StreamReport& row : report.streams) {
+    const std::int32_t receiver = row.key.destination;
+    SCOPED_TRACE("receiver " + std::to_string(receiver));
+    if (receiver >= 64) {
+      EXPECT_EQ(row.events, count_of(clean, receiver));
+      continue;
+    }
+    EXPECT_LE(row.events, count_of(failed, receiver));
+    if (receiver == poisoned) {
+      // Stopped at the poison: only the stream's events before it.
+      EXPECT_EQ(row.events, count_of(std::span<const Event>(failed).first(poison_at), receiver));
+    }
+    failed_seen += row.events;
+  }
+  EXPECT_EQ(failed_seen, after_failure.events);
+  EXPECT_EQ(report.events, after_failure.events + static_cast<std::int64_t>(nevents));
 }
 
 TEST(EngineParallel, DefaultEngineUsesAutoShards) {

@@ -199,8 +199,8 @@ TEST(PredictionEngine, UnresolvedSenderIsNotAWildcardStream) {
 
   trace::TraceStore store(2);
   store.append(1, trace::Level::Logical,
-               {.time = sim::SimTime{1}, .sender = trace::kUnresolvedSender, .bytes = 8});
-  store.append(1, trace::Level::Logical, {.time = sim::SimTime{2}, .sender = 0, .bytes = 8});
+               {.time = sim::SimTime{1}, .bytes = 8, .sender = trace::kUnresolvedSender});
+  store.append(1, trace::Level::Logical, {.time = sim::SimTime{2}, .bytes = 8, .sender = 0});
   const auto events =
       events_from_trace(store, trace::Level::Logical, {.drop_unresolved = false});
   ASSERT_EQ(events.size(), 2u);

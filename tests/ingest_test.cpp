@@ -74,13 +74,13 @@ constexpr const char* kFlat = "time_ns,sender,receiver,bytes\n";
 TEST(CsvSource, NativeDialectMatchesStoreAndEngineEvents) {
   trace::TraceStore store(3);
   store.append(0, trace::Level::Logical,
-               {.time = sim::SimTime{5}, .sender = 1, .bytes = 100});
+               {.time = sim::SimTime{5}, .bytes = 100, .sender = 1});
   store.append(0, trace::Level::Physical,
-               {.time = sim::SimTime{9}, .sender = 2, .bytes = 200});
+               {.time = sim::SimTime{9}, .bytes = 200, .sender = 2});
   store.append(2, trace::Level::Logical,
                {.time = sim::SimTime{1},
-                .sender = 0,
                 .bytes = 50,
+                .sender = 0,
                 .kind = trace::OpKind::Collective,
                 .op = trace::Op::Allreduce});
   std::stringstream csv;
@@ -194,7 +194,7 @@ TEST(CsvSource, NranksDirectiveDeclaresAndBounds) {
 // 5-rank world to 1 and skew every per-process figure downstream.
 TEST(CsvSource, IdleTopRanksSurviveTheRoundTrip) {
   trace::TraceStore store(5);
-  store.append(0, trace::Level::Physical, {.time = sim::SimTime{1}, .sender = 1, .bytes = 8});
+  store.append(0, trace::Level::Physical, {.time = sim::SimTime{1}, .bytes = 8, .sender = 1});
   std::stringstream csv;
   trace::write_csv(csv, store);
   const auto source = open_trace_stream(csv, "<test>");
@@ -252,7 +252,7 @@ TEST(CsvSource, UnknownHeaderListsKnownFormats) {
 
 trace::Record record(std::int32_t sender, std::int64_t bytes, trace::OpKind kind,
                      trace::Op op, std::int64_t t) {
-  return {.time = sim::SimTime{t}, .sender = sender, .bytes = bytes, .kind = kind, .op = op};
+  return {.time = sim::SimTime{t}, .bytes = bytes, .sender = sender, .kind = kind, .op = op};
 }
 
 CsvTraceSource round_trip(const trace::TraceStore& store) {
@@ -908,13 +908,15 @@ trace::TraceStore random_store(std::uint32_t seed, int nranks, int records_per_r
       for (int i = 0; i < records_per_rank; ++i) {
         t += static_cast<std::int64_t>(rng() % 2);  // ties within and across ranks
         const bool unresolved = level == trace::Level::Logical && rng() % 13 == 0;
+        // Drawn in this order (sender, bytes, kind) so each seed's store
+        // is independent of Record's field order.
+        const std::int32_t sender = unresolved ? trace::kUnresolvedSender
+                                               : static_cast<std::int32_t>(rng() % nranks);
+        const auto bytes = static_cast<std::int64_t>(8 << (rng() % 4));
+        const trace::OpKind kind =
+            rng() % 5 == 0 ? trace::OpKind::Collective : trace::OpKind::PointToPoint;
         store.append(rank, level,
-                     {.time = sim::SimTime{t},
-                      .sender = unresolved ? trace::kUnresolvedSender
-                                           : static_cast<std::int32_t>(rng() % nranks),
-                      .bytes = static_cast<std::int64_t>(8 << (rng() % 4)),
-                      .kind = rng() % 5 == 0 ? trace::OpKind::Collective
-                                             : trace::OpKind::PointToPoint});
+                     {.time = sim::SimTime{t}, .bytes = bytes, .sender = sender, .kind = kind});
       }
     }
   }
@@ -1249,7 +1251,7 @@ TEST(Streaming, NonRegularFilesAreRejectedAtOpen) {
 // process is the same.
 TEST(Streaming, TraceFileAnswersLikeTheMaterializedSource) {
   auto store = random_store(/*seed=*/21, /*nranks=*/5, /*records_per_rank=*/40);
-  store.append(2, trace::Level::Logical, {.time = sim::SimTime{1000}, .sender = 0, .bytes = 8});
+  store.append(2, trace::Level::Logical, {.time = sim::SimTime{1000}, .bytes = 8, .sender = 0});
   std::stringstream native;
   trace::write_csv(native, store);
   const std::string declared = "# nranks: 9\n" + std::string(kFlat) +

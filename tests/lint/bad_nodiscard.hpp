@@ -1,7 +1,9 @@
 // lint-fixture-path: src/engine/example.hpp
 // lint-expect: nodiscard
+// lint-expect: nodiscard
 // A report-returning API without [[nodiscard]] and a Request class without
-// the class-level attribute: both silently-droppable results.
+// the class-level attribute: both silently-droppable results, one finding
+// each, so either check going dead fails the self-test.
 #pragma once
 
 namespace mpipred::engine {

@@ -251,12 +251,12 @@ trace::TraceStore periodic_store(int rounds) {
       const std::int64_t t = std::int64_t{round} * kRanks + rank;
       store.append(rank, trace::Level::Logical,
                    {.time = sim::SimTime{t},
-                    .sender = (rank + 1 + round % 3) % kRanks,
-                    .bytes = std::int64_t{64} << (round % 4)});
+                    .bytes = std::int64_t{64} << (round % 4),
+                    .sender = (rank + 1 + round % 3) % kRanks});
       store.append(rank, trace::Level::Physical,
                    {.time = sim::SimTime{t},
-                    .sender = (rank + 1 + (round * 5) % 7) % kRanks,
-                    .bytes = std::int64_t{64} << (round % 4)});
+                    .bytes = std::int64_t{64} << (round % 4),
+                    .sender = (rank + 1 + (round * 5) % 7) % kRanks});
     }
   }
   return store;

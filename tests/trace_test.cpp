@@ -13,7 +13,7 @@ namespace {
 
 Record make(std::int32_t sender, std::int64_t bytes, OpKind kind = OpKind::PointToPoint,
             Op op = Op::Recv, std::int64_t t = 0) {
-  return Record{.time = sim::SimTime{t}, .sender = sender, .bytes = bytes, .kind = kind, .op = op};
+  return Record{.time = sim::SimTime{t}, .bytes = bytes, .sender = sender, .kind = kind, .op = op};
 }
 
 TEST(Store, AppendAndRead) {
